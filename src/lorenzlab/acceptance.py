@@ -152,7 +152,7 @@ def criterion_03_schwarzian(cfg: ExperimentConfig):
                    f"2 x 1e4 grid points, max value {worst:.3e} < 0", t0, cap=1.0)
 
 
-def criterion_04_ulam_stationarity(cfg: ExperimentConfig, _cache={}):
+def criterion_04_ulam_stationarity(cfg: ExperimentConfig):
     t0 = time.time()
     family = cfg.perturbed_family()
     part = partition_for(family, cfg.partition.n_bins)
@@ -161,8 +161,6 @@ def criterion_04_ulam_stationarity(cfg: ExperimentConfig, _cache={}):
     model = NoiseModel(eps=0.01, kind=cfg.noise.kind, L=cfg.noise.L, seed=cfg.noise.seed)
     rnd = build_ulam(family, model, part)
     pi_rnd, info_rnd = stationary_density(rnd, tol=1e-10)
-    _cache["det"] = (det, pi_det)
-    _cache["rnd"] = (rnd, pi_rnd)
     ok = info_det["residual"] <= 1e-10 and info_rnd["residual"] <= 1e-10
     return _result(4, "Ulam stationarity residuals", ok,
                    f"det residual {info_det['residual']:.2e}, randomized {info_rnd['residual']:.2e} (<=1e-10, {part.n_bins} bins)",
@@ -260,7 +258,11 @@ def criterion_08_kernel_regularity(cfg: ExperimentConfig):
 
 
 def _brute_force_scan(family, model, x, om_values, delta, theta, tau, theta0, delta_star, horizon):
-    """Naive re-derivation of the stopping times from full re-iterations."""
+    """Naive re-derivation of the stopping times from full re-iterations.
+
+    It keeps to eval and derivatives rather than PerturbedFamily.step, so that
+    it stays an oracle independent of the kernel the scans use.
+    """
     params = family.base
     grid = default_scale_grid(params, delta, delta_star)
     nbs = [critical_neighborhood(params, d) for d in grid]
@@ -363,7 +365,8 @@ def criterion_10_window_nonlinearity(cfg: ExperimentConfig):
 
 def criterion_11_koebe(cfg: ExperimentConfig):
     t0 = time.time()
-    params = cfg.map_params()
+    family = cfg.perturbed_family()
+    params = family.base
     rng = np.random.default_rng(cfg.noise.seed)
     passed = applicable = 0
     worst = 0.0
@@ -388,7 +391,7 @@ def criterion_11_koebe(cfg: ExperimentConfig):
         for _ in range(14):
             target = (max(0.0, orbit[s] - rho), min(1.0, orbit[s] + rho))
             try:
-                res = koebe_check(params, target, s, tau=1.0, guide_orbit=orbit[:s])
+                res = koebe_check(family, target, s, tau=1.0, guide_orbit=orbit[:s])
                 break
             except NotDiffeomorphic:
                 rho /= 2.0

@@ -289,6 +289,12 @@ def run_binding(cfg: ExperimentConfig, out_dir: str):
 
 
 def run_bc_check(cfg: ExperimentConfig, out_dir: str):
+    """Backward contraction BC(2) components at delta = 0.01, 0.005 and 0.0025.
+
+    A clean last rung does not mean BC(2) holds below it: criterion 13 scans
+    a finer ladder and finds genuine violations again at delta = 8.8e-4 and
+    6.25e-4 (s = 9), with the onset of the clean range at 4.4e-4.
+    """
     params = cfg.map_params()
     ladder = [0.01, 0.005, 0.0025]
     rep = backward_contraction_check(
@@ -407,7 +413,7 @@ def run_expansion(cfg: ExperimentConfig, out_dir: str):
     koebe_pass = koebe_app = 0
     worst = 0.0
     for _ in range(cfg.ensemble.koebe_branches):
-        res = _random_koebe_branch(params, rng, tau=1.0)
+        res = _random_koebe_branch(family, rng, tau=1.0)
         if res is None or not res.get("applicable"):
             continue
         koebe_app += 1
@@ -432,7 +438,8 @@ def run_expansion(cfg: ExperimentConfig, out_dir: str):
     return [p1, p2], results
 
 
-def _random_koebe_branch(params, rng, tau=1.0, s_max=15):
+def _random_koebe_branch(family, rng, tau=1.0, s_max=15):
+    params = family.base
     x0 = float(rng.uniform(0.05, 0.95))
     s = int(rng.integers(1, s_max + 1))
     orbit = [x0]
@@ -446,7 +453,7 @@ def _random_koebe_branch(params, rng, tau=1.0, s_max=15):
     for _ in range(14):
         target = (max(0.0, orbit[s] - rho), min(1.0, orbit[s] + rho))
         try:
-            return koebe_check(params, target, s, tau=tau, guide_orbit=orbit[:s])
+            return koebe_check(family, target, s, tau=tau, guide_orbit=orbit[:s])
         except NotDiffeomorphic:
             rho /= 2.0
     return None
@@ -492,7 +499,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON config file", default=None)
     parser.add_argument("--seed", type=int, default=None, help="override noise.seed")
     parser.add_argument("--out", default=None, help="output directory (default from config)")
-    parser.add_argument("--threads", type=int, default=None, help="worker threads for ensembles")
     parser.add_argument("--eps", type=float, default=None, help="override noise.eps")
     parser.add_argument("--bins", type=int, default=None, help="override partition.n_bins")
     parser.add_argument(
@@ -520,8 +526,6 @@ def main(argv=None) -> int:
         overrides["noise.eps"] = args.eps
     if args.bins is not None:
         overrides["partition.n_bins"] = args.bins
-    if args.threads is not None:
-        overrides["threads"] = args.threads
     if args.out is not None:
         overrides["output.out_dir"] = args.out
     try:

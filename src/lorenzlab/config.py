@@ -108,7 +108,6 @@ class ExperimentConfig:
     horizons: HorizonConfig = field(default_factory=HorizonConfig)
     scales: ScaleConfig = field(default_factory=ScaleConfig)
     output: OutputConfig = field(default_factory=OutputConfig)
-    threads: int = 1
 
     # -- construction helpers -------------------------------------------------
 
@@ -197,8 +196,6 @@ class ExperimentConfig:
         e = self.ensemble
         if e.burn_in >= e.birkhoff_steps:
             problems.append("ensemble.burn_in: must be smaller than birkhoff_steps")
-        if self.threads < 1:
-            problems.append("threads: must be >= 1")
         if problems:
             raise ConfigInvalid(problems)
         return self

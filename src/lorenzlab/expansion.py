@@ -107,12 +107,8 @@ def mane_estimate(
         for n in range(1, horizon + 1):
             if abs(y - params.c) < guard:
                 break
-            df = params.deriv(y)
-            t = float(noise[n - 1])
-            if t != 0.0:
-                df += t * family.taper_d(y)
+            y, df = family.step(float(noise[n - 1]), y)
             log_df += math.log(df)
-            y = family.eval(t, y)
             # positions 0..n-1 avoid the neighborhood; the endpoint is free
             ns.append(n)
             logs.append(log_df)
@@ -171,9 +167,8 @@ def expansion_envelope(
         for s in range(1, horizon + 1):
             if abs(y - params.c) < guard:
                 break
-            df = params.deriv(y) + float(noise[s - 1]) * family.taper_d(y)
+            y, df = family.step(float(noise[s - 1]), y)
             log_df += math.log(df)
-            y = family.eval(float(noise[s - 1]), y)
             if nb2.contains(y):
                 ns1.append(s)
                 logs1.append(log_df)
@@ -191,9 +186,8 @@ def expansion_envelope(
         for s in range(1, horizon + 1):
             if abs(y - params.c) < guard:
                 break
-            df = params.deriv(y) + float(noise[s - 1]) * family.taper_d(y)
+            y, df = family.step(float(noise[s - 1]), y)
             log_df += math.log(df)
-            y = family.eval(float(noise[s - 1]), y)
             ns2.append(s)
             logs2.append(log_df)
             if nb.contains(y):
@@ -234,7 +228,7 @@ def expansion_envelope(
 
 
 def koebe_check(
-    params: MapParams,
+    family: PerturbedFamily,
     target: tuple[float, float],
     s: int,
     tau: float = 1.0,
@@ -255,7 +249,8 @@ def koebe_check(
     ``applicable=False`` (not a failure) when the inner interval is not
     tau-well inside the branch image.
     """
-    chain_T = pullback_component(params, target, s, branch_path=branch_path, guide_orbit=guide_orbit)
+    params = family.base
+    chain_T = pullback_component(family, target, s, branch_path=branch_path, guide_orbit=guide_orbit)
     if chain_T.order > 0:
         raise NotDiffeomorphic(f"chain has order {chain_T.order}")
     a, b = target
@@ -271,7 +266,7 @@ def koebe_check(
     if need_lo < image[0] - 1e-12 or need_hi > image[1] + 1e-12:
         return {"applicable": False, "reason": "image not tau-well inside"}
     chain_J = pullback_component(
-        params, inner, s,
+        family, inner, s,
         branch_path=branch_path,
         guide_orbit=guide_orbit,
     )
@@ -374,10 +369,9 @@ def total_distortion_trend(
                 d = abs(y - params.c)
                 if d < guard:
                     break
-                df = params.deriv(y) + float(noise[n - 1]) * family.taper_d(y)
+                y, df = family.step(float(noise[n - 1]), y)
                 log_a = np.logaddexp(log_a, log_df - math.log(d))
                 log_df += math.log(df)
-                y = family.eval(float(noise[n - 1]), y)
                 if nb.contains(y):
                     ratios.append(math.exp(log_a + math.log(nb.length) - log_df))
                     break

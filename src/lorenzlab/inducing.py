@@ -200,9 +200,9 @@ def _estimate_lyapunov_bits(family, noise, x0: float, n: int = 2000) -> float:
     for i in range(min(n, len(noise))):
         if abs(y - c) < 1e-13:
             y += 1e-6
-        total += math.log2(family.base.deriv(y) + float(noise[i]) * family.taper_d(y))
+        y, df = family.step(float(noise[i]), y)
+        total += math.log2(df)
         count += 1
-        y = family.eval(float(noise[i]), y)
     return max(total / max(count, 1), 0.1)
 
 
@@ -239,6 +239,7 @@ def _refine_boundary_mp(family, nb, nb2, side, start, noise, total_steps, max_or
                 return i + 1, traj, logdf  # left the core or grazed c: failure
             d1 = params.deriv(yf)
             logdf += math.log(abs(d1) + 1e-300)
+            # written out in mpmath: PerturbedFamily.step works in doubles
             if y < c:
                 z = (c - y) / c
                 y = u * (1 - z**ell) + t
@@ -348,48 +349,14 @@ class MarkovVerification:
 
 
 def _chain_derivatives(family: PerturbedFamily, values, g: np.ndarray, m: int):
-    """Fused m-step chain rule on a grid: returns (points, d1, d2) at step m."""
-    p = family.base
-    c, u, v, ell = p.c, p.u, p.v, p.ell
-    one_c = 1.0 - c
-    mgn = family.margin
-    k2 = ell * (ell - 1.0)
-    gg = g.copy()
-    d1 = np.ones_like(gg)
-    d2 = np.zeros_like(gg)
+    """m-step chain rule on a grid: returns (points, d1, d2) at step m."""
+    d1 = np.ones_like(g)
+    d2 = np.zeros_like(g)
     for j in range(m):
-        t = float(values[j])
-        left = gg < c
-        z = np.where(left, (c - gg) / c, (gg - c) / one_c)
-        zl = z ** (ell - 1.0)
-        s1 = np.where(left, u * ell / c * zl, v * ell / one_c * zl)
-        zl2 = z ** (ell - 2.0)
-        s2 = np.where(left, -u * k2 / c**2 * zl2, v * k2 / one_c**2 * zl2)
-        fx = np.where(left, u * (1.0 - z**ell), 1.0 - v + v * z**ell)
-        if t != 0.0:
-            lo = gg < mgn
-            hi = gg > 1.0 - mgn
-            if lo.any() or hi.any():
-                w = np.ones_like(gg)
-                w1 = np.zeros_like(gg)
-                w2 = np.zeros_like(gg)
-                r = np.clip(gg[lo], 0.0, mgn) / mgn
-                w[lo] = r * r * (3.0 - 2.0 * r)
-                w1[lo] = 6.0 * r * (1.0 - r) / mgn
-                w2[lo] = (6.0 - 12.0 * r) / mgn**2
-                r = np.clip(1.0 - gg[hi], 0.0, mgn) / mgn
-                w[hi] = r * r * (3.0 - 2.0 * r)
-                w1[hi] = -6.0 * r * (1.0 - r) / mgn
-                w2[hi] = (6.0 - 12.0 * r) / mgn**2
-                fx = fx + t * w
-                s1 = s1 + t * w1
-                s2 = s2 + t * w2
-            else:
-                fx = fx + t
+        g, s1, s2 = family.jet_vec(float(values[j]), g)
         d2 = s2 * d1 * d1 + s1 * d2
         d1 = s1 * d1
-        gg = fx
-    return gg, d1, d2
+    return g, d1, d2
 
 
 def verify_markov_time(
@@ -682,6 +649,7 @@ def inducing_tail_stats(
             if dead.any():
                 critical_hits += int(dead.sum())
             t = noise[: len(alive), b]
+            # one noise value per member, which jet_vec (one t per call) does not take
             df = family.deriv_vec(t, xa)
             log_a[alive] = np.logaddexp(log_a[alive], log_df[alive] - np.log(np.maximum(d, guard)))
             log_df[alive] += np.log(np.maximum(df, 1e-300))

@@ -138,24 +138,18 @@ class ReturnEvent:
 
 
 def _step_state(family, t, x, log_df, log_asum, c, guard, step):
-    """One scan step: accumulate the distortion-sum term at x, then map x."""
+    """One scan step: accumulate the distortion-sum term at x, then map x.
+
+    Scalar on purpose: numpy's array log and power differ from libm in the
+    last bit for some inputs, so a member-vectorised scan would change the
+    saved ``log_df`` and ``log_asum`` values.
+    """
     d = abs(x - c)
     if d < guard:
         raise CriticalHit(step, x)
-    df = family.base.deriv(x)
-    if t != 0.0:
-        df += t * family.taper_d(x)
+    x, df = family.step(t, x)
     log_asum = np.logaddexp(log_asum, log_df - math.log(d))
     log_df += math.log(df)
-    w = family.taper(x) if t != 0.0 else 0.0
-    if x < c:
-        z = (c - x) / c
-        x = family.base.u * (1.0 - z**family.base.ell)
-    else:
-        z = (x - c) / (1.0 - c)
-        x = 1.0 - family.base.v + family.base.v * z**family.base.ell
-    if t != 0.0:
-        x += t * w
     return x, log_df, log_asum
 
 
@@ -320,9 +314,7 @@ class DepthTrace:
 
 def depth_value(family: PerturbedFamily, eps: float, t: float, x: float) -> int:
     """Depth q of a single skew-product state (x with next noise t)."""
-    df = family.base.deriv(x)
-    if t != 0.0:
-        df += t * family.taper_d(x)
+    _, df = family.step(t, x)
     prod = df * abs(x - family.base.c)
     if prod >= eps:
         return 0
@@ -511,7 +503,7 @@ def _pull_once(family: PerturbedFamily, t: float, side: str, interval, tol=1e-12
 
 
 def pullback_component(
-    params_or_family,
+    family: PerturbedFamily,
     target: tuple[float, float],
     s: int,
     branch_path=None,
@@ -526,11 +518,6 @@ def pullback_component(
     sides select the components containing them.  ``omega`` supplies noise
     values for perturbed pullbacks and defaults to the zero sequence.
     """
-    family = (
-        params_or_family
-        if isinstance(params_or_family, PerturbedFamily)
-        else PerturbedFamily(params_or_family)
-    )
     if s < 0:
         raise ValueError("s must be >= 0")
     if s == 0:
@@ -649,7 +636,7 @@ def backward_contraction_check(
                     if target[0] < orbit[s] < target[1]:
                         try:
                             chain = pullback_component(
-                                params, target, s, guide_orbit=orbit[:s]
+                                family, target, s, guide_orbit=orbit[:s]
                             )
                         except EmptyPullback:
                             continue

@@ -72,13 +72,13 @@ class TestEnvelope:
 
 
 class TestKoebe:
-    def test_zero_steps_trivial(self):
-        res = koebe_check(CANON, (0.3, 0.4), 0, tau=1.0, branch_path="")
+    def test_zero_steps_trivial(self, family):
+        res = koebe_check(family, (0.3, 0.4), 0, tau=1.0, branch_path="")
         assert res["applicable"]
         assert res["passed"]
         assert res["worst_ratio"] == pytest.approx(1.0, abs=1e-9)
 
-    def test_random_branches_all_pass(self, rng):
+    def test_random_branches_all_pass(self, family, rng):
         passed = applicable = 0
         attempts = 0
         while applicable < 40 and attempts < 300:
@@ -100,7 +100,7 @@ class TestKoebe:
             for _ in range(14):
                 target = (max(0.0, orbit[s] - rho), min(1.0, orbit[s] + rho))
                 try:
-                    res = koebe_check(CANON, target, s, tau=1.0, guide_orbit=orbit[:s])
+                    res = koebe_check(family, target, s, tau=1.0, guide_orbit=orbit[:s])
                     break
                 except NotDiffeomorphic:
                     rho /= 2
@@ -112,13 +112,13 @@ class TestKoebe:
         assert applicable == 40
         assert passed == applicable
 
-    def test_clipped_chain_raises(self):
+    def test_clipped_chain_raises(self, family):
         with pytest.raises(NotDiffeomorphic):
-            koebe_check(CANON, (0.85, 0.95), 1, tau=1.0, branch_path="l")
+            koebe_check(family, (0.85, 0.95), 1, tau=1.0, branch_path="l")
 
-    def test_violated_precondition_is_not_applicable(self):
+    def test_violated_precondition_is_not_applicable(self, family):
         # forcing J = T: the image is not tau-well-inside, gated not failed
-        res = koebe_check(CANON, (0.6, 0.7), 1, tau=1.0, branch_path="l", inner=(0.6, 0.7))
+        res = koebe_check(family, (0.6, 0.7), 1, tau=1.0, branch_path="l", inner=(0.6, 0.7))
         assert res["applicable"] is False
 
 

@@ -7,11 +7,19 @@ from lorenzlab.errors import CriticalPointEval, NoiseOutOfRange, OutOfBranchRang
 from lorenzlab.maps import (
     CANON,
     MapParams,
+    PerturbedFamily,
     critical_values,
     finite_difference_schwarzian,
     schwarzian,
     summability_stats,
 )
+from lorenzlab.orbits import random_orbit
+
+KERNEL_PARAMS = [
+    CANON,
+    MapParams(c=0.4, ell=3.0, u=0.85, v=0.8),
+    MapParams(c=0.55, ell=2.5, u=0.9, v=0.88),
+]
 
 
 class TestMapParams:
@@ -150,6 +158,37 @@ class TestPerturbedFamily:
         d1, d2 = family.derivatives(t, x)
         assert d1 == pytest.approx(CANON.deriv(x) + t * family.taper_d(x), rel=1e-12)
         assert d2 == pytest.approx(CANON.deriv2(x) + t * family.taper_d2(x), rel=1e-12)
+
+
+@pytest.mark.parametrize("params", KERNEL_PARAMS, ids=["canon", "ell3", "ell2.5"])
+class TestStepKernels:
+    def test_step_matches_eval_and_deriv_bit_for_bit(self, params):
+        family = PerturbedFamily(params)
+        m = family.margin
+        # both taper zones, both sides of c on the core, and the core edges
+        xs = [0.2 * m, 0.7 * m, m, 0.3, params.c - 1e-3, params.c + 1e-3, 0.8, 1.0 - m, 1.0 - 0.4 * m]
+        for t in (0.0, 0.6 * family.eps_max, -0.9 * family.eps_max):
+            for x in xs:
+                expected = (family.eval(t, x), params.deriv(x) + t * family.taper_d(x))
+                assert family.step(t, x) == expected
+
+    def test_chained_jet_matches_random_orbit(self, params):
+        family = PerturbedFamily(params)
+        m = family.margin
+        n = 12
+        omega = np.random.default_rng(7).uniform(-family.eps_max, family.eps_max, n)
+        x0 = np.array([0.3 * m, 0.8 * m, 0.23, 0.31, 0.62, 0.77, 1.0 - 0.6 * m, 1.0 - 0.1 * m])
+        g, d1, d2 = x0, np.ones_like(x0), np.zeros_like(x0)
+        for j in range(n):
+            g, s1, s2 = family.jet_vec(float(omega[j]), g)
+            d2 = s2 * d1 * d1 + s1 * d2
+            d1 = s1 * d1
+        for k, x in enumerate(x0):
+            rec = random_orbit(family, float(x), omega, n)
+            assert not rec.hit_critical
+            assert g[k] == pytest.approx(rec.points[n], rel=1e-10)
+            assert d1[k] == pytest.approx(rec.d1[n], rel=1e-10)
+            assert d2[k] == pytest.approx(rec.d2[n], rel=1e-10)
 
 
 class TestSchwarzian:

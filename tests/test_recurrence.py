@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from lorenzlab.errors import DeltaOutOfRange, EmptyPullback
-from lorenzlab.maps import CANON, MapParams
+from lorenzlab.maps import CANON, MapParams, PerturbedFamily
 from lorenzlab.recurrence import (
     backward_contraction_check,
     binding_period,
@@ -236,27 +236,27 @@ class TestBindingPeriod:
 
 
 class TestPullback:
-    def test_zero_steps(self):
-        chain = pullback_component(CANON, (0.4, 0.6), 0)
+    def test_zero_steps(self, family):
+        chain = pullback_component(family, (0.4, 0.6), 0)
         assert chain.intervals == [(0.4, 0.6)]
         assert chain.order == 0
 
-    def test_single_step_closed_form(self):
-        chain = pullback_component(CANON, (0.6, 0.7), 1, branch_path="l")
+    def test_single_step_closed_form(self, family):
+        chain = pullback_component(family, (0.6, 0.7), 1, branch_path="l")
         lo, hi = chain.component
         assert CANON.eval(lo) == pytest.approx(0.6, abs=1e-11)
         assert CANON.eval(hi) == pytest.approx(0.7, abs=1e-11)
         assert chain.order == 0
 
-    def test_order_increments_at_critical_value(self):
+    def test_order_increments_at_critical_value(self, family):
         # a target reaching beyond the left critical value clips at c
-        chain = pullback_component(CANON, (0.85, 0.95), 1, branch_path="l")
+        chain = pullback_component(family, (0.85, 0.95), 1, branch_path="l")
         assert chain.order == 1
         assert chain.component[1] == CANON.c
 
-    def test_empty_pullback(self):
+    def test_empty_pullback(self, family):
         with pytest.raises(EmptyPullback):
-            pullback_component(CANON, (0.02, 0.05), 1, branch_path="r")
+            pullback_component(family, (0.02, 0.05), 1, branch_path="r")
 
     def test_chain_consistency_on_guided_orbit(self, family, model):
         om = model.stream(21).prefix(12)
@@ -276,6 +276,19 @@ class TestPullback:
             assert flo >= nlo - 1e-9
             assert fhi <= nhi + 1e-9
         assert chain.intervals[0][0] <= orbit[0] <= chain.intervals[0][1]
+
+    def test_zero_noise_pullback_ignores_margin(self):
+        # at t = 0 inverse_branch is the base inverse, which never reads the taper
+        orbit = [0.27]
+        for _ in range(15):
+            orbit.append(CANON.eval(orbit[-1]))
+        target = (orbit[15] - 0.01, orbit[15] + 0.01)
+        chains = [
+            pullback_component(PerturbedFamily(CANON, margin=margin), target, 15, guide_orbit=orbit[:15])
+            for margin in (0.1, 0.05)
+        ]
+        assert chains[0].intervals == chains[1].intervals
+        assert chains[0].order == chains[1].order
 
 
 class TestBackwardContraction:
