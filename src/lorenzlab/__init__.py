@@ -24,7 +24,7 @@ from .errors import (
 )
 from .maps import CANON, MapParams, PerturbedFamily, critical_values, schwarzian, summability_stats
 from .noise import NoiseModel, NoiseStream, kernel_regularity_check, sample_omega, skew_step
-from .orbits import OrbitRecord, random_orbit
+from .orbits import OrbitRecord, log_scan, random_orbit
 from .transfer import (
     Density,
     Partition,
@@ -67,6 +67,7 @@ from .expansion import (
     expansion_envelope,
     koebe_check,
     mane_estimate,
+    random_koebe_branch,
     total_distortion_trend,
 )
 from .config import ExperimentConfig, config_hash, load_config

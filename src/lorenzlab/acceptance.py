@@ -14,8 +14,8 @@ import time
 import numpy as np
 
 from .config import ExperimentConfig
-from .errors import CriticalPointEval, NotDiffeomorphic
-from .expansion import koebe_check
+from .errors import CriticalPointEval
+from .expansion import random_koebe_branch
 from .inducing import build_nice_set, inducing_tail_stats
 from .maps import MapParams, schwarzian
 from .noise import NoiseModel, kernel_regularity_check
@@ -366,36 +366,13 @@ def criterion_10_window_nonlinearity(cfg: ExperimentConfig):
 def criterion_11_koebe(cfg: ExperimentConfig):
     t0 = time.time()
     family = cfg.perturbed_family()
-    params = family.base
     rng = np.random.default_rng(cfg.noise.seed)
     passed = applicable = 0
     worst = 0.0
     attempts = 0
     while applicable < 100 and attempts < 600:
         attempts += 1
-        x0 = float(rng.uniform(0.05, 0.95))
-        s = int(rng.integers(1, 16))
-        orbit = [x0]
-        y = x0
-        dead = False
-        for _ in range(s):
-            if abs(y - params.c) < 1e-9:
-                dead = True
-                break
-            y = params.eval(y)
-            orbit.append(y)
-        if dead:
-            continue
-        rho = 0.05
-        res = None
-        for _ in range(14):
-            target = (max(0.0, orbit[s] - rho), min(1.0, orbit[s] + rho))
-            try:
-                res = koebe_check(family, target, s, tau=1.0, guide_orbit=orbit[:s])
-                break
-            except NotDiffeomorphic:
-                rho /= 2.0
-                res = None
+        res = random_koebe_branch(family, rng)
         if res is None or not res.get("applicable"):
             continue
         applicable += 1

@@ -20,8 +20,7 @@ import numpy as np
 from . import acceptance
 from .config import ExperimentConfig, config_hash, load_config
 from .errors import ConfigInvalid, NoConvergence
-from .expansion import expansion_envelope, koebe_check, mane_estimate, total_distortion_trend
-from .errors import NotDiffeomorphic
+from .expansion import expansion_envelope, mane_estimate, random_koebe_branch, total_distortion_trend
 from .inducing import build_nice_set, inducing_tail_stats
 from .noise import NoiseModel
 from .orbits import random_orbit
@@ -413,7 +412,7 @@ def run_expansion(cfg: ExperimentConfig, out_dir: str):
     koebe_pass = koebe_app = 0
     worst = 0.0
     for _ in range(cfg.ensemble.koebe_branches):
-        res = _random_koebe_branch(family, rng, tau=1.0)
+        res = random_koebe_branch(family, rng)
         if res is None or not res.get("applicable"):
             continue
         koebe_app += 1
@@ -436,27 +435,6 @@ def run_expansion(cfg: ExperimentConfig, out_dir: str):
         "distortion_theta_hat": [r["theta_hat"] for r in dist_rows],
     }
     return [p1, p2], results
-
-
-def _random_koebe_branch(family, rng, tau=1.0, s_max=15):
-    params = family.base
-    x0 = float(rng.uniform(0.05, 0.95))
-    s = int(rng.integers(1, s_max + 1))
-    orbit = [x0]
-    y = x0
-    for _ in range(s):
-        if abs(y - params.c) < 1e-9:
-            return None
-        y = params.eval(y)
-        orbit.append(y)
-    rho = 0.05
-    for _ in range(14):
-        target = (max(0.0, orbit[s] - rho), min(1.0, orbit[s] + rho))
-        try:
-            return koebe_check(family, target, s, tau=tau, guide_orbit=orbit[:s])
-        except NotDiffeomorphic:
-            rho /= 2.0
-    return None
 
 
 def run_selftest(cfg: ExperimentConfig, out_dir: str):

@@ -15,9 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotDiffeomorphic
+from .errors import CriticalHit, NotDiffeomorphic
 from .maps import CRITICAL_GUARD, MapParams, PerturbedFamily
 from .noise import NoiseModel
+from .orbits import log_scan
 from .recurrence import critical_neighborhood, pullback_component
 
 __all__ = [
@@ -25,6 +26,7 @@ __all__ = [
     "mane_estimate",
     "expansion_envelope",
     "koebe_check",
+    "random_koebe_branch",
     "total_distortion_trend",
 ]
 
@@ -90,7 +92,6 @@ def mane_estimate(
     deterministic.
     """
     lo, hi = exclude
-    params = family.base
     rng = np.random.default_rng(seed)
     ns, logs = [], []
     for k in range(n_starts):
@@ -102,18 +103,15 @@ def mane_estimate(
             if model is not None
             else np.zeros(horizon)
         )
-        log_df = 0.0
-        y = x
-        for n in range(1, horizon + 1):
-            if abs(y - params.c) < guard:
-                break
-            y, df = family.step(float(noise[n - 1]), y)
-            log_df += math.log(df)
-            # positions 0..n-1 avoid the neighborhood; the endpoint is free
-            ns.append(n)
-            logs.append(log_df)
-            if lo < y < hi:
-                break
+        try:
+            for n, y, log_df, _ in log_scan(family, x, noise, guard):
+                # positions 0..n-1 avoid the neighborhood; the endpoint is free
+                ns.append(n)
+                logs.append(log_df)
+                if lo < y < hi:
+                    break
+        except CriticalHit:
+            pass
     ns = np.asarray(ns, dtype=float)
     logs = np.asarray(logs, dtype=float)
     if len(ns) == 0:
@@ -162,18 +160,15 @@ def expansion_envelope(
         if not 0.0 < x < 1.0 or nb.contains(x):
             continue
         noise = model.stream(stream_base + k).prefix(horizon)
-        log_df = 0.0
-        y = x
-        for s in range(1, horizon + 1):
-            if abs(y - params.c) < guard:
-                break
-            y, df = family.step(float(noise[s - 1]), y)
-            log_df += math.log(df)
-            if nb2.contains(y):
-                ns1.append(s)
-                logs1.append(log_df)
-            if nb.contains(y):
-                break
+        try:
+            for s, y, log_df, _ in log_scan(family, x, noise, guard):
+                if nb2.contains(y):
+                    ns1.append(s)
+                    logs1.append(log_df)
+                if nb.contains(y):
+                    break
+        except CriticalHit:
+            pass
 
     ns2, logs2 = [], []
     for k in range(n_starts):
@@ -181,17 +176,14 @@ def expansion_envelope(
         if nb.contains(x):
             continue
         noise = model.stream(stream_base + n_starts + k).prefix(horizon)
-        log_df = 0.0
-        y = x
-        for s in range(1, horizon + 1):
-            if abs(y - params.c) < guard:
-                break
-            y, df = family.step(float(noise[s - 1]), y)
-            log_df += math.log(df)
-            ns2.append(s)
-            logs2.append(log_df)
-            if nb.contains(y):
-                break
+        try:
+            for s, y, log_df, _ in log_scan(family, x, noise, guard):
+                ns2.append(s)
+                logs2.append(log_df)
+                if nb.contains(y):
+                    break
+        except CriticalHit:
+            pass
 
     def envelope(ns, logs):
         ns = np.asarray(ns, dtype=float)
@@ -324,6 +316,36 @@ def koebe_check(
     return result
 
 
+def random_koebe_branch(family: PerturbedFamily, rng, tau: float = 1.0, s_max: int = 15) -> dict | None:
+    """``koebe_check`` on one random pullback branch, or None if none is found.
+
+    Draws a start x0 ~ U(0.05, 0.95), then a depth s uniform in 1..s_max, in
+    that order from ``rng``, and follows the unperturbed orbit of x0 for s
+    steps (None if it comes within 1e-9 of c).  The target is the interval of
+    radius rho around f^s(x0), clipped to [0, 1], pulled back along that
+    orbit; rho starts at 0.05 and is halved, at most 14 tries, while the
+    pullback is not diffeomorphic.
+    """
+    params = family.base
+    x0 = float(rng.uniform(0.05, 0.95))
+    s = int(rng.integers(1, s_max + 1))
+    orbit = [x0]
+    y = x0
+    for _ in range(s):
+        if abs(y - params.c) < 1e-9:
+            return None
+        y = params.eval(y)
+        orbit.append(y)
+    rho = 0.05
+    for _ in range(14):
+        target = (max(0.0, orbit[s] - rho), min(1.0, orbit[s] + rho))
+        try:
+            return koebe_check(family, target, s, tau=tau, guide_orbit=orbit[:s])
+        except NotDiffeomorphic:
+            rho /= 2.0
+    return None
+
+
 def chain_image_interval(params: MapParams, chain, s: int) -> tuple[float, float]:
     """Image of the chain component under the s-step composition (monotone)."""
     lo, hi = chain.component
@@ -351,11 +373,10 @@ def total_distortion_trend(
     small-total-distortion constant; the theory says it vanishes as eps -> 0
     with no stated rate, so the ladder trend is reported rather than pinned.
     """
-    params = family.base
     rows = []
     for idx, eps in enumerate(eps_ladder):
         model = NoiseModel(eps=float(eps), kind=noise_kind, L=L, seed=model_seed)
-        nb = critical_neighborhood(params, float(eps))
+        nb = critical_neighborhood(family.base, float(eps))
         rng = np.random.default_rng(model_seed + idx)
         ratios = []
         for k in range(n_starts):
@@ -363,18 +384,13 @@ def total_distortion_trend(
             if nb.contains(x):
                 continue
             noise = model.stream(stream_base + idx * n_starts + k).prefix(horizon)
-            log_df, log_a = 0.0, -math.inf
-            y = x
-            for n in range(1, horizon + 1):
-                d = abs(y - params.c)
-                if d < guard:
-                    break
-                y, df = family.step(float(noise[n - 1]), y)
-                log_a = np.logaddexp(log_a, log_df - math.log(d))
-                log_df += math.log(df)
-                if nb.contains(y):
-                    ratios.append(math.exp(log_a + math.log(nb.length) - log_df))
-                    break
+            try:
+                for _, y, log_df, log_a in log_scan(family, x, noise, guard):
+                    if nb.contains(y):
+                        ratios.append(math.exp(log_a + math.log(nb.length) - log_df))
+                        break
+            except CriticalHit:
+                pass
         ratios = np.asarray(ratios)
         rows.append(
             {

@@ -8,17 +8,23 @@ second derivatives of the composition, and the distortion sum
 which controls how far the composition stays from the critical point in the
 derivative sense.  Orbits stop early (with a flag, not an exception) when a
 point falls inside the machine guard around c.
+
+``log_scan`` walks the same orbit in log space, one step per noise value,
+for the stopping-time and expansion scans: it yields log Df and log A, so
+nothing overflows at long horizons, and raises CriticalHit at the guard.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import CriticalHit
 from .maps import CRITICAL_GUARD, PerturbedFamily
 
-__all__ = ["OrbitRecord", "random_orbit"]
+__all__ = ["OrbitRecord", "random_orbit", "log_scan"]
 
 
 @dataclass
@@ -45,9 +51,6 @@ class OrbitRecord:
     def n(self) -> int:
         """Number of completed steps."""
         return len(self.points) - 1
-
-    def distance_to_critical(self, c: float) -> np.ndarray:
-        return np.abs(self.points - c)
 
 
 def random_orbit(
@@ -96,6 +99,41 @@ def random_orbit(
             hit_index=hit,
         )
     return OrbitRecord(x0=x0, omega=omega, points=points, d1=d1, d2=d2, asum=asum)
+
+
+def log_scan(family: PerturbedFamily, x: float, noise, guard: float = CRITICAL_GUARD):
+    """Walk the random orbit of x in log space, one step per noise value.
+
+    Yields ``(s, y, log_df, log_a)`` after step s = 1, 2, ..., where
+    y = f_omega^s(x), log_df = log Df_omega^s(x) and log_a = log A(x, omega, s).
+    Raises ``CriticalHit(s - 1, y)`` when the point about to be mapped is
+    within ``guard`` of c.  Scalar on purpose: numpy's array log and power
+    differ from libm in the last bit for some inputs, so a member-vectorised
+    scan would change the saved ``log_df`` and ``log_asum`` values.
+    """
+    c = family.base.c
+    step = family.step
+    y, log_df, log_a = x, 0.0, -math.inf
+    for s, t in enumerate(noise, 1):
+        d = abs(y - c)
+        if d < guard:
+            raise CriticalHit(s - 1, y)
+        y, df = step(float(t), y)
+        log_a = _logaddexp(log_a, log_df - math.log(d))
+        log_df += math.log(df)
+        yield s, y, log_df, log_a
+
+
+_LOG2 = math.log(2.0)
+
+
+def _logaddexp(a: float, b: float) -> float:
+    """log(e^a + e^b) by np.logaddexp's formula, without numpy's per-call cost on scalars."""
+    if a == b:
+        return a + _LOG2
+    if a > b:
+        return a + math.log1p(math.exp(b - a))
+    return b + math.log1p(math.exp(a - b))
 
 
 def _noise_prefix(omega, n: int) -> np.ndarray:

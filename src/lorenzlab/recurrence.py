@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import CriticalHit, DeltaOutOfRange, EmptyPullback
 from .maps import CRITICAL_GUARD, MapParams, PerturbedFamily
-from .orbits import _noise_prefix
+from .orbits import _noise_prefix, log_scan
 
 __all__ = [
     "CriticalNeighborhood",
@@ -69,10 +69,6 @@ class CriticalNeighborhood:
 
     def contains(self, x: float) -> bool:
         return self.lo < x < self.hi and x != self.params.c
-
-    def contains_vec(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return (x > self.lo) & (x < self.hi)
 
     def interval(self) -> tuple[float, float]:
         """The filled interval including c (the hat variant)."""
@@ -137,22 +133,6 @@ class ReturnEvent:
         return True
 
 
-def _step_state(family, t, x, log_df, log_asum, c, guard, step):
-    """One scan step: accumulate the distortion-sum term at x, then map x.
-
-    Scalar on purpose: numpy's array log and power differ from libm in the
-    last bit for some inputs, so a member-vectorised scan would change the
-    saved ``log_df`` and ``log_asum`` values.
-    """
-    d = abs(x - c)
-    if d < guard:
-        raise CriticalHit(step, x)
-    x, df = family.step(t, x)
-    log_asum = np.logaddexp(log_asum, log_df - math.log(d))
-    log_df += math.log(df)
-    return x, log_df, log_asum
-
-
 def landing_time(
     family: PerturbedFamily,
     model,
@@ -166,13 +146,7 @@ def landing_time(
     nb = critical_neighborhood(family.base, delta)
     if nb.contains(x):
         return 0
-    values = _noise_prefix(omega, horizon)
-    c = family.base.c
-    y = x
-    for s in range(1, horizon + 1):
-        if abs(y - c) < guard:
-            raise CriticalHit(s - 1, y)
-        y = family.eval(float(values[s - 1]), y)
+    for s, y, _, _ in log_scan(family, x, _noise_prefix(omega, horizon), guard):
         if nb.contains(y):
             return s
     return None
@@ -194,12 +168,8 @@ def good_return_time(
     a return satisfying it admits a full-size diffeomorphic pullback window.
     """
     nb = critical_neighborhood(family.base, delta)
-    values = _noise_prefix(omega, horizon)
-    c = family.base.c
     log_theta, log_len = math.log(theta), math.log(nb.length)
-    y, log_df, log_a = x, 0.0, -math.inf
-    for s in range(1, horizon + 1):
-        y, log_df, log_a = _step_state(family, float(values[s - 1]), y, log_df, log_a, c, guard, s - 1)
+    for s, y, log_df, log_a in log_scan(family, x, _noise_prefix(omega, horizon), guard):
         if nb.contains(y) and log_theta + log_df >= log_a + log_len:
             return ReturnEvent("theta_good", s, delta, theta, None, log_df, log_a, nb.length)
     return None
@@ -242,14 +212,10 @@ def good_return_or_expansion_time(
         scale_grid = default_scale_grid(params, delta, delta_star)
     nbs = [critical_neighborhood(params, d) for d in scale_grid]
     log_lens = [math.log(nb.length) for nb in nbs]
-    values = _noise_prefix(omega, horizon)
-    c = params.c
     log_theta = math.log(theta)
     log_tau_rhs = 1.0 + math.log(tau)  # log(e * tau)
     log_theta0 = math.log(theta0)
-    y, log_df, log_a = x, 0.0, -math.inf
-    for s in range(1, horizon + 1):
-        y, log_df, log_a = _step_state(family, float(values[s - 1]), y, log_df, log_a, c, guard, s - 1)
+    for s, y, log_df, log_a in log_scan(family, x, _noise_prefix(omega, horizon), guard):
         for nb, log_len in zip(nbs, log_lens):
             if nb.contains(y) and log_theta + log_df >= log_a + log_len:
                 return ReturnEvent("theta_good", s, nb.delta, theta, tau, log_df, log_a, nb.length)

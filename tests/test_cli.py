@@ -21,6 +21,10 @@ def _small_config(tmp_path=None):
     cfg.horizons.orbit_steps = 50
     cfg.horizons.return_horizon = 300
     cfg.horizons.depth_steps = 100
+    cfg.ensemble.expansion_starts = 10
+    cfg.ensemble.koebe_branches = 5
+    cfg.horizons.envelope_horizon = 200
+    cfg.horizons.mane_horizon = 50
     return cfg
 
 
@@ -101,10 +105,12 @@ class TestSubcommands:
         cfg = _small_config()
         d1, d2 = tmp_path / "a", tmp_path / "b"
         d1.mkdir(), d2.mkdir()
-        out1, _ = cli.run_returns(cfg, str(d1))
-        out2, _ = cli.run_returns(cfg, str(d2))
-        for p1, p2 in zip(out1, out2):
-            assert filecmp.cmp(p1, p2, shallow=False)
+        for runner in (cli.run_returns, cli.run_expansion):
+            out1, _ = runner(cfg, str(d1))
+            out2, _ = runner(cfg, str(d2))
+            assert out1 and len(out1) == len(out2)
+            for p1, p2 in zip(out1, out2):
+                assert filecmp.cmp(p1, p2, shallow=False)
 
     def test_main_entry_and_summary(self, tmp_path):
         out = tmp_path / "run"

@@ -6,6 +6,7 @@ from lorenzlab.expansion import (
     expansion_envelope,
     koebe_check,
     mane_estimate,
+    random_koebe_branch,
     total_distortion_trend,
 )
 from lorenzlab.maps import CANON
@@ -83,28 +84,7 @@ class TestKoebe:
         attempts = 0
         while applicable < 40 and attempts < 300:
             attempts += 1
-            x0 = float(rng.uniform(0.05, 0.95))
-            s = int(rng.integers(1, 16))
-            orbit = [x0]
-            y = x0
-            dead = False
-            for _ in range(s):
-                if abs(y - CANON.c) < 1e-9:
-                    dead = True
-                    break
-                y = CANON.eval(y)
-                orbit.append(y)
-            if dead:
-                continue
-            rho, res = 0.05, None
-            for _ in range(14):
-                target = (max(0.0, orbit[s] - rho), min(1.0, orbit[s] + rho))
-                try:
-                    res = koebe_check(family, target, s, tau=1.0, guide_orbit=orbit[:s])
-                    break
-                except NotDiffeomorphic:
-                    rho /= 2
-                    res = None
+            res = random_koebe_branch(family, rng)
             if res is None or not res["applicable"]:
                 continue
             applicable += 1

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lorenzlab.errors import CriticalPointEval, NoiseOutOfRange, OutOfBranchRange
 from lorenzlab.maps import (
     CANON,
+    CRITICAL_GUARD,
     MapParams,
     PerturbedFamily,
     critical_values,
@@ -92,9 +93,17 @@ class TestInverseBranch:
         t=st.floats(min_value=-0.05, max_value=0.05),
         side=st.sampled_from(["left", "right"]),
     )
+    @example(y=0.9, t=0.0, side="left")
+    @example(y=0.1, t=0.0, side="right")
     def test_round_trip(self, family, y, t, side):
         x = family.inverse_branch(t, y, side)
-        if x is not None:
+        if x is None:
+            return
+        if abs(x - family.base.c) < CRITICAL_GUARD:
+            # the preimage is c itself: y is this side's critical value
+            c1_plus, c1_minus = family.critical_values(t)
+            assert y == pytest.approx(c1_minus if side == "left" else c1_plus, abs=1e-11)
+        else:
             assert family.eval(t, x) == pytest.approx(y, abs=1e-11)
 
     def test_round_trip_dense(self, family, rng):

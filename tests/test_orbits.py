@@ -1,10 +1,21 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lorenzlab.maps import CANON
-from lorenzlab.orbits import random_orbit
+from lorenzlab.acceptance import _brute_force_scan
+from lorenzlab.errors import CriticalHit
+from lorenzlab.maps import CANON, MapParams, PerturbedFamily
+from lorenzlab.noise import NoiseModel
+from lorenzlab.orbits import _logaddexp, log_scan, random_orbit
+from lorenzlab.recurrence import good_return_or_expansion_time, good_return_time
+
+OTHER_PARAMS = [
+    MapParams(c=0.4, ell=3.0, u=0.85, v=0.8),
+    MapParams(c=0.55, ell=2.5, u=0.9, v=0.88),
+]
 
 
 class TestRandomOrbit:
@@ -66,3 +77,79 @@ class TestRandomOrbit:
         tail = random_orbit(family, head.points[-1], stream.shift(n), m)
         assert full.points[n] == head.points[n]
         assert np.array_equal(full.points[n:], tail.points)
+
+
+class TestLogScan:
+    @pytest.fixture(params=[CANON, *OTHER_PARAMS], ids=["canon", "c04_ell3", "c055_ell25"])
+    def scan_family(self, request):
+        return PerturbedFamily(request.param)
+
+    def test_matches_random_orbit(self, scan_family, model):
+        n = 60
+        for k, x in enumerate((0.03, 0.21, 0.37, 0.49, 0.52, 0.66, 0.88, 0.97)):
+            om = model.stream(900 + k).prefix(n)
+            rec = random_orbit(scan_family, x, om, n)
+            rows = list(log_scan(scan_family, x, om[: rec.n]))
+            assert [r[0] for r in rows] == list(range(1, rec.n + 1))
+            # the points are the same bits; the logs agree with the products
+            assert np.array_equal([r[1] for r in rows], rec.points[1:])
+            np.testing.assert_allclose([r[2] for r in rows], np.log(rec.d1[1:]), rtol=1e-12, atol=0)
+            np.testing.assert_allclose([r[3] for r in rows], np.log(rec.asum[1:]), rtol=1e-12, atol=0)
+
+    def test_start_within_guard_raises_at_step_zero(self, scan_family):
+        x = scan_family.base.c + 1e-15
+        with pytest.raises(CriticalHit) as err:
+            next(log_scan(scan_family, x, np.zeros(5)))
+        assert err.value.step == 0
+        assert err.value.point == x
+
+    def test_hit_after_steps_reports_the_step(self, scan_family):
+        # x maps onto c in one unperturbed step: the hit is at step 1
+        x = scan_family.inverse_branch(0.0, scan_family.base.c, "left")
+        guard = 1e-6
+        rows = []
+        with pytest.raises(CriticalHit) as err:
+            for row in log_scan(scan_family, x, np.zeros(5), guard=guard):
+                rows.append(row)
+        assert len(rows) == 1
+        assert err.value.step == 1
+        assert err.value.point == rows[0][1]
+        assert random_orbit(scan_family, x, np.zeros(5), 5, guard=guard).hit_index == 1
+
+    def test_logaddexp_matches_numpy_bit_for_bit(self):
+        rng = np.random.default_rng(2024)
+        a = rng.normal(0.0, 50.0, 100_000).tolist()
+        b = rng.normal(0.0, 50.0, 100_000).tolist()
+        b[:1000] = a[:1000]  # a == b
+        pairs = list(zip(a, b)) + [
+            (-math.inf, 1.5), (1.5, -math.inf), (-math.inf, -math.inf), (-3.25, -3.25), (0.0, 0.0),
+        ]
+        assert all(_logaddexp(x, y) == float(np.logaddexp(x, y)) for x, y in pairs)
+
+
+@pytest.mark.parametrize("params", OTHER_PARAMS, ids=["c04_ell3", "c055_ell25"])
+def test_stopping_times_match_brute_force(params):
+    """The two return scans agree with the c09 oracle away from CANON.
+
+    tau and theta0 are chosen so that both kinds of capped stop occur (at
+    the config defaults no tau-scale time falls within the horizon here).
+    """
+    family = PerturbedFamily(params)
+    model = NoiseModel(eps=0.005, seed=7)
+    delta, theta, tau, theta0, delta_star, horizon = 0.009, 2.0, 0.05, 0.5, 0.05, 300
+    rng = np.random.default_rng(31)
+    kinds = set()
+    for k in range(20):
+        x = float(rng.uniform(0.05, 0.95))
+        om = model.stream(7_300_000 + k).prefix(horizon)
+        ev = good_return_time(family, model, x, om, delta, theta, horizon)
+        cap = good_return_or_expansion_time(
+            family, model, x, om, delta, theta, tau, horizon, theta0=theta0, delta_star=delta_star,
+        )
+        plain, capped = _brute_force_scan(
+            family, model, x, om, delta, theta, tau, theta0, delta_star, horizon
+        )
+        assert (None if ev is None else ev.time) == plain
+        assert (None if cap is None else (cap.kind, cap.time)) == capped
+        kinds.add(None if cap is None else cap.kind)
+    assert kinds == {None, "theta_good", "tau_scale"}
