@@ -300,32 +300,43 @@ def _brute_force_scan(family, model, x, om_values, delta, theta, tau, theta0, de
 
 
 def criterion_09_oracle_equivalence(cfg: ExperimentConfig):
+    """Both return scans against the brute-force oracle, in two passes.
+
+    The config's (tau, theta0) stop every sample as theta_good, so a second
+    pass at tau 0.05, theta0 0.5 on its own streams exercises the tau-scale
+    stop; the criterion fails unless both kinds occur.
+    """
     t0 = time.time()
     family = cfg.perturbed_family()
     model = NoiseModel(eps=cfg.noise.eps, kind=cfg.noise.kind, L=cfg.noise.L, seed=cfg.noise.seed)
-    rng = np.random.default_rng(31)
-    delta, theta, tau, theta0 = cfg.scales.delta, 2.0, cfg.scales.tau, cfg.scales.theta0
-    horizon = 300
+    delta, theta, horizon = cfg.scales.delta, 2.0, 300
+    passes = ((7_300_000, cfg.scales.tau, cfg.scales.theta0), (7_310_000, 0.05, 0.5))
     mismatches = 0
-    for k in range(100):
-        x0 = float(rng.uniform(0.05, 0.95))
-        stream = model.stream(7_300_000 + k)
-        om = stream.prefix(horizon)
-        ev = good_return_time(family, model, x0, stream, delta, theta, horizon)
-        cap = good_return_or_expansion_time(
-            family, model, x0, stream, delta, theta, tau, horizon,
-            theta0=theta0, delta_star=cfg.scales.delta_star,
-        )
-        plain_bf, capped_bf = _brute_force_scan(
-            family, model, x0, om, delta, theta, tau, theta0, cfg.scales.delta_star, horizon
-        )
-        got_plain = None if ev is None else ev.time
-        got_capped = None if cap is None else (cap.kind, cap.time)
-        if got_plain != plain_bf or got_capped != capped_bf:
-            mismatches += 1
-    ok = mismatches == 0
+    kinds = {"theta_good": 0, "tau_scale": 0, None: 0}
+    for stream_base, tau, theta0 in passes:
+        rng = np.random.default_rng(31)
+        for k in range(100):
+            x0 = float(rng.uniform(0.05, 0.95))
+            stream = model.stream(stream_base + k)
+            om = stream.prefix(horizon)
+            ev = good_return_time(family, model, x0, stream, delta, theta, horizon)
+            cap = good_return_or_expansion_time(
+                family, model, x0, stream, delta, theta, tau, horizon,
+                theta0=theta0, delta_star=cfg.scales.delta_star,
+            )
+            plain_bf, capped_bf = _brute_force_scan(
+                family, model, x0, om, delta, theta, tau, theta0, cfg.scales.delta_star, horizon
+            )
+            got_plain = None if ev is None else ev.time
+            got_capped = None if cap is None else (cap.kind, cap.time)
+            if got_plain != plain_bf or got_capped != capped_bf:
+                mismatches += 1
+            kinds[None if cap is None else cap.kind] += 1
+    ok = mismatches == 0 and kinds["theta_good"] > 0 and kinds["tau_scale"] > 0
     return _result(9, "return-time oracle equivalence", ok,
-                   f"100 random (x, omega): {mismatches} mismatches against brute-force scans", t0)
+                   f"200 random (x, omega): {mismatches} mismatches against brute-force scans; "
+                   f"capped stops {kinds['theta_good']} theta_good, {kinds['tau_scale']} tau_scale, "
+                   f"{kinds[None]} none", t0)
 
 
 def criterion_10_window_nonlinearity(cfg: ExperimentConfig):

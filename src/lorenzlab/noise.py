@@ -26,26 +26,48 @@ __all__ = [
     "skew_step",
 ]
 
-_CHUNK = 4096  # fixed growth chunk so buffered draws never depend on request sizes
+# Growth granularity.  Both laws draw exactly one double per value, so the
+# stream is the same for every chunk size; a small chunk keeps short streams small.
+_CHUNK = 256
 
 
 class _StreamBuffer:
-    """Lazily grown buffer of draws shared by all shifted views of a stream."""
+    """Window over the draws of one stream, shared by all its shifted views.
+
+    It holds the generator for (seed, stream_id) and the draws
+    [base, base + len(values)).  Reading forward costs time linear in the
+    stream length and keeps at most the live window plus one chunk; reading
+    from offset 0 keeps the whole prefix; reading behind the window
+    regenerates the stream from its seed.
+    """
 
     def __init__(self, model: "NoiseModel", stream_id: int):
-        seq = np.random.SeedSequence([np.uint64(model.seed), np.uint64(stream_id)])
-        self._rng = np.random.default_rng(seq)
+        self._seq = np.random.SeedSequence([np.uint64(model.seed), np.uint64(stream_id)])
         self._model = model
+        self._restart()
+
+    def _restart(self):
+        self._rng = np.random.default_rng(self._seq)
+        self._base = 0
         self._values = np.empty(0, dtype=float)
 
-    def ensure(self, n: int):
-        while len(self._values) < n:
-            fresh = self._model._draw(self._rng, _CHUNK)
-            self._values = np.concatenate([self._values, fresh])
-
     def view(self, start: int, stop: int) -> np.ndarray:
-        self.ensure(stop)
-        return self._values[start:stop]
+        if stop <= start:
+            return self._values[:0]
+        if start < self._base:
+            self._restart()
+        end = self._base + len(self._values)
+        if stop > end:
+            kept = self._values[max(start - self._base, 0):]
+            while end < start:  # draws before the window are thrown away, in bounded pieces
+                skipped = min(start - end, 64 * _CHUNK)
+                self._model._draw(self._rng, skipped)
+                end += skipped
+            fresh = self._model._draw(self._rng, -(-(stop - end) // _CHUNK) * _CHUNK)
+            self._values = np.concatenate([kept, fresh])
+            self._values.flags.writeable = False
+            self._base = start
+        return self._values[start - self._base:stop - self._base]
 
 
 @dataclass
@@ -68,6 +90,8 @@ class NoiseStream:
         return self._buf.view(self.offset, self.offset + n)
 
     def value(self, i: int) -> float:
+        if i < 0:
+            raise ValueError("i must be >= 0")
         return float(self._buf.view(self.offset + i, self.offset + i + 1)[0])
 
     def shift(self, k: int) -> "NoiseStream":

@@ -5,6 +5,7 @@ from scipy import stats as sps
 from lorenzlab.errors import CriticalHit
 from lorenzlab.maps import CANON
 from lorenzlab.noise import (
+    _CHUNK,
     NoiseModel,
     exact_uniform_kernel_mass,
     kernel_regularity_check,
@@ -57,6 +58,81 @@ class TestSampling:
             nodes, weights = m.quadrature(32)
             assert weights.sum() == pytest.approx(1.0, abs=1e-12)
             assert np.all(np.abs(nodes) <= 0.01)
+
+
+class TestStreamWindow:
+    """Stream values under every request pattern equal one draw of the whole stream."""
+
+    N = 10**6
+    WINDOW = 65536
+
+    @pytest.fixture(params=["uniform", "triangular"])
+    def pinned(self, request):
+        m = NoiseModel(eps=0.001, kind=request.param, seed=20240901)
+        seq = np.random.SeedSequence([np.uint64(m.seed), np.uint64(77)])
+        return m, m._draw(np.random.default_rng(seq), self.N)
+
+    def test_forward_windows_through_shift(self, pinned):
+        m, ref = pinned
+        s = m.stream(77)
+        for start in range(0, self.N, self.WINDOW):
+            n = min(self.WINDOW, self.N - start)
+            assert np.array_equal(s.shift(start).prefix(n), ref[start:start + n])
+
+    def test_read_behind_a_dropped_window(self, pinned):
+        m, ref = pinned
+        s = m.stream(77)
+        for start in (0, 3 * self.WINDOW, 5 * self.WINDOW):
+            s.shift(start).prefix(self.WINDOW)
+        assert np.array_equal(s.shift(self.WINDOW + 17).prefix(1000), ref[self.WINDOW + 17:self.WINDOW + 1017])
+        assert np.array_equal(s.prefix(10), ref[:10])
+
+    def test_jump_far_ahead(self, pinned):
+        m, ref = pinned
+        s = m.stream(77)
+        assert np.array_equal(s.prefix(5), ref[:5])
+        far = self.N - 1234
+        assert np.array_equal(s.shift(far).prefix(1234), ref[far:])
+        assert s.value(far - 1) == ref[far - 1]
+
+    def test_interleaved_shifted_views(self, pinned):
+        m, ref = pinned
+        s = m.stream(77)
+        views = [s.shift(k) for k in (0, 300, 70_000, 299, 500_000)]
+        for n in (1, 257, 4096, 100):
+            for v in views:
+                assert np.array_equal(v.prefix(n), ref[v.offset:v.offset + n])
+
+    def test_sizes_zero_and_one(self, pinned):
+        m, ref = pinned
+        s = m.stream(77)
+        assert len(s.shift(400_000).prefix(0)) == 0
+        assert np.array_equal(s.shift(400_000).prefix(1), ref[400_000:400_001])
+        assert len(s.prefix(0)) == 0
+        assert s.value(0) == ref[0]
+        assert np.array_equal(s.shift(1).prefix(1), ref[1:2])
+
+    def test_forward_windows_keep_bounded_memory(self):
+        s = NoiseModel(eps=0.001, seed=20240901).stream(77)
+        for start in range(0, self.N, self.WINDOW):
+            s.shift(start).prefix(min(self.WINDOW, self.N - start))
+            assert len(s._buf._values) <= self.WINDOW + _CHUNK
+
+    def test_prefix_is_read_only(self, model):
+        s = model.stream(12)
+        first = s.value(0)
+        with pytest.raises(ValueError):
+            s.prefix(5)[0] = 99.0
+        assert s.shift(0).prefix(1)[0] == first
+
+    def test_negative_index_rejected(self, model):
+        s = model.stream(12)
+        with pytest.raises(ValueError):
+            s.value(-1)
+        with pytest.raises(ValueError):
+            s.shift(-1)
+        with pytest.raises(ValueError):
+            s.prefix(-1)
 
 
 class TestSkewProduct:
