@@ -554,7 +554,8 @@ def criterion_15_inducing_tail(cfg: ExperimentConfig):
     return _result(15, "inducing-time tail", ok,
                    f"{stats.n_members} members, censoring {stats.censoring_fraction:.2%}, "
                    f"slope {slope:.2f} (<=-1) over m in {fit.get('fit_range')}, "
-                   f"exact-companion subsample {sub['agree']}/{sub['checked']}",
+                   f"exact-companion subsample {sub['agree']}/{sub['checked']} "
+                   f"({stats.meta['inside_hull']} fibers inside the hull)",
                    t0)
 
 

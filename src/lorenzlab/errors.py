@@ -62,7 +62,14 @@ class NicenessViolated(LorenzLabError):
 
 
 class VerificationFailed(LorenzLabError):
-    """A candidate Markov inducing time failed direct verification."""
+    """A candidate Markov inducing time failed direct verification.
+
+    ``reason`` names the check that failed (see ``inducing.VERIFY_REASONS``).
+    """
+
+    def __init__(self, message, reason=None):
+        self.reason = reason
+        super().__init__(message)
 
 
 class NotDiffeomorphic(LorenzLabError):

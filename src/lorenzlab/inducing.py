@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NicenessViolated, VerificationFailed
+from .errors import EmptyPullback, NicenessViolated, VerificationFailed
 from .maps import CRITICAL_GUARD, PerturbedFamily
 from .noise import NoiseModel
 from .orbits import _noise_prefix
@@ -26,13 +26,14 @@ from .recurrence import (
     critical_neighborhood,
     pullback_component,
 )
-from .errors import EmptyPullback
 
 __all__ = [
     "NiceSetApprox",
     "build_nice_set",
     "markov_inducing_time",
     "markov_theta_cap",
+    "VERIFY_REASONS",
+    "verify_markov_batch",
     "TailStats",
     "inducing_tail_stats",
 ]
@@ -348,12 +349,29 @@ class MarkovVerification:
     grid_points: int
 
 
+#: names of the checks a Markov verification can fail, in the order they run
+VERIFY_REASONS = (
+    "critical_guard",
+    "endpoint_outside",
+    "pullback_empty",
+    "clips_critical",
+    "misses_start",
+    "not_orientation_preserving",
+    "nonlinearity",
+    "below_floor",
+)
+
+
 def _chain_derivatives(family: PerturbedFamily, values, g: np.ndarray, m: int):
-    """m-step chain rule on a grid: returns (points, d1, d2) at step m."""
+    """m-step chain rule on a grid: returns (points, d1, d2) at step m.
+
+    ``values[j]`` is the noise value of step j, or one value per row of a
+    2-D grid.
+    """
     d1 = np.ones_like(g)
     d2 = np.zeros_like(g)
     for j in range(m):
-        g, s1, s2 = family.jet_vec(float(values[j]), g)
+        g, s1, s2 = family.jet_vec(values[j], g)
         d2 = s2 * d1 * d1 + s1 * d2
         d1 = s1 * d1
     return g, d1, d2
@@ -373,42 +391,49 @@ def verify_markov_time(
     Pulls the target back along the orbit of x, then checks on a grid that
     the m-step composition is a diffeomorphism of the component onto the
     target with nonlinearity at most 1 and derivative at least
-    e^2 |target| / base_length.  Raises VerificationFailed otherwise.
+    e^2 |target| / base_length.  Raises VerificationFailed otherwise, with
+    ``reason`` set to one of VERIFY_REASONS.
     """
     c = family.base.c
     orbit = [x]
     y = x
     for j in range(m):
         if abs(y - c) < CRITICAL_GUARD:
-            raise VerificationFailed(f"orbit hit critical guard at step {j}")
+            raise VerificationFailed(f"orbit hit critical guard at step {j}", "critical_guard")
         y = family.eval(float(omega_values[j]), y)
         orbit.append(y)
     if not target[0] < orbit[m] < target[1]:
-        raise VerificationFailed("orbit endpoint is outside the target fiber")
+        raise VerificationFailed("orbit endpoint is outside the target fiber", "endpoint_outside")
     try:
         chain = pullback_component(
             family, target, m, guide_orbit=orbit[:m], omega=omega_values[:m]
         )
     except EmptyPullback as exc:
-        raise VerificationFailed(f"pullback degenerated: {exc}") from exc
+        raise VerificationFailed(f"pullback degenerated: {exc}", "pullback_empty") from exc
     if chain.order > 0:
-        raise VerificationFailed(f"pullback chain clips the critical point (order {chain.order})")
+        raise VerificationFailed(
+            f"pullback chain clips the critical point (order {chain.order})", "clips_critical"
+        )
     lo, hi = chain.component
     if not lo < x < hi:
-        raise VerificationFailed("pullback component does not contain the starting point")
+        raise VerificationFailed(
+            "pullback component does not contain the starting point", "misses_start"
+        )
     g = np.linspace(lo, hi, grid_points)
     g[0] += 1e-15
     g[-1] -= 1e-15
     _, d1, d2 = _chain_derivatives(family, omega_values, g, m)
     if np.any(d1 <= 0.0) or not np.all(np.isfinite(d1)):
-        raise VerificationFailed("composition is not orientation-preserving on the window")
+        raise VerificationFailed(
+            "composition is not orientation-preserving on the window", "not_orientation_preserving"
+        )
     nonlinearity = float(np.max(np.abs(d2) / d1) * (hi - lo))
     if nonlinearity > 1.0:
-        raise VerificationFailed(f"nonlinearity {nonlinearity:.3f} exceeds 1")
+        raise VerificationFailed(f"nonlinearity {nonlinearity:.3f} exceeds 1", "nonlinearity")
     min_df = float(np.min(d1))
     floor = math.e**2 * (target[1] - target[0]) / base_length
     if min_df < floor:
-        raise VerificationFailed(f"derivative {min_df:.3f} below floor {floor:.3f}")
+        raise VerificationFailed(f"derivative {min_df:.3f} below floor {floor:.3f}", "below_floor")
     return MarkovVerification(
         time=m,
         window=(lo, hi),
@@ -419,6 +444,164 @@ def verify_markov_time(
         chain_order=chain.order,
         grid_points=grid_points,
     )
+
+
+# The batched verifier below reproduces verify_markov_time bit for bit.  Its
+# orbit replay and closed-form inverses raise to a power with Python's float
+# ``**`` (libm), as the scalar MapParams.eval and MapParams.inverse do: numpy's
+# array power differs from libm in the last bit for some inputs.
+
+
+def _libm_pow(a: np.ndarray, e: float) -> np.ndarray:
+    return np.array([v**e for v in a.tolist()])
+
+
+def _base_eval_rows(p, x: np.ndarray) -> np.ndarray:
+    """MapParams.eval per element (x off the critical guard)."""
+    left = x < p.c
+    zp = _libm_pow(np.where(left, (p.c - x) / p.c, (x - p.c) / (1.0 - p.c)), p.ell)
+    return np.where(left, p.u * (1.0 - zp), 1.0 - p.v + p.v * zp)
+
+
+def _eval_rows(family: PerturbedFamily, t: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """PerturbedFamily.eval per element, one noise value per element."""
+    fx = _base_eval_rows(family.base, x)
+    # taper_vec's clips never bind inside (0, 1), so it gives taper's bits
+    return np.where(t == 0.0, fx, fx + t * family.taper_vec(x))
+
+
+def _inverse_rows(family: PerturbedFamily, t, y, left, tol):
+    """PerturbedFamily.inverse_branch per element where the closed form answers.
+
+    Returns (x, done); where ``done`` is false (the preimage is in a taper
+    zone, the closed form gives no candidate, fails the back-check or lands
+    within the critical guard) the caller asks the scalar inverse_branch.
+    ``y`` must lie in the branch image, as it does in a pullback.
+    """
+    p = family.base
+    m = family.margin
+    yy = np.where(t == 0.0, y, np.minimum(np.maximum(y - t, 0.0), 1.0))
+    # MapParams.inverse: None outside the base branch image
+    valid = np.where(left, yy <= p.u, yy >= 1.0 - p.v)
+    arg = np.where(left, (p.u - yy) / p.u, (yy - 1.0 + p.v) / p.v)
+    z = _libm_pow(np.where(valid, arg, 0.0), 1.0 / p.ell)
+    cand = np.where(left, p.c * (1.0 - z), p.c + (1.0 - p.c) * z)
+    # on the taper core f_t = f + t, so the back-check is base.eval + t
+    core = (m <= cand) & (cand <= 1.0 - m) & (np.abs(cand - p.c) >= CRITICAL_GUARD)
+    back = np.abs(_base_eval_rows(p, cand) + t - y) < tol
+    return cand, valid & ((t == 0.0) | (core & back))
+
+
+def _pullback_rows(family: PerturbedFamily, omega, sides_left, target, code, tol=1e-12):
+    """recurrence.pullback_component along each row's orbit, for rows with code -1.
+
+    Returns the components (lo, hi) and whether any step met c (order > 0);
+    rows whose chain empties get the code of ``pullback_empty``.
+    """
+    p = family.base
+    c = p.c
+    n, m = omega.shape
+    lo = np.full(n, float(target[0]))
+    hi = np.full(n, float(target[1]))
+    clipped = np.zeros(n, dtype=bool)
+    empty_code = VERIFY_REASONS.index("pullback_empty")
+    for j in range(m - 1, -1, -1):
+        r = np.nonzero(code < 0)[0]
+        if not len(r):
+            break
+        t = omega[r, j]
+        left = sides_left[r, j]
+        # recurrence._pull_once, one row per element
+        rng_lo = np.where(left, 0.0, p.c1_plus + t)
+        rng_hi = np.where(left, p.c1_minus + t, 1.0)
+        lo_y = np.maximum(lo[r], rng_lo)
+        hi_y = np.minimum(hi[r], rng_hi)
+        empty = hi_y <= lo_y
+        lo_end = lo_y <= rng_lo
+        hi_end = hi_y >= rng_hi
+        x_lo = np.where(left, 0.0, c)
+        x_hi = np.where(left, c, 1.0)
+        need_lo = ~empty & ~lo_end
+        need_hi = ~empty & ~hi_end
+        ks = np.concatenate([np.nonzero(need_lo)[0], np.nonzero(need_hi)[0]])
+        ys = np.concatenate([lo_y[need_lo], hi_y[need_hi]])
+        xs, done = _inverse_rows(family, t[ks], ys, left[ks], tol)
+        for q in np.nonzero(~done)[0]:
+            k = ks[q]
+            side = "left" if left[k] else "right"
+            root = family.inverse_branch(float(t[k]), float(ys[q]), side, tol=tol)
+            xs[q] = np.nan if root is None else root
+        n_lo = int(need_lo.sum())
+        x_lo[need_lo] = xs[:n_lo]
+        x_hi[need_hi] = xs[n_lo:]
+        # a None preimage (NaN) fails the comparison and empties the chain
+        empty |= ~(x_hi > x_lo)
+        clipped[r] |= np.where(left, hi_end, lo_end) & ~empty
+        code[r[empty]] = empty_code
+        lo[r] = x_lo
+        hi[r] = x_hi
+    return lo, hi, clipped
+
+
+def verify_markov_batch(
+    family: PerturbedFamily,
+    omega: np.ndarray,
+    x: np.ndarray,
+    target: tuple[float, float],
+    base_length: float,
+    grid_points: int = 128,
+) -> np.ndarray:
+    """verify_markov_time for many candidates at one time m, in one pass.
+
+    Row i verifies the start ``x[i]`` under the noise row ``omega[i]`` at
+    m = omega.shape[1] against the common target.  The stages, their order
+    and their arithmetic are those of the scalar verifier, which stays the
+    oracle.  Returns one code per row: -1 when the time is verified, else
+    the index in VERIFY_REASONS of the first check that fails.
+    """
+    c = family.base.c
+    omega = np.asarray(omega, dtype=float)
+    x = np.asarray(x, dtype=float)
+    n, m = omega.shape
+    code = np.full(n, -1, dtype=np.int64)
+    if n == 0:
+        return code
+    # the scalar replay's eval raises on the same noise values
+    family._check_noise(float(np.max(np.abs(omega))))
+
+    orbit = np.empty((n, m))
+    y = x.copy()
+    for j in range(m):
+        hit = (np.abs(y - c) < CRITICAL_GUARD) & (code < 0)
+        code[hit] = VERIFY_REASONS.index("critical_guard")
+        orbit[:, j] = y
+        y = _eval_rows(family, omega[:, j], y)
+    outside = ~((target[0] < y) & (y < target[1])) & (code < 0)
+    code[outside] = VERIFY_REASONS.index("endpoint_outside")
+
+    lo, hi, clipped = _pullback_rows(family, omega, orbit < c, target, code)
+    code[clipped & (code < 0)] = VERIFY_REASONS.index("clips_critical")
+    misses = ~((lo < x) & (x < hi)) & (code < 0)
+    code[misses] = VERIFY_REASONS.index("misses_start")
+
+    r = np.nonzero(code < 0)[0]
+    if not len(r):
+        return code
+    g = np.linspace(lo[r], hi[r], grid_points, axis=1)
+    g[:, 0] += 1e-15
+    g[:, -1] -= 1e-15
+    _, d1, d2 = _chain_derivatives(family, omega[r].T, g, m)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        nonlinearity = np.max(np.abs(d2) / d1, axis=1) * (hi[r] - lo[r])
+    floor = math.e**2 * (target[1] - target[0]) / base_length
+    checks = (
+        ("not_orientation_preserving", np.any(d1 <= 0.0, axis=1) | ~np.all(np.isfinite(d1), axis=1)),
+        ("nonlinearity", nonlinearity > 1.0),
+        ("below_floor", np.min(d1, axis=1) < floor),
+    )
+    for reason, failed in reversed(checks):
+        code[r[failed]] = VERIFY_REASONS.index(reason)
+    return code
 
 
 def markov_inducing_time(
@@ -603,12 +786,15 @@ def inducing_tail_stats(
 
     Members are (x_i, omega_i) with x_i uniform on B(delta) (a subset of
     every nice-set fiber) and omega_i an i.i.d. stream per member.  The
-    candidate times are landings in B(delta); each candidate is verified
-    directly against the inducing definition with the empirical companion
-    hull as the onto-target, so accepted times upper-bound the minimal
-    inducing time.  theta-good return times at the capped theta are tracked
-    alongside for comparison.  A random subsample is re-verified against its
-    own exactly-built companion fiber and reported.
+    candidate times are landings in B(delta); the candidates landing at one
+    step are verified together (verify_markov_batch) directly against the
+    inducing definition with the empirical companion hull as the
+    onto-target, so accepted times upper-bound the minimal inducing time.
+    theta-good return times at the capped theta are tracked alongside for
+    comparison.  A random subsample is re-verified with the scalar
+    verify_markov_time against its own exactly-built companion fiber and
+    reported.  ``meta["verify"]`` counts the ensemble's verification
+    attempts, acceptances and failures by reason.
     """
     params = family.base
     nb = critical_neighborhood(params, delta)
@@ -628,6 +814,7 @@ def inducing_tail_stats(
     times = np.full(n_members, -1, dtype=np.int64)
     h_times = np.full(n_members, -1, dtype=np.int64)
     n_attempts = np.zeros(n_members, dtype=np.int64)
+    failures = np.zeros(len(VERIFY_REASONS), dtype=np.int64)
     critical_hits = 0
 
     x = x0.copy()
@@ -649,7 +836,7 @@ def inducing_tail_stats(
             if dead.any():
                 critical_hits += int(dead.sum())
             t = noise[: len(alive), b]
-            # one noise value per member, which jet_vec (one t per call) does not take
+            # one noise value per member: eval_vec and deriv_vec take t elementwise
             df = family.deriv_vec(t, xa)
             log_a[alive] = np.logaddexp(log_a[alive], log_df[alive] - np.log(np.maximum(d, guard)))
             log_df[alive] += np.log(np.maximum(df, 1e-300))
@@ -665,21 +852,18 @@ def inducing_tail_stats(
             # above: candidates below the derivative floor must fail.
             floor_ok = log_df[alive] >= 2.0 + math.log(hull_len / nb.length)
             cand_rows = np.nonzero(inside & ~dead & floor_ok)[0]
-            for row in cand_rows:
-                i = alive[row]
-                if n_attempts[i] >= max_verifications:
-                    continue
-                n_attempts[i] += 1
-                om = streams[i].prefix(s_cur)
-                try:
-                    verify_markov_time(
-                        family, om, float(x0[i]), s_cur, hull, nb.length,
-                        grid_points=grid_points,
-                    )
-                except VerificationFailed:
-                    continue
-                times[i] = s_cur
-                verified[row] = True
+            cand_rows = cand_rows[n_attempts[alive[cand_rows]] < max_verifications]
+            if len(cand_rows):
+                members = alive[cand_rows]
+                n_attempts[members] += 1
+                om = np.array([streams[i].prefix(s_cur) for i in members])
+                codes = verify_markov_batch(
+                    family, om, x0[members], hull, nb.length, grid_points=grid_points
+                )
+                ok = codes < 0
+                times[members[ok]] = s_cur
+                verified[cand_rows[ok]] = True
+                failures += np.bincount(codes[~ok], minlength=len(VERIFY_REASONS))
             keep = ~(verified | dead)
             alive = alive[keep]
             noise = noise[keep]
@@ -693,12 +877,14 @@ def inducing_tail_stats(
     sub = sub_rng.choice(accepted, size=min(verify_subsample, len(accepted)), replace=False) if len(accepted) else []
     agree = 0
     checked = 0
+    inside_hull = 0
     for i in sub:
         m = int(times[i])
         om = streams[int(i)].prefix(m + depth + 1)
         comp = build_nice_set(family, model, delta, om[m:], depth, verify_horizon=0, grid_points=512)
         checked += 1
         if comp.boundary_lo >= hull[0] and comp.boundary_hi <= hull[1]:
+            inside_hull += 1
             try:
                 verify_markov_time(
                     family, om, float(x0[int(i)]), m, comp.interval, nb.length,
@@ -724,5 +910,13 @@ def inducing_tail_stats(
             "stream_base": stream_base,
             "theta0": theta0,
             "max_verifications": max_verifications,
+            # subsample members whose exact fiber lies inside the hull; the
+            # rest cannot count as agreeing whatever their verification gives
+            "inside_hull": inside_hull,
+            "verify": {
+                "attempts": int(n_attempts.sum()),
+                "accepted": int(np.sum(times > 0)),
+                "failures": dict(zip(VERIFY_REASONS, failures.tolist())),
+            },
         },
     )

@@ -413,12 +413,13 @@ class PerturbedFamily:
             out = out + t * self.taper_d_vec(x)
         return out
 
-    def jet_vec(self, t: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def jet_vec(self, t, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(f_t, Df_t, D2f_t) on an array in one fused pass.
 
-        Points at c take the right branch.  Off the taper zones w = 1 and
-        w' = w'' = 0, so when no point lies in a zone only the shift by t is
-        added.
+        ``t`` is a scalar, or one noise value per row of a 2-D ``x``; each
+        row then gets the bits a scalar call with its t gives.  Points at c
+        take the right branch.  Off the taper zones w = 1 and w' = w'' = 0,
+        so where no point lies in a zone only the shift by t is added.
         """
         x = np.asarray(x, dtype=float)
         p = self.base
@@ -432,13 +433,17 @@ class PerturbedFamily:
         zl2 = z ** (ell - 2.0)
         d2 = np.where(left, -u * k2 / c**2 * zl2, v * k2 / one_c**2 * zl2)
         fx = np.where(left, u * (1.0 - z**ell), 1.0 - v + v * z**ell)
-        if t == 0.0:
+        t = np.asarray(t, dtype=float)
+        if t.ndim:
+            t = t[:, None]
+        shift = t != 0.0
+        if not shift.any():
             return fx, d1, d2
         m = self.margin
-        lo = x < m
-        hi = x > 1.0 - m
+        lo = (x < m) & shift
+        hi = (x > 1.0 - m) & shift
         if not (lo.any() or hi.any()):
-            return fx + t, d1, d2
+            return np.where(shift, fx + t, fx), d1, d2
         w = np.ones_like(x)
         w1 = np.zeros_like(x)
         w2 = np.zeros_like(x)
@@ -450,7 +455,13 @@ class PerturbedFamily:
         w[hi] = _smoothstep(r)
         w1[hi] = -_smoothstep_d(r) / m
         w2[hi] = _smoothstep_d2(r) / m**2
-        return fx + t * w, d1 + t * w1, d2 + t * w2
+        # a scalar call adds the taper terms only when some point is in a zone
+        zone = (lo | hi).any(axis=-1, keepdims=True) if t.ndim else True
+        return (
+            np.where(shift, fx + t * w, fx),
+            np.where(zone, d1 + t * w1, d1),
+            np.where(zone, d2 + t * w2, d2),
+        )
 
     def endpoint_multipliers(self, t: float = 0.0) -> tuple[float, float]:
         """Df_t at the fixed points 0 and 1 (the taper slope vanishes there).

@@ -1,19 +1,22 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from lorenzlab.errors import VerificationFailed
+from lorenzlab.errors import EmptyPullback, VerificationFailed
 from lorenzlab.inducing import (
+    VERIFY_REASONS,
     build_nice_set,
     inducing_tail_stats,
     markov_inducing_time,
     markov_theta_cap,
+    verify_markov_batch,
     verify_markov_time,
 )
-from lorenzlab.maps import CANON
+from lorenzlab.maps import CANON, MapParams, PerturbedFamily
 from lorenzlab.noise import NoiseModel
-from lorenzlab.recurrence import critical_neighborhood, good_return_time
+from lorenzlab.recurrence import critical_neighborhood, good_return_time, pullback_component
 
 DELTA0 = 0.002
 
@@ -133,8 +136,170 @@ class TestMarkovInducing:
 class TestVerifyMarkov:
     def test_rejects_wrong_time(self, family, nmodel, nice):
         om = nmodel.stream(4_000_000).prefix(64)
-        with pytest.raises(VerificationFailed):
+        with pytest.raises(VerificationFailed) as info:
             verify_markov_time(family, om, 0.51, 1, nice.interval, nice.length)
+        assert info.value.reason in VERIFY_REASONS
+
+
+class _FlatBandFamily(PerturbedFamily):
+    """Sets Df_t to 0 on a band of x.
+
+    No admissible family has a flat spot off c (eps_max keeps both branches
+    strictly increasing), so this stands in to reach the orientation check;
+    its windows fail the nonlinearity and floor checks too, which tests the
+    order of the three.  Both verifiers take derivatives through
+    ``jet_vec`` only.
+    """
+
+    def jet_vec(self, t, x):
+        fx, d1, d2 = super().jet_vec(t, x)
+        return fx, np.where((x > 0.30) & (x < 0.31), 0.0, d1), d2
+
+
+# (family, delta): the target is B(2 delta), the base length |B(delta)|;
+# the deltas give targets of comparable width
+ORACLE_CASES = {
+    "canon": (PerturbedFamily(CANON), 0.002),
+    "c04_ell3": (PerturbedFamily(MapParams(c=0.4, ell=3.0, u=0.85, v=0.8)), 2e-4),
+    "c055_ell25": (PerturbedFamily(MapParams(c=0.55, ell=2.5, u=0.9, v=0.88)), 5e-4),
+    "canon_flat_band": (_FlatBandFamily(CANON), 0.002),
+}
+
+
+def _oracle_rows(family, delta, seed, members=60, horizon=600, eps=0.001):
+    """Seeded (x0, noise row) candidates against the target B(2 delta).
+
+    Landings of orbits from B(delta) and from all of [0, 1] (so that some
+    pullbacks cross the taper zones): the first three landings and those
+    after step 150 up to the seventh (long chains can empty); one row in
+    six with zero noise and one in six with every third value zero; rows
+    one step before a first landing; starts on the critical guard and one
+    step before it; and starts placed on the ends of the scalar pullback
+    window.
+    """
+    p = family.base
+    rng = np.random.default_rng(seed)
+    nb = critical_neighborhood(p, delta)
+    target = critical_neighborhood(p, 2.0 * delta).interval()
+    rows = []
+    for k in range(members):
+        x0 = rng.uniform(0.0, 1.0) if k % 2 else rng.uniform(nb.lo, nb.hi)
+        om = rng.uniform(-eps, eps, horizon)
+        if k % 6 == 0:
+            om[:] = 0.0
+        elif k % 6 == 1:
+            om[::3] = 0.0
+        y = x0
+        landings = 0
+        for s in range(1, horizon + 1):
+            if abs(y - p.c) < 1e-14:
+                break
+            y = family.eval(float(om[s - 1]), y)
+            if target[0] < y < target[1]:
+                if landings == 0 and s > 1:
+                    rows.append((x0, om[: s - 1]))
+                landings += 1
+                if landings <= 3 or s > 150:
+                    rows.append((x0, om[:s]))
+                if s > 150 and landings > 6:
+                    break
+    om = rng.uniform(-eps, eps, 5)
+    rows.append((p.c + 5e-15, om))
+    rows.append((family.inverse_branch(float(om[0]), p.c, "left"), om))
+    for x0, om in rows[:: 3]:
+        orbit = [x0]
+        for t in om:
+            if abs(orbit[-1] - p.c) < 1e-14:
+                break
+            orbit.append(family.eval(float(t), orbit[-1]))
+        else:
+            try:
+                chain = pullback_component(family, target, len(om), guide_orbit=orbit, omega=om)
+            except EmptyPullback:
+                continue
+            rows.extend((end, om) for end in chain.component)
+    return rows, target, nb.length
+
+
+def _scalar_code(family, om, x0, target, base_length):
+    try:
+        verify_markov_time(family, om, x0, len(om), target, base_length, grid_points=64)
+    except VerificationFailed as exc:
+        return VERIFY_REASONS.index(exc.reason)
+    return -1
+
+
+def _enters_taper_zone(family, om, x0, target):
+    """True when a perturbed step of the scalar pullback has an end in a taper zone."""
+    orbit = [x0]
+    for t in om:
+        if abs(orbit[-1] - family.base.c) < 1e-14:
+            return False
+        orbit.append(family.eval(float(t), orbit[-1]))
+    try:
+        chain = pullback_component(family, target, len(om), guide_orbit=orbit, omega=om)
+    except EmptyPullback:
+        return False
+    m = family.margin
+    return any(
+        om[j] != 0.0 and any(0.0 < e < m or 1.0 - m < e < 1.0 for e in chain.intervals[j])
+        for j in range(len(om))
+    )
+
+
+@pytest.fixture(scope="module")
+def oracle():
+    """Per case, rows of (scalar code, batched code, zero-noise, taper-zone)."""
+    out = {}
+    for seed, (name, (family, delta)) in enumerate(ORACLE_CASES.items()):
+        rows, target, base_length = _oracle_rows(family, delta, seed)
+        by_m = {}
+        for x0, om in rows:
+            by_m.setdefault(len(om), []).append((x0, om))
+        table = []
+        for m, group in by_m.items():
+            codes = verify_markov_batch(
+                family, np.array([om for _, om in group]), np.array([x0 for x0, _ in group]),
+                target, base_length, grid_points=64,
+            )
+            for (x0, om), code in zip(group, codes):
+                table.append((
+                    _scalar_code(family, om, x0, target, base_length),
+                    int(code),
+                    bool(np.any(om == 0.0)),
+                    _enters_taper_zone(family, om, x0, target),
+                ))
+        out[name] = table
+    return out
+
+
+class TestBatchedVerification:
+    """verify_markov_batch against the scalar verify_markov_time, row by row."""
+
+    @pytest.mark.parametrize("case", list(ORACLE_CASES))
+    def test_codes_equal_scalar_verifier(self, oracle, case):
+        table = oracle[case]
+        mismatches = [(s, b) for s, b, _, _ in table if s != b]
+        assert len(table) > 100
+        assert mismatches == []
+
+    def test_rows_reach_every_outcome(self, oracle):
+        outcomes = {s for table in oracle.values() for s, _, _, _ in table}
+        assert outcomes == {-1, *range(len(VERIFY_REASONS))}
+        assert {s for s, _, _, _ in oracle["canon_flat_band"]} >= {
+            -1, VERIFY_REASONS.index("not_orientation_preserving")
+        }
+
+    def test_rows_exercise_zero_noise_and_taper_zones(self, oracle):
+        replayed = {-1, *range(VERIFY_REASONS.index("pullback_empty"), len(VERIFY_REASONS))}
+        for case, table in oracle.items():
+            assert any(zero and s in replayed for s, _, zero, _ in table), case
+            assert any(taper for _, _, _, taper in table), case
+        assert any(zero and s == -1 for s, _, zero, _ in oracle["canon"])
+
+    def test_empty_batch(self, family):
+        codes = verify_markov_batch(family, np.empty((0, 7)), np.empty(0), (0.4, 0.6), 0.01)
+        assert codes.shape == (0,)
 
 
 @pytest.fixture(scope="module")
@@ -173,6 +338,23 @@ class TestTailStats:
         m_full = stats.moment(2.0)
         m_half = half.moment(2.0)
         assert abs(m_full - m_half) / m_full <= 0.2
+
+    def test_times_pinned(self, stats):
+        # sha256 of the arrays computed by the per-candidate scalar loop that
+        # the batched verifier replaced
+        digest = lambda a: hashlib.sha256(np.ascontiguousarray(a, dtype="<i8").tobytes()).hexdigest()
+        assert digest(stats.times) == "bf4ea966c3a8c7552b3b9d36654edf0a36b04be820e27dc21c407e4bf12bf885"
+        assert digest(stats.theta_good_times) == (
+            "c1130846d44e78ec44a7d995ef4a8aab42f5496a96ebc83cc7833bf7164d8a5d"
+        )
+
+    def test_verification_counts(self, stats):
+        counts = stats.meta["verify"]
+        assert set(counts["failures"]) == set(VERIFY_REASONS)
+        assert counts["accepted"] == int(np.sum(stats.times > 0))
+        assert counts["attempts"] == counts["accepted"] + sum(counts["failures"].values())
+        sub = stats.verified_subsample
+        assert sub["agree"] <= stats.meta["inside_hull"] <= sub["checked"]
 
     def test_capped_theta_good_returns_are_censored(self, stats):
         # at reachable scales the capped-theta good return never fires; the

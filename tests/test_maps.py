@@ -199,6 +199,27 @@ class TestStepKernels:
             assert d1[k] == pytest.approx(rec.d1[n], rel=1e-10)
             assert d2[k] == pytest.approx(rec.d2[n], rel=1e-10)
 
+    def test_row_noise_jet_matches_scalar_calls_bit_for_bit(self, params):
+        family = PerturbedFamily(params)
+        m = family.margin
+        rng = np.random.default_rng(11)
+        # rows on the core only, reaching into either taper zone, and at c
+        rows = np.array([
+            np.linspace(0.2, 0.8, 16),
+            np.linspace(0.2 * m, 0.6, 16),
+            np.linspace(0.5, 1.0 - 0.3 * m, 16),
+            np.linspace(params.c - 0.01, params.c, 16),
+            rng.uniform(0.0, 1.0, 16),
+            rng.uniform(0.0, 1.0, 16),
+        ])
+        t = rng.uniform(-family.eps_max, family.eps_max, len(rows))
+        t[[1, 4]] = 0.0
+        batched = family.jet_vec(t, rows)
+        for k in range(len(rows)):
+            scalar = family.jet_vec(float(t[k]), rows[k])
+            for got, want in zip(batched, scalar):
+                assert got[k].tobytes() == want.tobytes()
+
 
 class TestSchwarzian:
     def test_closed_form_value(self):
