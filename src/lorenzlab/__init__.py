@@ -23,7 +23,7 @@ from .errors import (
     VerificationFailed,
 )
 from .maps import CANON, MapParams, PerturbedFamily, critical_values, schwarzian, summability_stats
-from .noise import NoiseModel, NoiseStream, kernel_regularity_check, sample_omega, skew_step
+from .noise import NoiseModel, NoiseStream, kernel_regularity_check
 from .orbits import OrbitRecord, log_scan, random_orbit
 from .transfer import (
     Density,

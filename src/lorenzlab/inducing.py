@@ -766,6 +766,10 @@ def estimate_companion_hull(
     return min(los) - margin * lo_spread, max(his) + margin * hi_spread
 
 
+# steps of noise the tail draws at a time for its alive members
+_TAIL_BLOCK = 64
+
+
 def inducing_tail_stats(
     family: PerturbedFamily,
     model: NoiseModel,
@@ -776,7 +780,6 @@ def inducing_tail_stats(
     theta0: float = 0.01,
     depth: int = 48,
     stream_base: int = 8_000_000,
-    chunk: int = 256,
     max_verifications: int = 16,
     verify_subsample: int = 64,
     grid_points: int = 96,
@@ -785,7 +788,10 @@ def inducing_tail_stats(
     """Verified inducing-time tail over an ensemble started in B(delta).
 
     Members are (x_i, omega_i) with x_i uniform on B(delta) (a subset of
-    every nice-set fiber) and omega_i an i.i.d. stream per member.  The
+    every nice-set fiber) and omega_i stream ``stream_base + i``.  Noise is
+    drawn in blocks of _TAIL_BLOCK steps for the members still alive, and
+    only their draws so far are held, so memory follows the alive members;
+    the exact-companion subsample re-reads its members' streams.  The
     candidate times are landings in B(delta); the candidates landing at one
     step are verified together (verify_markov_batch) directly against the
     inducing definition with the empirical companion hull as the
@@ -805,12 +811,10 @@ def inducing_tail_stats(
     log_theta = math.log(theta)
     log_len = math.log(nb.length)
 
-    seed_seq = np.random.SeedSequence([np.uint64(model.seed), np.uint64(stream_base)])
-    init_rng = np.random.default_rng(seed_seq)
-    x0 = init_rng.uniform(nb.lo, nb.hi, n_members)
+    # stream_base is also member 0's noise stream: x0[k] and omega_0[k] are one uniform draw
+    x0 = model.generator(stream_base).uniform(nb.lo, nb.hi, n_members)
     x0 = np.where(np.abs(x0 - c) < 10 * guard, nb.hi - 1e-6, x0)
 
-    streams = [model.stream(stream_base + i) for i in range(n_members)]
     times = np.full(n_members, -1, dtype=np.int64)
     h_times = np.full(n_members, -1, dtype=np.int64)
     n_attempts = np.zeros(n_members, dtype=np.int64)
@@ -821,13 +825,15 @@ def inducing_tail_stats(
     log_df = np.zeros(n_members)
     log_a = np.full(n_members, -np.inf)
     alive = np.arange(n_members)
+    hist = np.empty((n_members, 0))  # row k: the draws so far of member alive[k]
 
     s = 0
     while s < horizon and len(alive):
-        block = min(chunk, horizon - s)
-        noise = np.empty((len(alive), block))
+        block = min(_TAIL_BLOCK, horizon - s)
+        fresh = np.empty((len(alive), block))
         for row, i in enumerate(alive):
-            noise[row] = streams[i].prefix(s + block)[s:]
+            fresh[row] = model.stream(stream_base + i).shift(s).prefix(block)
+        hist = np.concatenate([hist, fresh], axis=1)
         for b in range(block):
             s_cur = s + b + 1
             xa = x[alive]
@@ -835,7 +841,7 @@ def inducing_tail_stats(
             dead = d < guard
             if dead.any():
                 critical_hits += int(dead.sum())
-            t = noise[: len(alive), b]
+            t = hist[:, s + b]
             # one noise value per member: eval_vec and deriv_vec take t elementwise
             df = family.deriv_vec(t, xa)
             log_a[alive] = np.logaddexp(log_a[alive], log_df[alive] - np.log(np.maximum(d, guard)))
@@ -856,9 +862,9 @@ def inducing_tail_stats(
             if len(cand_rows):
                 members = alive[cand_rows]
                 n_attempts[members] += 1
-                om = np.array([streams[i].prefix(s_cur) for i in members])
                 codes = verify_markov_batch(
-                    family, om, x0[members], hull, nb.length, grid_points=grid_points
+                    family, hist[cand_rows, :s_cur], x0[members], hull, nb.length,
+                    grid_points=grid_points,
                 )
                 ok = codes < 0
                 times[members[ok]] = s_cur
@@ -866,21 +872,22 @@ def inducing_tail_stats(
                 failures += np.bincount(codes[~ok], minlength=len(VERIFY_REASONS))
             keep = ~(verified | dead)
             alive = alive[keep]
-            noise = noise[keep]
+            hist = hist[keep]
         s += block
 
     censored = int(np.sum(times < 0))
 
     # exact-companion re-verification on a subsample of accepted members
     accepted = np.nonzero(times > 0)[0]
-    sub_rng = np.random.default_rng(np.random.SeedSequence([np.uint64(model.seed), 4242]))
-    sub = sub_rng.choice(accepted, size=min(verify_subsample, len(accepted)), replace=False) if len(accepted) else []
+    sub = []
+    if len(accepted):
+        sub = model.generator(4242).choice(accepted, size=min(verify_subsample, len(accepted)), replace=False)
     agree = 0
     checked = 0
     inside_hull = 0
     for i in sub:
         m = int(times[i])
-        om = streams[int(i)].prefix(m + depth + 1)
+        om = model.stream(stream_base + int(i)).prefix(m + depth + 1)
         comp = build_nice_set(family, model, delta, om[m:], depth, verify_horizon=0, grid_points=512)
         checked += 1
         if comp.boundary_lo >= hull[0] and comp.boundary_hi <= hull[1]:

@@ -2,103 +2,60 @@
 
 A NoiseModel fixes the amplitude eps, the distribution of a single noise
 value (uniform on [-eps, eps] by default, or truncated-triangular), the
-regularity constant L used by kernel checks, and a master seed.  Streams are
-derived from (seed, stream_id) and are deterministic: the same pair always
-reproduces the same sequence, and shifted streams reproduce the shifted
-sequence exactly, which makes skew-product computations replayable.
+regularity constant L used by kernel checks, and a master seed.  Noise value
+i of stream stream_id is draw i of the generator seeded by (seed, stream_id):
+the address (seed, stream_id, i) fixes it, so any member of any ensemble can
+be replayed exactly, and a shifted stream reads the shifted sequence.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CriticalHit
-from .maps import CRITICAL_GUARD, PerturbedFamily
-from .orbits import _noise_prefix
+from .maps import PerturbedFamily
 
 __all__ = [
     "NoiseModel",
     "NoiseStream",
-    "sample_omega",
     "kernel_regularity_check",
-    "skew_step",
 ]
 
-# Growth granularity.  Both laws draw exactly one double per value, so the
-# stream is the same for every chunk size; a small chunk keeps short streams small.
-_CHUNK = 256
 
-
-class _StreamBuffer:
-    """Window over the draws of one stream, shared by all its shifted views.
-
-    It holds the generator for (seed, stream_id) and the draws
-    [base, base + len(values)).  Reading forward costs time linear in the
-    stream length and keeps at most the live window plus one chunk; reading
-    from offset 0 keeps the whole prefix; reading behind the window
-    regenerates the stream from its seed.
-    """
-
-    def __init__(self, model: "NoiseModel", stream_id: int):
-        self._seq = np.random.SeedSequence([np.uint64(model.seed), np.uint64(stream_id)])
-        self._model = model
-        self._restart()
-
-    def _restart(self):
-        self._rng = np.random.default_rng(self._seq)
-        self._base = 0
-        self._values = np.empty(0, dtype=float)
-
-    def view(self, start: int, stop: int) -> np.ndarray:
-        if stop <= start:
-            return self._values[:0]
-        if start < self._base:
-            self._restart()
-        end = self._base + len(self._values)
-        if stop > end:
-            kept = self._values[max(start - self._base, 0):]
-            while end < start:  # draws before the window are thrown away, in bounded pieces
-                skipped = min(start - end, 64 * _CHUNK)
-                self._model._draw(self._rng, skipped)
-                end += skipped
-            fresh = self._model._draw(self._rng, -(-(stop - end) // _CHUNK) * _CHUNK)
-            self._values = np.concatenate([kept, fresh])
-            self._values.flags.writeable = False
-            self._base = start
-        return self._values[start - self._base:stop - self._base]
-
-
-@dataclass
+@dataclass(frozen=True)
 class NoiseStream:
-    """A deterministic noise sequence omega with exact shift support."""
+    """The noise sequence omega of one stream, read from index ``offset`` on.
+
+    A stream holds no draws.  Both laws consume one 64-bit generator output
+    per value, so ``prefix`` advances a fresh generator to ``offset`` and
+    draws from there, which gives every view the same values.
+    """
 
     model: "NoiseModel"
     stream_id: int
     offset: int = 0
-    _buf: _StreamBuffer = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self._buf is None:
-            self._buf = _StreamBuffer(self.model, self.stream_id)
 
     def prefix(self, n: int) -> np.ndarray:
-        """First n values of the (shifted) sequence as a read-only view."""
+        """First n values of the (shifted) sequence as a read-only array."""
         if n < 0:
             raise ValueError("n must be >= 0")
-        return self._buf.view(self.offset, self.offset + n)
+        rng = self.model.generator(self.stream_id)
+        rng.bit_generator.advance(self.offset)
+        values = self.model._draw(rng, n)
+        values.flags.writeable = False
+        return values
 
     def value(self, i: int) -> float:
         if i < 0:
             raise ValueError("i must be >= 0")
-        return float(self._buf.view(self.offset + i, self.offset + i + 1)[0])
+        return float(self.shift(i).prefix(1)[0])
 
     def shift(self, k: int) -> "NoiseStream":
-        """The shifted sequence sigma^k omega, sharing the same draws."""
+        """The shifted sequence sigma^k omega."""
         if k < 0:
             raise ValueError("shift must be >= 0")
-        return NoiseStream(self.model, self.stream_id, self.offset + k, self._buf)
+        return NoiseStream(self.model, self.stream_id, self.offset + k)
 
 
 @dataclass(frozen=True)
@@ -122,6 +79,10 @@ class NoiseModel:
         if self.kind == "uniform":
             return rng.uniform(-self.eps, self.eps, size=n)
         return rng.triangular(-self.eps, 0.0, self.eps, size=n)
+
+    def generator(self, stream_id: int) -> np.random.Generator:
+        """A fresh generator for (seed, stream_id), at its first draw."""
+        return np.random.default_rng(np.random.SeedSequence([np.uint64(self.seed), np.uint64(stream_id)]))
 
     def stream(self, stream_id: int) -> NoiseStream:
         return NoiseStream(self, stream_id)
@@ -150,31 +111,6 @@ class NoiseModel:
     def core_interval(self, family: PerturbedFamily) -> tuple[float, float]:
         """Trapping core [c1_plus - eps, c1_minus + eps] used by kernel checks."""
         return family.base.c1_plus - self.eps, family.base.c1_minus + self.eps
-
-
-def sample_omega(model: NoiseModel, stream_id: int, n: int) -> np.ndarray:
-    """i.i.d. prefix of length n, reproducible per (model.seed, stream_id)."""
-    return model.stream(stream_id).prefix(n)
-
-
-def skew_step(family: PerturbedFamily, model: NoiseModel, x: float, omega, k: int):
-    """Apply the skew product k times: (x, omega) -> (f_omega^k(x), sigma^k omega).
-
-    ``omega`` must be a NoiseStream when the shifted handle matters; raises
-    CriticalHit if an intermediate point enters the critical guard.
-    """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    stream = omega if isinstance(omega, NoiseStream) else None
-    values = _noise_prefix(omega, k)
-    c = family.base.c
-    y = x
-    for i in range(k):
-        if abs(y - c) < CRITICAL_GUARD:
-            raise CriticalHit(i, y)
-        y = family.eval(float(values[i]), y)
-    shifted = stream.shift(k) if stream is not None else values[k:]
-    return y, shifted
 
 
 def exact_uniform_kernel_mass(
@@ -207,7 +143,7 @@ def kernel_regularity_check(
     the taper zones can legitimately exceed the bound, which is why the check
     restricts itself to the core.
     """
-    rng = np.random.default_rng(np.random.SeedSequence([np.uint64(model.seed), np.uint64(stream_id)]))
+    rng = model.generator(stream_id)
     eps, L = model.eps, model.L
     core_lo, core_hi = model.core_interval(family)
     core_lo = max(core_lo, family.margin)

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -360,3 +361,19 @@ class TestTailStats:
         # at reachable scales the capped-theta good return never fires; the
         # tail is measured through directly verified inducing times instead
         assert float(np.mean(stats.theta_good_times < 0)) == 1.0
+
+    def test_memory_follows_alive_members(self, family, nmodel):
+        # about 1.2 KB a member when only the alive members' draws are held
+        # (most members are verified within the first 64-step block); holding
+        # a stream and its prefix per member for the whole run costs over 7 KB
+        n_members = 1000
+        tracemalloc.start()
+        try:
+            inducing_tail_stats(
+                family, nmodel, DELTA0, n_members=n_members, horizon=256, theta=0.001,
+                grid_points=64, verify_subsample=0,
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / n_members <= 3 * 1024
