@@ -207,39 +207,37 @@ def _estimate_lyapunov_bits(family, noise, x0: float, n: int = 2000) -> float:
     return max(total / max(count, 1), 0.1)
 
 
-def _refine_boundary_mp(family, nb, nb2, side, start, noise, total_steps, max_orbits=4000):
-    """High-precision survivor tracking: a point near the boundary whose orbit
-    avoids the neighborhood for ``total_steps`` steps.
+# Both boundary scans below return scan(x) -> (first_hit, trajectory, log Df
+# at first_hit) for the noise prefix: the trajectory holds the doubles
+# nearest to x and to each step's value, and a scan fails (first_hit at most
+# total_steps) when its orbit enters B(delta), leaves the taper core or
+# grazes c.  Only the core, where f_t = f + t, is ever stepped.  log Df and
+# the core test are taken in doubles at the nearest double.
 
-    Doubles cannot hold such points (the avoiding set at this depth is
-    thinner than the double-precision grid), so the search runs in mpmath
-    with precision tied to the Lyapunov growth over the horizon.  Returns
-    (point, trajectory, meta) or (None, None, meta) when tracking fails.
-    """
+
+def _scan_mp(family, nb, noise, total_steps):
+    """The boundary scan in mpmath at the caller's working precision."""
     import mpmath as mp
 
     params = family.base
-    bits = int(1.3 * _estimate_lyapunov_bits(family, noise, 0.3141) * total_steps) + 64
     c = mp.mpf(params.c)
     u = mp.mpf(params.u)
     v = mp.mpf(params.v)
     ell = mp.mpf(params.ell)
-    one_c = 1 - c
+    one_c = mp.mpf(1.0 - params.c)  # the double 1 - c, as the float kernels use
     lo_b, hi_b = mp.mpf(nb.lo), mp.mpf(nb.hi)
     margin = family.margin
 
-    def orbit_scan(x):
-        """(first_hit, trajectory, log_df at first_hit) under the noise prefix."""
+    def scan(x):
         y = x
-        traj = [y]
+        yf = float(y)
+        traj = [yf]
         logdf = 0.0
         for i in range(total_steps):
             t = float(noise[i])
-            yf = float(y)
             if not margin <= yf <= 1.0 - margin or abs(yf - params.c) < 1e-12:
                 return i + 1, traj, logdf  # left the core or grazed c: failure
-            d1 = params.deriv(yf)
-            logdf += math.log(abs(d1) + 1e-300)
+            logdf += math.log(abs(params.deriv(yf)) + 1e-300)
             # written out in mpmath: PerturbedFamily.step works in doubles
             if y < c:
                 z = (c - y) / c
@@ -247,15 +245,101 @@ def _refine_boundary_mp(family, nb, nb2, side, start, noise, total_steps, max_or
             else:
                 z = (y - c) / one_c
                 y = 1 - v + v * z**ell + t
-            traj.append(y)
+            yf = float(y)
+            traj.append(yf)
             if lo_b < y < hi_b:
                 return i + 1, traj, logdf
         return total_steps + 1, traj, logdf
+
+    return scan
+
+
+# fractional bits the fixed-point scan keeps beyond the mpmath precision
+_GUARD_BITS = 16
+
+
+def _scan_int(family, nb, noise, total_steps, bits):
+    """The boundary scan in fixed point, for an integer critical order.
+
+    A value y is the Python int Y = y * 2^S with S = bits + _GUARD_BITS, so
+    every step is exact up to a few units of 2^-S, finer than mpmath's
+    rounding at ``bits``.  The parameters, the bounds of B(delta) and the
+    noise values are doubles and convert exactly; division by c and by
+    1 - c goes through 2^(2S)-scaled reciprocals, and z^ell is an int power
+    shifted back by S(ell - 1).  Y / 2^S is int true division, which rounds
+    to the nearest double as float(mpf) does.
+    """
+    import mpmath as mp
+
+    params = family.base
+    S = bits + _GUARD_BITS
+    one = 1 << S
+
+    def fixed(a):
+        n, d = float(a).as_integer_ratio()
+        return (n << S) // d
+
+    C, U, V = fixed(params.c), fixed(params.u), fixed(params.v)
+    inv_c = (1 << 2 * S) // C
+    inv_one_c = (1 << 2 * S) // fixed(1.0 - params.c)
+    right_floor = one - V
+    ell = int(params.ell)
+    drop = S * (ell - 1)
+    lo_b, hi_b = fixed(nb.lo), fixed(nb.hi)
+    ts = [fixed(t) for t in noise[:total_steps].tolist()]
+    margin = family.margin
+    c = params.c
+    deriv = params.deriv
+
+    def scan(x):
+        Y = int(mp.ldexp(x, S))  # exact for x at or above 2^-_GUARD_BITS
+        yf = Y / one
+        traj = [yf]
+        logdf = 0.0
+        for i in range(total_steps):
+            if not margin <= yf <= 1.0 - margin or abs(yf - c) < 1e-12:
+                return i + 1, traj, logdf
+            logdf += math.log(abs(deriv(yf)) + 1e-300)
+            if Y < C:
+                Z = (C - Y) * inv_c >> S
+                Y = (U * (one - (Z**ell >> drop)) >> S) + ts[i]
+            else:
+                Z = (Y - C) * inv_one_c >> S
+                Y = right_floor + (V * (Z**ell >> drop) >> S) + ts[i]
+            yf = Y / one
+            traj.append(yf)
+            if lo_b < Y < hi_b:
+                return i + 1, traj, logdf
+        return total_steps + 1, traj, logdf
+
+    return scan
+
+
+def _refine_boundary_mp(family, nb, nb2, side, start, noise, total_steps, max_orbits=4000):
+    """High-precision survivor tracking: a point near the boundary whose orbit
+    avoids the neighborhood for ``total_steps`` steps.
+
+    Doubles cannot hold such points (the avoiding set at this depth is
+    thinner than the double-precision grid), so the search runs in mpmath
+    with precision tied to the Lyapunov growth over the horizon.  Each
+    candidate's orbit is scanned in fixed point when ell is an integer and
+    in mpmath otherwise.  Returns (point, trajectory doubles, meta) or
+    (None, None, meta) when tracking fails; ``meta["scan_steps"]`` counts
+    the map steps of every scan.
+    """
+    import mpmath as mp
+
+    bits = int(1.3 * _estimate_lyapunov_bits(family, noise, 0.3141) * total_steps) + 64
+    if float(family.base.ell).is_integer():
+        orbit_scan = _scan_int(family, nb, noise, total_steps, bits)
+    else:
+        orbit_scan = _scan_mp(family, nb, noise, total_steps)
 
     with mp.workprec(bits):
         outward = 1.0 if side == "hi" else -1.0  # away from c
         x = mp.mpf(start) + outward * mp.mpf(1e-13)
         best_hit, traj, logdf = orbit_scan(x)
+        scan_steps = len(traj) - 1
         orbits_used = 1
         rng = np.random.default_rng(((1 if side == "hi" else 2) << 32) + total_steps)
         stall = 0
@@ -273,6 +357,7 @@ def _refine_boundary_mp(family, nb, nb2, side, start, noise, total_steps, max_or
                 step = scale * mp.mpf(float(rng.uniform(0.2, 1.0)))
                 cand = x + step if rng.integers(2) else x - step
                 hit, traj_c, logdf_c = orbit_scan(cand)
+                scan_steps += len(traj_c) - 1
                 if hit > best_hit:
                     x, best_hit, traj, logdf = cand, hit, traj_c, logdf_c
                     improved = True
@@ -285,6 +370,7 @@ def _refine_boundary_mp(family, nb, nb2, side, start, noise, total_steps, max_or
             "orbits_used": orbits_used,
             "achieved_avoidance": int(best_hit - 1),
             "offset_from_start": float(x - mp.mpf(start)),
+            "scan_steps": scan_steps,
         }
         if best_hit <= total_steps:
             return None, None, meta
@@ -313,7 +399,7 @@ def _verify_niceness_mp(family, nb, nb2, nice, noise, companion_depth, horizon):
             )
             continue
         for k in range(1, horizon + 1):
-            y = float(traj[k])
+            y = traj[k]
             if nb.lo < y < nb.hi:
                 violations.append({"step": k, "side": side, "point": y, "kind": "core"})
                 break
@@ -321,7 +407,7 @@ def _verify_niceness_mp(family, nb, nb2, nice, noise, companion_depth, horizon):
                 # inside the annulus: in the companion only if the continued
                 # orbit re-enters the neighborhood within the companion depth
                 enters = any(
-                    nb.lo < float(traj[k + j]) < nb.hi for j in range(1, companion_depth + 1)
+                    nb.lo < traj[k + j] < nb.hi for j in range(1, companion_depth + 1)
                 )
                 if enters:
                     violations.append({"step": k, "side": side, "point": y, "kind": "annulus"})

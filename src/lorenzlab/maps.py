@@ -463,34 +463,6 @@ class PerturbedFamily:
             np.where(zone, d2 + t * w2, d2),
         )
 
-    def endpoint_multipliers(self, t: float = 0.0) -> tuple[float, float]:
-        """Df_t at the fixed points 0 and 1 (the taper slope vanishes there).
-
-        For non-trivial parameters both exceed ell > 1, so the fixed points
-        are hyperbolic repelling for every admissible t.  Periodic points of
-        higher period are not checked.
-        """
-        p = self.base
-        return p.u * p.ell / p.c, p.v * p.ell / (1.0 - p.c)
-
-
-def finite_difference_schwarzian(params: MapParams, x: float, h: float = 1e-3) -> float:
-    """Independent finite-difference oracle for the Schwarzian derivative.
-
-    Central differences with one Richardson step to cancel the h^2 error.
-    """
-
-    def raw(step):
-        f = params.eval
-        d1 = (f(x + step) - f(x - step)) / (2.0 * step)
-        d2 = (f(x + step) - 2.0 * f(x) + f(x - step)) / (step * step)
-        d3 = (
-            f(x + 2.0 * step) - 2.0 * f(x + step) + 2.0 * f(x - step) - f(x - 2.0 * step)
-        ) / (2.0 * step**3)
-        return d3 / d1 - 1.5 * (d2 / d1) ** 2
-
-    return (4.0 * raw(h / 2.0) - raw(h)) / 3.0
-
 
 def summability_stats(
     params: MapParams,

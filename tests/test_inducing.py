@@ -2,9 +2,11 @@ import hashlib
 import math
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 
+from lorenzlab import inducing
 from lorenzlab.errors import EmptyPullback, VerificationFailed
 from lorenzlab.inducing import (
     VERIFY_REASONS,
@@ -15,7 +17,7 @@ from lorenzlab.inducing import (
     verify_markov_batch,
     verify_markov_time,
 )
-from lorenzlab.maps import CANON, MapParams, PerturbedFamily
+from lorenzlab.maps import CANON, MapParams, PerturbedFamily, summability_stats
 from lorenzlab.noise import NoiseModel
 from lorenzlab.recurrence import critical_neighborhood, good_return_time, pullback_component
 
@@ -70,8 +72,157 @@ class TestNiceSet:
         )
         assert ns.meta["violations"] == []
         ref = ns.meta["boundary_refinement"]
-        assert ref["lo"]["achieved_avoidance"] >= 108
-        assert ref["hi"]["achieved_avoidance"] >= 108
+        # the values the mpmath scan gives; the fixed-point scan must keep them
+        assert ref["lo"]["bits"] == ref["hi"]["bits"] == 102
+        assert (ref["lo"]["orbits_used"], ref["hi"]["orbits_used"]) == (15, 9)
+        assert ref["lo"]["achieved_avoidance"] == ref["hi"]["achieved_avoidance"] == 108
+        assert ref["lo"]["offset_from_start"] == -3.7084902568136372e-09
+        assert ref["hi"]["offset_from_start"] == 1.427366630924441e-07
+
+
+def _mp_scan_at(factor):
+    """A _scan_int stand-in: the mpmath scan at ``factor`` times the refine's bits."""
+
+    def make(family, nb, noise, total_steps, bits):
+        body = inducing._scan_mp(family, nb, noise, total_steps)
+
+        def scan(x):
+            with mp.workprec(factor * bits):
+                return body(x)
+
+        return scan
+
+    return make
+
+
+def _scans_beside_oracles(monkeypatch):
+    """Patch _scan_int to also run the mpmath scan at bits and at 4 * bits.
+
+    The refine still follows the fixed-point scan; returns the list that
+    collects one (fixed-point, mpmath, 4x mpmath) triple per candidate.
+    """
+    triples = []
+    fixed_scan = inducing._scan_int
+    oracle, reference = _mp_scan_at(1), _mp_scan_at(4)
+
+    def make(family, nb, noise, total_steps, bits):
+        scans = [f(family, nb, noise, total_steps, bits) for f in (fixed_scan, oracle, reference)]
+
+        def scan(x):
+            triple = tuple(f(x) for f in scans)
+            triples.append(triple)
+            return triple[0]
+
+        return scan
+
+    monkeypatch.setattr(inducing, "_scan_int", make)
+    return triples
+
+
+def _refinements(monkeypatch, family, model, stream, depth, horizon):
+    """Nice sets of one fiber refined with the fixed-point scan ("int"), the
+    mpmath scan ("mp") and the mpmath scan at 4x bits ("ref"), and the scan
+    triples of the first."""
+    fixed_scan = inducing._scan_int
+
+    def build():
+        return build_nice_set(
+            family, model, DELTA0, model.stream(stream), depth=depth,
+            verify_horizon=horizon, raise_on_violation=False,
+        )
+
+    triples = _scans_beside_oracles(monkeypatch)
+    built = {"int": build()}
+    for name, factor in (("mp", 1), ("ref", 4)):
+        monkeypatch.setattr(inducing, "_scan_int", _mp_scan_at(factor))
+        built[name] = build()
+    monkeypatch.setattr(inducing, "_scan_int", fixed_scan)
+    return built, triples
+
+
+ELL3 = MapParams(c=0.6, ell=3.0, u=0.9, v=0.92)
+
+
+class TestBoundaryScan:
+    """The fixed-point boundary scan against the mpmath scan, its oracle."""
+
+    @pytest.mark.parametrize("stream", [4_000_000, 4_000_001])
+    @pytest.mark.parametrize("horizon", [60, 200])
+    def test_fixed_point_matches_mpmath_on_canon(self, monkeypatch, family, nmodel, stream, horizon):
+        built, triples = _refinements(monkeypatch, family, nmodel, stream, 48, horizon)
+        assert len(triples) > 10
+        for fixed, at_bits, reference in triples:
+            # first hit, trajectory doubles and log Df, bit for bit, against
+            # mpmath at 4x bits; mpmath at bits itself rounds one double of
+            # one scan (stream 4_000_000, horizon 60) the other way
+            assert fixed == reference
+            assert fixed[0] == at_bits[0]
+            assert fixed[2] == at_bits[2]
+        meta = built["int"].meta
+        assert meta["boundary_refinement"] == built["mp"].meta["boundary_refinement"]
+        assert meta["boundary_refinement"] == built["ref"].meta["boundary_refinement"]
+        assert meta["violations"] == built["mp"].meta["violations"] == []
+        for side in meta["boundary_refinement"].values():
+            assert side["achieved_avoidance"] == horizon + 48
+            assert side["scan_steps"] >= side["orbits_used"]
+
+    def test_scan_steps_count_every_scan(self, monkeypatch, family, nmodel):
+        triples = _scans_beside_oracles(monkeypatch)
+        ns = build_nice_set(
+            family, nmodel, DELTA0, nmodel.stream(4_000_001), depth=48, verify_horizon=60,
+        )
+        ref = ns.meta["boundary_refinement"]
+        assert len(triples) == ref["lo"]["orbits_used"] + ref["hi"]["orbits_used"]
+        assert ref["lo"]["scan_steps"] + ref["hi"]["scan_steps"] == sum(
+            len(fixed[1]) - 1 for fixed, _, _ in triples
+        )
+
+    def test_summable_ell3_family_against_4x_reference(self, monkeypatch):
+        for v in (ELL3.c1_minus, ELL3.c1_plus):
+            stats = summability_stats(ELL3, v, 400)
+            assert stats["S_N"] < 30.0 and not stats["ld_flag"]
+        family = PerturbedFamily(ELL3)
+        model = NoiseModel(eps=0.001, seed=5)
+        n_scans = fixed_matches = mp_matches = 0
+        for stream in (4_000_000, 4_000_001, 4_000_002):
+            for horizon in (60, 200):
+                built, triples = _refinements(monkeypatch, family, model, stream, 24, horizon)
+                counts = {name: len(ns.meta["violations"]) for name, ns in built.items()}
+                assert counts["int"] == counts["mp"] == counts["ref"]
+                for fixed, at_bits, reference in triples:
+                    assert fixed[0] == at_bits[0] == reference[0]
+                n_scans += len(triples)
+                fixed_matches += sum(f[1] == r[1] for f, _, r in triples)
+                mp_matches += sum(m[1] == r[1] for _, m, r in triples)
+        # bits follows a typical orbit's Lyapunov rate, which falls short on
+        # these boundary orbits: mpmath at bits then rounds some trajectory
+        # doubles away from the reference, and the 16 guard bits mostly do not
+        assert n_scans > 100
+        assert mp_matches < fixed_matches
+
+    def test_non_integer_ell_refines_in_mpmath(self, monkeypatch):
+        def no_fixed_point(*args):
+            raise AssertionError("fixed-point scan used for ell = 2.5")
+
+        calls = []
+        mp_scan = inducing._scan_mp
+
+        def counted(*args):
+            calls.append(args)
+            return mp_scan(*args)
+
+        monkeypatch.setattr(inducing, "_scan_int", no_fixed_point)
+        monkeypatch.setattr(inducing, "_scan_mp", counted)
+        family = PerturbedFamily(MapParams(c=0.55, ell=2.5, u=0.9, v=0.88))
+        model = NoiseModel(eps=0.001, seed=42)
+        ns = build_nice_set(
+            family, model, 5e-4, model.stream(4_000_000), depth=24, verify_horizon=60,
+        )
+        assert len(calls) == 2  # one per side
+        assert ns.meta["violations"] == []
+        for side in ns.meta["boundary_refinement"].values():
+            assert side["achieved_avoidance"] == 84
+            assert side["scan_steps"] == 84
 
 
 class TestMarkovInducing:

@@ -10,7 +10,6 @@ from lorenzlab.maps import (
     MapParams,
     PerturbedFamily,
     critical_values,
-    finite_difference_schwarzian,
     schwarzian,
     summability_stats,
 )
@@ -21,6 +20,24 @@ KERNEL_PARAMS = [
     MapParams(c=0.4, ell=3.0, u=0.85, v=0.8),
     MapParams(c=0.55, ell=2.5, u=0.9, v=0.88),
 ]
+
+
+def finite_difference_schwarzian(params: MapParams, x: float, h: float = 1e-3) -> float:
+    """Independent finite-difference oracle for the Schwarzian derivative.
+
+    Central differences with one Richardson step to cancel the h^2 error.
+    """
+
+    def raw(step):
+        f = params.eval
+        d1 = (f(x + step) - f(x - step)) / (2.0 * step)
+        d2 = (f(x + step) - 2.0 * f(x) + f(x - step)) / (step * step)
+        d3 = (
+            f(x + 2.0 * step) - 2.0 * f(x + step) + 2.0 * f(x - step) - f(x - 2.0 * step)
+        ) / (2.0 * step**3)
+        return d3 / d1 - 1.5 * (d2 / d1) ** 2
+
+    return (4.0 * raw(h / 2.0) - raw(h)) / 3.0
 
 
 class TestMapParams:
@@ -156,11 +173,6 @@ class TestPerturbedFamily:
                 lo, hi = family.branch_domain(side)
                 grid = np.linspace(lo + 1e-12, hi - 1e-12, 10_000)
                 assert np.all(np.diff(family.eval_vec(t, grid)) > 0.0)
-
-    def test_endpoint_multipliers_repelling(self, family):
-        m0, m1 = family.endpoint_multipliers()
-        assert m0 > CANON.ell > 1.0
-        assert m1 > CANON.ell > 1.0
 
     def test_derivatives_include_taper(self, family):
         x, t = 0.02, 0.01  # inside the left taper zone
