@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from lorenzlab.acceptance import _project_density
 from lorenzlab.errors import NoConvergence, PartitionMismatch, PartitionTooCoarse
-from lorenzlab.maps import CANON
+from lorenzlab.maps import CANON, CRITICAL_GUARD
 from lorenzlab.noise import NoiseModel
 from lorenzlab.transfer import (
     Density,
@@ -204,6 +204,23 @@ class TestProjectDensity:
         np.testing.assert_allclose(_project_density(pi, coarse).masses, sums, rtol=1e-9, atol=1e-15)
 
 
+def _reference_birkhoff(family, model, x0, n_steps, burn_in, partition, stream_id=0):
+    """Slow oracle for birkhoff_density: one family.eval per step, same restart rule."""
+    c = family.base.c
+    noise = np.zeros(n_steps) if model is None else model.stream(stream_id).prefix(n_steps)
+    points = np.empty(n_steps - burn_in)
+    x, restarts = x0, 0
+    for i in range(n_steps):
+        if abs(x - c) < CRITICAL_GUARD:
+            restarts += 1
+            x = c + (CRITICAL_GUARD * 1e3 + 1e-9 * restarts) * (1 if restarts % 2 else -1)
+        x = family.eval(float(noise[i]), x)
+        if i >= burn_in:
+            points[i - burn_in] = x
+    counts = np.histogram(points, bins=partition.edges)[0]
+    return Density.from_masses(partition, counts.astype(float)), restarts
+
+
 class TestBirkhoff:
     def test_point_mass_single_step(self, family, part64):
         dens, info = birkhoff_density(family, None, 0.3, 2, 1, part64)
@@ -222,6 +239,29 @@ class TestBirkhoff:
         a, _ = birkhoff_density(family, None, 0.3141, 10_000_000, 10_000, part)
         b, _ = birkhoff_density(family, None, 0.6022, 10_000_000, 10_000, part)
         assert l1_distance(a, b) <= 0.05
+
+    @pytest.mark.parametrize(
+        "law, x0, n_steps, burn_in",
+        [
+            (None, 0.3141, 140_000, 1_000),
+            ("uniform", 0.3141, 140_000, 1_000),
+            ("uniform", 0.3141, 140_000, 70_000),
+            ("triangular", 0.3141, 140_000, 70_000),
+            (None, CANON.c, 140_000, 70_000),
+            ("uniform", CANON.c, 140_000, 1_000),
+            ("uniform", 1e-3, 140_000, 1_000),  # starts in the taper zone
+        ],
+    )
+    def test_matches_family_eval_reference(self, family, law, x0, n_steps, burn_in):
+        # 140 000 steps cross two 65 536-step blocks; a 70 000-step burn-in skips the first block
+        model = None if law is None else NoiseModel(eps=0.001, kind=law, seed=20240901)
+        part = partition_for(family, 512)
+        dens, info = birkhoff_density(family, model, x0, n_steps, burn_in, part, stream_id=7)
+        ref, ref_restarts = _reference_birkhoff(family, model, x0, n_steps, burn_in, part, stream_id=7)
+        assert np.array_equal(dens.weights, ref.weights)
+        assert info == {"restarts": ref_restarts, "recorded": n_steps - burn_in}
+        if x0 == CANON.c:  # starting on c forces a restart
+            assert info["restarts"] >= 1
 
     def test_refinement_consistency(self, family):
         pa = partition_for(family, 256)
