@@ -33,7 +33,6 @@ from .transfer import (
     build_ulam,
     l1_distance,
     partition_for,
-    push_forward_density,
     stability_sweep,
     stationary_density,
     tv_distance,

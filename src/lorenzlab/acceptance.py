@@ -579,23 +579,23 @@ def criterion_16_determinism(cfg: ExperimentConfig):
     ok = True
     notes = []
     for sub in ("simulate", "returns", "binding", "density"):
-        dirs = []
-        for run in range(2):
-            d = tempfile.mkdtemp(prefix=f"lorenzlab_{sub}_{run}_")
-            outputs, _ = cli.SUBCOMMANDS[sub](small, d)
-            cli._write_summary(d, sub, small, outputs, {}, t0)
-            dirs.append((d, outputs))
-        for (d1, out1), (d2, out2) in [(dirs[0], dirs[1])]:
+        runs = []
+        with (tempfile.TemporaryDirectory(prefix=f"lorenzlab_{sub}_0_") as d1,
+              tempfile.TemporaryDirectory(prefix=f"lorenzlab_{sub}_1_") as d2):
+            for d in (d1, d2):
+                outputs, _ = cli.SUBCOMMANDS[sub](small, d)
+                with open(cli._write_summary(d, sub, small, outputs, {}, t0), encoding="utf-8") as fh:
+                    summary = _json.load(fh)
+                summary.pop("timing")
+                runs.append((outputs, summary))
+            (out1, s1), (out2, s2) = runs
             for p1, p2 in zip(out1, out2):
                 if not filecmp.cmp(p1, p2, shallow=False):
                     ok = False
                     notes.append(f"{sub}: {p1} differs between reruns")
-            s1 = _json.load(open(f"{d1}/{sub}_summary.json"))
-            s2 = _json.load(open(f"{d2}/{sub}_summary.json"))
-            s1.pop("timing"), s2.pop("timing")
-            if s1 != s2:
-                ok = False
-                notes.append(f"{sub}: summaries differ beyond timing")
+        if s1 != s2:
+            ok = False
+            notes.append(f"{sub}: summaries differ beyond timing")
     return _result(16, "byte-identical replay", ok,
                    "; ".join(notes) or "simulate/returns/binding/density byte-identical across reruns", t0)
 
@@ -620,12 +620,6 @@ CRITERIA = [
 ]
 
 
-def run_all(cfg: ExperimentConfig | None = None, only=None):
+def run_all(cfg: ExperimentConfig | None = None):
     cfg = cfg if cfg is not None else ExperimentConfig().validate()
-    results = []
-    for fn in CRITERIA:
-        num = int(fn.__name__.split("_")[1])
-        if only is not None and num not in only:
-            continue
-        results.append(fn(cfg))
-    return results
+    return [fn(cfg) for fn in CRITERIA]

@@ -221,27 +221,32 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Exper
         with open(path, "r", encoding="utf-8") as fh:
             _update_nested(cfg, json.load(fh))
     for dotted, value in (overrides or {}).items():
-        parts = dotted.split(".")
+        *sections, name = dotted.split(".")
         target = cfg
-        for part in parts[:-1]:
-            if not hasattr(target, part):
+        for part in sections:
+            target = getattr(target, part, None)
+            if not dataclasses.is_dataclass(target):
                 raise ConfigInvalid([f"unknown config field {dotted}"])
-            target = getattr(target, part)
-        if not hasattr(target, parts[-1]):
+        if name not in {f.name for f in dataclasses.fields(target)}:
             raise ConfigInvalid([f"unknown config field {dotted}"])
-        old = getattr(target, parts[-1])
-        if isinstance(old, tuple):
-            if isinstance(value, str):
-                value = tuple(float(tok) for tok in value.split(","))
-            else:
-                value = tuple(value)
-        elif isinstance(old, bool):
-            value = value in (True, "true", "True", "1", 1)
-        elif isinstance(old, int):
-            value = int(value)
-        elif isinstance(old, float):
-            value = float(value)
-        setattr(target, parts[-1], value)
+        old = getattr(target, name)
+        if dataclasses.is_dataclass(old):
+            raise ConfigInvalid([f"{dotted} is a config section, not a field"])
+        try:
+            if isinstance(old, tuple):
+                if isinstance(value, str):
+                    value = tuple(float(tok) for tok in value.split(","))
+                else:
+                    value = tuple(value)
+            elif isinstance(old, bool):
+                value = value in (True, "true", "True", "1", 1)
+            elif isinstance(old, int):
+                value = int(value)
+            elif isinstance(old, float):
+                value = float(value)
+        except (TypeError, ValueError) as exc:
+            raise ConfigInvalid([f"{dotted}: {value!r} is not a valid {type(old).__name__}"]) from exc
+        setattr(target, name, value)
     return cfg
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CriticalHit, NotDiffeomorphic
-from .maps import CRITICAL_GUARD, MapParams, PerturbedFamily
+from .maps import MapParams, PerturbedFamily
 from .noise import NoiseModel
 from .orbits import log_scan
 from .recurrence import critical_neighborhood, pullback_component
@@ -29,6 +29,20 @@ __all__ = [
     "random_koebe_branch",
     "total_distortion_trend",
 ]
+
+# fixed stream-id bases so the diagnostics replay run to run
+STREAM_MANE = 5_500_000
+STREAM_ENVELOPE = 5_600_000
+STREAM_DISTORTION = 5_800_000
+
+#: rates the envelope fit tries, evenly spaced on [0, 0.5]
+_ENVELOPE_RATES = 33
+
+#: Koebe grid size; the bounds are checked on it and on twice as many points
+_KOEBE_GRID = 256
+
+#: largest pullback depth of a random Koebe branch
+_KOEBE_S_MAX = 15
 
 
 @dataclass
@@ -81,8 +95,6 @@ def mane_estimate(
     horizon: int = 200,
     n_ref: int = 20,
     seed: int = 0,
-    stream_base: int = 5_500_000,
-    guard: float = CRITICAL_GUARD,
 ) -> ExpansionReport:
     """Uniform-expansion fit for orbit segments avoiding a neighborhood of c.
 
@@ -99,12 +111,12 @@ def mane_estimate(
         if lo < x < hi:
             continue
         noise = (
-            model.stream(stream_base + k).prefix(horizon)
+            model.stream(STREAM_MANE + k).prefix(horizon)
             if model is not None
             else np.zeros(horizon)
         )
         try:
-            for n, y, log_df, _ in log_scan(family, x, noise, guard):
+            for n, y, log_df, _ in log_scan(family, x, noise):
                 # positions 0..n-1 avoid the neighborhood; the endpoint is free
                 ns.append(n)
                 logs.append(log_df)
@@ -134,9 +146,6 @@ def expansion_envelope(
     eps: float,
     n_starts: int = 400,
     horizon: int = 2000,
-    stream_base: int = 5_600_000,
-    rate_grid: int = 33,
-    guard: float = CRITICAL_GUARD,
 ) -> dict:
     """Lower envelopes of derivative growth near the critical neighborhood.
 
@@ -159,9 +168,9 @@ def expansion_envelope(
         x = float(v + rng.uniform(-4.0 * eps, 4.0 * eps))
         if not 0.0 < x < 1.0 or nb.contains(x):
             continue
-        noise = model.stream(stream_base + k).prefix(horizon)
+        noise = model.stream(STREAM_ENVELOPE + k).prefix(horizon)
         try:
-            for s, y, log_df, _ in log_scan(family, x, noise, guard):
+            for s, y, log_df, _ in log_scan(family, x, noise):
                 if nb2.contains(y):
                     ns1.append(s)
                     logs1.append(log_df)
@@ -175,9 +184,9 @@ def expansion_envelope(
         x = float(rng.uniform(0.02, 0.98))
         if nb.contains(x):
             continue
-        noise = model.stream(stream_base + n_starts + k).prefix(horizon)
+        noise = model.stream(STREAM_ENVELOPE + n_starts + k).prefix(horizon)
         try:
-            for s, y, log_df, _ in log_scan(family, x, noise, guard):
+            for s, y, log_df, _ in log_scan(family, x, noise):
                 ns2.append(s)
                 logs2.append(log_df)
                 if nb.contains(y):
@@ -192,7 +201,7 @@ def expansion_envelope(
             return None
         s_med = float(np.median(ns))
         best = (0.0, float(np.min(logs)))
-        for r in np.linspace(0.0, 0.5, rate_grid):
+        for r in np.linspace(0.0, 0.5, _ENVELOPE_RATES):
             intercept = float(np.min(logs - r * ns))
             if intercept + r * s_med > best[1] + best[0] * s_med:
                 best = (r, intercept)
@@ -226,8 +235,6 @@ def koebe_check(
     tau: float = 1.0,
     guide_orbit=None,
     branch_path=None,
-    grid: int = 256,
-    refine_factor: int = 2,
     inner: tuple[float, float] | None = None,
 ) -> dict:
     """Grid verification of the Koebe distortion bounds on one pullback branch.
@@ -279,7 +286,7 @@ def koebe_check(
     hi_bound = ((1.0 + tau) / tau) ** 2
     worst_ratio = 0.0
     passed = True
-    for n in (grid, grid * refine_factor):
+    for n in (_KOEBE_GRID, 2 * _KOEBE_GRID):
         d1 = df_grid(chain_J.component, n)
         ratio_max = float(d1.max() / d1.min())
         worst_ratio = max(worst_ratio, ratio_max)
@@ -288,8 +295,8 @@ def koebe_check(
         result[f"ratio_max_grid_{n}"] = ratio_max
     # one-sided variant against the branch right endpoint
     t_lo, t_hi = chain_T.component
-    dT = df_grid((t_lo, t_hi), grid)
-    gT = np.linspace(t_lo + 1e-14, t_hi - 1e-14, grid)
+    dT = df_grid((t_lo, t_hi), _KOEBE_GRID)
+    gT = np.linspace(t_lo + 1e-14, t_hi - 1e-14, _KOEBE_GRID)
     fT = gT.copy()
     for _ in range(s):
         fT = params.eval_vec(fT)
@@ -316,10 +323,10 @@ def koebe_check(
     return result
 
 
-def random_koebe_branch(family: PerturbedFamily, rng, tau: float = 1.0, s_max: int = 15) -> dict | None:
-    """``koebe_check`` on one random pullback branch, or None if none is found.
+def random_koebe_branch(family: PerturbedFamily, rng) -> dict | None:
+    """``koebe_check`` at tau = 1 on one random pullback branch, or None if none is found.
 
-    Draws a start x0 ~ U(0.05, 0.95), then a depth s uniform in 1..s_max, in
+    Draws a start x0 ~ U(0.05, 0.95), then a depth s uniform in 1..15, in
     that order from ``rng``, and follows the unperturbed orbit of x0 for s
     steps (None if it comes within 1e-9 of c).  The target is the interval of
     radius rho around f^s(x0), clipped to [0, 1], pulled back along that
@@ -328,7 +335,7 @@ def random_koebe_branch(family: PerturbedFamily, rng, tau: float = 1.0, s_max: i
     """
     params = family.base
     x0 = float(rng.uniform(0.05, 0.95))
-    s = int(rng.integers(1, s_max + 1))
+    s = int(rng.integers(1, _KOEBE_S_MAX + 1))
     orbit = [x0]
     y = x0
     for _ in range(s):
@@ -340,7 +347,7 @@ def random_koebe_branch(family: PerturbedFamily, rng, tau: float = 1.0, s_max: i
     for _ in range(14):
         target = (max(0.0, orbit[s] - rho), min(1.0, orbit[s] + rho))
         try:
-            return koebe_check(family, target, s, tau=tau, guide_orbit=orbit[:s])
+            return koebe_check(family, target, s, guide_orbit=orbit[:s])
         except NotDiffeomorphic:
             rho /= 2.0
     return None
@@ -363,8 +370,6 @@ def total_distortion_trend(
     horizon: int = 4000,
     noise_kind: str = "uniform",
     L: float = 2.0,
-    stream_base: int = 5_800_000,
-    guard: float = CRITICAL_GUARD,
 ) -> list[dict]:
     """Worst distortion at first landings per noise amplitude, for the trend.
 
@@ -383,9 +388,9 @@ def total_distortion_trend(
             x = float(rng.uniform(0.02, 0.98))
             if nb.contains(x):
                 continue
-            noise = model.stream(stream_base + idx * n_starts + k).prefix(horizon)
+            noise = model.stream(STREAM_DISTORTION + idx * n_starts + k).prefix(horizon)
             try:
-                for _, y, log_df, log_a in log_scan(family, x, noise, guard):
+                for _, y, log_df, log_a in log_scan(family, x, noise):
                     if nb.contains(y):
                         ratios.append(math.exp(log_a + math.log(nb.length) - log_df))
                         break

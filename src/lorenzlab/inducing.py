@@ -22,6 +22,7 @@ from .maps import CRITICAL_GUARD, PerturbedFamily
 from .noise import NoiseModel
 from .orbits import _noise_prefix
 from .recurrence import (
+    PULLBACK_TOL,
     CriticalNeighborhood,
     critical_neighborhood,
     pullback_component,
@@ -38,6 +39,10 @@ __all__ = [
     "inducing_tail_stats",
 ]
 
+# fixed stream-id bases of the companion hull's samples and the tail's members
+STREAM_HULL = 7_700_000
+STREAM_TAIL = 8_000_000
+
 
 @dataclass
 class NiceSetApprox:
@@ -45,14 +50,12 @@ class NiceSetApprox:
 
     ``intervals[n]`` approximates the component of c in the union of the
     first n backward images of B(delta); the final boundary points are
-    resolved by bisection against orbit membership computed to
-    ``depth + extra_depth`` steps so that verified boundary orbits stay
-    consistent with companion sets at the nominal depth.
+    resolved by bisection against orbit membership computed to ``depth``
+    steps.
     """
 
     delta: float
     depth: int
-    extra_depth: int
     intervals: list
     boundary_lo: float
     boundary_hi: float
@@ -86,16 +89,20 @@ def _first_hit_times(family, nb: CriticalNeighborhood, points: np.ndarray, noise
     return first
 
 
-def _point_escapes(family, nb, x: float, noise: np.ndarray, depth: int, guard=CRITICAL_GUARD) -> bool:
+def _point_escapes(family, nb, x: float, noise: np.ndarray, depth: int) -> bool:
     """True when the orbit of x stays out of the hat neighborhood for depth steps."""
     y = x
     for i in range(depth):
-        if abs(y - family.base.c) < guard:
+        if abs(y - family.base.c) < CRITICAL_GUARD:
             return False
         y = family.eval(float(noise[i]), y)
         if nb.lo < y < nb.hi:
             return False
     return True
+
+
+# width at which the bisection for a fiber boundary stops
+_BISECT_TOL = 1e-12
 
 
 def build_nice_set(
@@ -106,8 +113,6 @@ def build_nice_set(
     depth: int,
     verify_horizon: int = 0,
     grid_points: int = 2048,
-    bisect_tol: float = 1e-12,
-    companion_depth: int | None = None,
     raise_on_violation: bool = True,
 ) -> NiceSetApprox:
     """Depth-limited nice-set fiber with optional boundary-orbit verification.
@@ -117,7 +122,7 @@ def build_nice_set(
     orbit avoids B(delta) up to the depth horizon, then bisecting.
 
     Verification to a horizon N demands boundary points whose orbits avoid
-    the neighborhood for N plus a companion depth further steps.  Such
+    the neighborhood for N + depth steps.  Such
     points exist arbitrarily close to the true boundary but their orbits
     cannot be followed in double precision (round-off is amplified past the
     neighborhood scale after a few dozen steps), so the boundary is refined
@@ -129,8 +134,7 @@ def build_nice_set(
     params = family.base
     nb = critical_neighborhood(params, delta)
     nb2 = critical_neighborhood(params, 2.0 * delta)
-    comp_depth = depth if companion_depth is None else companion_depth
-    needed = max(depth, verify_horizon + comp_depth if verify_horizon > 0 else 0)
+    needed = depth + max(verify_horizon, 0)
     noise = _noise_prefix(omega, needed)
     c = params.c
 
@@ -158,7 +162,7 @@ def build_nice_set(
             k = out[0]
             inner = grid[k - 1] if k > 0 else (nb.hi if side == "hi" else nb.lo)
             outer = grid[k]
-            while abs(outer - inner) > bisect_tol:
+            while abs(outer - inner) > _BISECT_TOL:
                 mid = 0.5 * (inner + outer)
                 if _point_escapes(family, nb, mid, noise, depth):
                     outer = mid
@@ -173,7 +177,6 @@ def build_nice_set(
     result = NiceSetApprox(
         delta=delta,
         depth=depth,
-        extra_depth=0,
         intervals=intervals,
         boundary_lo=sides["lo"][1],
         boundary_hi=sides["hi"][1],
@@ -182,7 +185,7 @@ def build_nice_set(
     )
     if verify_horizon > 0:
         violations, refine_meta = _verify_niceness_mp(
-            family, nb, nb2, result, noise, comp_depth, verify_horizon
+            family, nb, nb2, result, noise, depth, verify_horizon
         )
         result.meta["violations"] = violations
         result.meta["boundary_refinement"] = refine_meta
@@ -192,13 +195,13 @@ def build_nice_set(
     return result
 
 
-def _estimate_lyapunov_bits(family, noise, x0: float, n: int = 2000) -> float:
-    """Average log2 of the one-step derivative along a typical orbit."""
+def _estimate_lyapunov_bits(family, noise, x0: float) -> float:
+    """Average log2 of the one-step derivative along the first 2000 steps of a typical orbit."""
     c = family.base.c
     y = x0
     total = 0.0
     count = 0
-    for i in range(min(n, len(noise))):
+    for i in range(min(2000, len(noise))):
         if abs(y - c) < 1e-13:
             y += 1e-6
         y, df = family.step(float(noise[i]), y)
@@ -315,7 +318,11 @@ def _scan_int(family, nb, noise, total_steps, bits):
     return scan
 
 
-def _refine_boundary_mp(family, nb, nb2, side, start, noise, total_steps, max_orbits=4000):
+# candidate orbits the survivor tracking scans before it gives up
+_MAX_ORBITS = 4000
+
+
+def _refine_boundary_mp(family, nb, nb2, side, start, noise, total_steps):
     """High-precision survivor tracking: a point near the boundary whose orbit
     avoids the neighborhood for ``total_steps`` steps.
 
@@ -324,8 +331,9 @@ def _refine_boundary_mp(family, nb, nb2, side, start, noise, total_steps, max_or
     with precision tied to the Lyapunov growth over the horizon.  Each
     candidate's orbit is scanned in fixed point when ell is an integer and
     in mpmath otherwise.  Returns (point, trajectory doubles, meta) or
-    (None, None, meta) when tracking fails; ``meta["scan_steps"]`` counts
-    the map steps of every scan.
+    (None, None, meta) when tracking fails, which includes running out of
+    _MAX_ORBITS scans; ``meta["scan_steps"]`` counts the map steps of every
+    scan.
     """
     import mpmath as mp
 
@@ -343,7 +351,7 @@ def _refine_boundary_mp(family, nb, nb2, side, start, noise, total_steps, max_or
         orbits_used = 1
         rng = np.random.default_rng(((1 if side == "hi" else 2) << 32) + total_steps)
         stall = 0
-        while best_hit <= total_steps and orbits_used < max_orbits:
+        while best_hit <= total_steps and orbits_used < _MAX_ORBITS:
             # resample at scales around |B|/Df^m, which re-randomises the
             # orbit at the current first-hit step m; candidates that drift
             # into the fiber fail the scan and are rejected, so any accepted
@@ -556,7 +564,7 @@ def _eval_rows(family: PerturbedFamily, t: np.ndarray, x: np.ndarray) -> np.ndar
     return np.where(t == 0.0, fx, fx + t * family.taper_vec(x))
 
 
-def _inverse_rows(family: PerturbedFamily, t, y, left, tol):
+def _inverse_rows(family: PerturbedFamily, t, y, left):
     """PerturbedFamily.inverse_branch per element where the closed form answers.
 
     Returns (x, done); where ``done`` is false (the preimage is in a taper
@@ -574,11 +582,11 @@ def _inverse_rows(family: PerturbedFamily, t, y, left, tol):
     cand = np.where(left, p.c * (1.0 - z), p.c + (1.0 - p.c) * z)
     # on the taper core f_t = f + t, so the back-check is base.eval + t
     core = (m <= cand) & (cand <= 1.0 - m) & (np.abs(cand - p.c) >= CRITICAL_GUARD)
-    back = np.abs(_base_eval_rows(p, cand) + t - y) < tol
+    back = np.abs(_base_eval_rows(p, cand) + t - y) < PULLBACK_TOL
     return cand, valid & ((t == 0.0) | (core & back))
 
 
-def _pullback_rows(family: PerturbedFamily, omega, sides_left, target, code, tol=1e-12):
+def _pullback_rows(family: PerturbedFamily, omega, sides_left, target, code):
     """recurrence.pullback_component along each row's orbit, for rows with code -1.
 
     Returns the components (lo, hi) and whether any step met c (order > 0);
@@ -611,11 +619,11 @@ def _pullback_rows(family: PerturbedFamily, omega, sides_left, target, code, tol
         need_hi = ~empty & ~hi_end
         ks = np.concatenate([np.nonzero(need_lo)[0], np.nonzero(need_hi)[0]])
         ys = np.concatenate([lo_y[need_lo], hi_y[need_hi]])
-        xs, done = _inverse_rows(family, t[ks], ys, left[ks], tol)
+        xs, done = _inverse_rows(family, t[ks], ys, left[ks])
         for q in np.nonzero(~done)[0]:
             k = ks[q]
             side = "left" if left[k] else "right"
-            root = family.inverse_branch(float(t[k]), float(ys[q]), side, tol=tol)
+            root = family.inverse_branch(float(t[k]), float(ys[q]), side, tol=PULLBACK_TOL)
             xs[q] = np.nan if root is None else root
         n_lo = int(need_lo.sum())
         x_lo[need_lo] = xs[:n_lo]
@@ -699,10 +707,7 @@ def markov_inducing_time(
     theta: float,
     horizon: int,
     theta0: float = 0.01,
-    companion_depth: int | None = None,
     grid_points: int = 128,
-    companion_cache: dict | None = None,
-    guard: float = CRITICAL_GUARD,
 ) -> tuple[int, MarkovVerification] | None:
     """Minimal directly verified Markov inducing time of (x, omega).
 
@@ -719,30 +724,21 @@ def markov_inducing_time(
         raise ValueError(f"theta={theta} outside (0, {cap:.4g})")
     if not nice_set.contains(x):
         raise ValueError("x is not inside the nice-set fiber")
-    depth = companion_depth if companion_depth is not None else nice_set.depth
+    depth = nice_set.depth
     values = _noise_prefix(omega, horizon + depth + 1)
     base_length = nice_set.length
     nb = critical_neighborhood(family.base, nice_set.delta)
-    cache = companion_cache if companion_cache is not None else {}
-
-    def companion(k):
-        if k not in cache:
-            comp = build_nice_set(
-                family, model, nice_set.delta, values[k:], depth,
-                verify_horizon=0, grid_points=512,
-            )
-            cache[k] = comp.interval
-        return cache[k]
-
     c = family.base.c
     y = x
     for s in range(1, horizon + 1):
-        if abs(y - c) < guard:
+        if abs(y - c) < CRITICAL_GUARD:
             return None
         y = family.eval(float(values[s - 1]), y)
         if not (nb.lo < y < nb.hi):
             continue
-        target = companion(s)
+        target = build_nice_set(
+            family, model, nice_set.delta, values[s:], depth, verify_horizon=0, grid_points=512,
+        ).interval
         if not target[0] < y < target[1]:
             continue
         try:
@@ -790,10 +786,10 @@ class TailStats:
         surv = 1.0 - below / self.n_members
         return ms.astype(float), surv
 
-    def loglog_slope(self, lower_quantile: float = 0.3) -> dict:
+    def loglog_slope(self) -> dict:
         """Least-squares slope of log S against log m on the uncensored tail.
 
-        The fit starts at the given quantile of verified times (skipping the
+        The fit starts at the 0.3 quantile of verified times (skipping the
         flat head of the survival curve) and stops where censoring begins to
         dominate, i.e. where S drops within 2% of the censored fraction.
         """
@@ -801,7 +797,7 @@ class TailStats:
         if len(ms) < 5:
             return {"slope": float("nan"), "n_points": 0}
         floor = self.censoring_fraction + 0.02
-        lo_m = np.quantile(self.times[self.times > 0], lower_quantile)
+        lo_m = np.quantile(self.times[self.times > 0], 0.3)
         mask = (surv > floor) & (ms >= lo_m) & (surv > 0)
         if mask.sum() < 5:
             return {"slope": float("nan"), "n_points": int(mask.sum())}
@@ -816,11 +812,18 @@ class TailStats:
             "fit_range": (float(ms[mask][0]), float(ms[mask][-1])),
         }
 
-    def moment(self, p: float, which: str = "inducing") -> float:
-        """Censored-from-below empirical p-th moment (censored values at horizon)."""
-        vals = self.times if which == "inducing" else self.theta_good_times
-        capped = np.where(vals > 0, vals, self.horizon).astype(float)
+    def moment(self, p: float) -> float:
+        """Censored-from-below empirical p-th moment of the inducing times.
+
+        Censored members count at the horizon.
+        """
+        capped = np.where(self.times > 0, self.times, self.horizon).astype(float)
         return float(np.mean(capped**p))
+
+
+# sampled fibers in the companion hull, and its widening in units of their spread
+_HULL_SAMPLES = 40
+_HULL_MARGIN = 3.0
 
 
 def estimate_companion_hull(
@@ -828,32 +831,32 @@ def estimate_companion_hull(
     model: NoiseModel,
     delta: float,
     depth: int,
-    n_samples: int = 40,
-    stream_base: int = 7_700_000,
-    margin: float = 3.0,
 ) -> tuple[float, float]:
-    """Empirical outer hull of nice-set fibers over sampled noise sequences.
+    """Empirical outer hull of nice-set fibers over _HULL_SAMPLES sampled noise sequences.
 
-    The hull is widened by ``margin`` times the observed spread on each side;
+    The hull is widened by _HULL_MARGIN times the observed spread on each side;
     it is used as a member-independent onto-target, making every verified
     time an upper bound for the true minimal inducing time whenever the hull
     really contains the member's fiber (cross-checked on a subsample).
     """
     los, his = [], []
-    for j in range(n_samples):
+    for j in range(_HULL_SAMPLES):
         ns = build_nice_set(
-            family, model, delta, model.stream(stream_base + j), depth,
+            family, model, delta, model.stream(STREAM_HULL + j), depth,
             verify_horizon=0, grid_points=512,
         )
         los.append(ns.boundary_lo)
         his.append(ns.boundary_hi)
     lo_spread = max(los) - min(los)
     hi_spread = max(his) - min(his)
-    return min(los) - margin * lo_spread, max(his) + margin * hi_spread
+    return min(los) - _HULL_MARGIN * lo_spread, max(his) + _HULL_MARGIN * hi_spread
 
 
 # steps of noise the tail draws at a time for its alive members
 _TAIL_BLOCK = 64
+
+# verification attempts per tail member
+_MAX_VERIFICATIONS = 16
 
 
 def inducing_tail_stats(
@@ -865,16 +868,13 @@ def inducing_tail_stats(
     theta: float,
     theta0: float = 0.01,
     depth: int = 48,
-    stream_base: int = 8_000_000,
-    max_verifications: int = 16,
     verify_subsample: int = 64,
     grid_points: int = 96,
-    guard: float = CRITICAL_GUARD,
 ) -> TailStats:
     """Verified inducing-time tail over an ensemble started in B(delta).
 
     Members are (x_i, omega_i) with x_i uniform on B(delta) (a subset of
-    every nice-set fiber) and omega_i stream ``stream_base + i``.  Noise is
+    every nice-set fiber) and omega_i stream ``STREAM_TAIL + i``.  Noise is
     drawn in blocks of _TAIL_BLOCK steps for the members still alive, and
     only their draws so far are held, so memory follows the alive members;
     the exact-companion subsample re-reads its members' streams.  The
@@ -883,7 +883,8 @@ def inducing_tail_stats(
     inducing definition with the empirical companion hull as the
     onto-target, so accepted times upper-bound the minimal inducing time.
     theta-good return times at the capped theta are tracked alongside for
-    comparison.  A random subsample is re-verified with the scalar
+    comparison.  A member gets at most _MAX_VERIFICATIONS verification
+    attempts.  A random subsample is re-verified with the scalar
     verify_markov_time against its own exactly-built companion fiber and
     reported.  ``meta["verify"]`` counts the ensemble's verification
     attempts, acceptances and failures by reason.
@@ -896,9 +897,10 @@ def inducing_tail_stats(
     log_theta0 = math.log(theta0)
     log_theta = math.log(theta)
     log_len = math.log(nb.length)
+    guard = CRITICAL_GUARD
 
-    # stream_base is also member 0's noise stream: x0[k] and omega_0[k] are one uniform draw
-    x0 = model.generator(stream_base).uniform(nb.lo, nb.hi, n_members)
+    # STREAM_TAIL is also member 0's noise stream: x0[k] and omega_0[k] are one uniform draw
+    x0 = model.generator(STREAM_TAIL).uniform(nb.lo, nb.hi, n_members)
     x0 = np.where(np.abs(x0 - c) < 10 * guard, nb.hi - 1e-6, x0)
 
     times = np.full(n_members, -1, dtype=np.int64)
@@ -918,7 +920,7 @@ def inducing_tail_stats(
         block = min(_TAIL_BLOCK, horizon - s)
         fresh = np.empty((len(alive), block))
         for row, i in enumerate(alive):
-            fresh[row] = model.stream(stream_base + i).shift(s).prefix(block)
+            fresh[row] = model.stream(STREAM_TAIL + i).shift(s).prefix(block)
         hist = np.concatenate([hist, fresh], axis=1)
         for b in range(block):
             s_cur = s + b + 1
@@ -944,7 +946,7 @@ def inducing_tail_stats(
             # above: candidates below the derivative floor must fail.
             floor_ok = log_df[alive] >= 2.0 + math.log(hull_len / nb.length)
             cand_rows = np.nonzero(inside & ~dead & floor_ok)[0]
-            cand_rows = cand_rows[n_attempts[alive[cand_rows]] < max_verifications]
+            cand_rows = cand_rows[n_attempts[alive[cand_rows]] < _MAX_VERIFICATIONS]
             if len(cand_rows):
                 members = alive[cand_rows]
                 n_attempts[members] += 1
@@ -973,7 +975,7 @@ def inducing_tail_stats(
     inside_hull = 0
     for i in sub:
         m = int(times[i])
-        om = model.stream(stream_base + int(i)).prefix(m + depth + 1)
+        om = model.stream(STREAM_TAIL + int(i)).prefix(m + depth + 1)
         comp = build_nice_set(family, model, delta, om[m:], depth, verify_horizon=0, grid_points=512)
         checked += 1
         if comp.boundary_lo >= hull[0] and comp.boundary_hi <= hull[1]:
@@ -1000,9 +1002,9 @@ def inducing_tail_stats(
         meta={
             "delta": delta,
             "depth": depth,
-            "stream_base": stream_base,
+            "stream_base": STREAM_TAIL,
             "theta0": theta0,
-            "max_verifications": max_verifications,
+            "max_verifications": _MAX_VERIFICATIONS,
             # subsample members whose exact fiber lies inside the hull; the
             # rest cannot count as agreeing whatever their verification gives
             "inside_hull": inside_hull,

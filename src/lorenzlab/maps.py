@@ -464,19 +464,13 @@ class PerturbedFamily:
         )
 
 
-def summability_stats(
-    params: MapParams,
-    v: float,
-    n_steps: int,
-    tail_window: float = 0.5,
-    guard: float = CRITICAL_GUARD,
-) -> dict:
+def summability_stats(params: MapParams, v: float, n_steps: int) -> dict:
     """Numerical evidence for the summability and large-derivatives conditions.
 
     Follows the deterministic orbit of a critical value ``v`` for ``n_steps``
     steps and reports the partial sums of sum(1/Df^n(v)), the running minimum
-    of Df^n(v) over the trailing ``tail_window`` fraction of the orbit, and a
-    monotone-growth indicator.  This is measurement, not proof.
+    of Df^n(v) over the trailing half of the orbit, and a monotone-growth
+    indicator.  This is measurement, not proof.
 
     Raises CriticalHit if the orbit lands on the critical point.
     """
@@ -491,11 +485,11 @@ def summability_stats(
         dfn_values[n] = dfn
         partial += 1.0 / dfn
         partial_sums[n] = partial
-        if abs(x - params.c) < guard:
+        if abs(x - params.c) < CRITICAL_GUARD:
             raise CriticalHit(n, x)
         dfn *= params.deriv(x)
         x = params.eval(x)
-    tail_start = int(n_steps * (1.0 - tail_window))
+    tail_start = n_steps // 2
     tail = dfn_values[tail_start:]
     increments = np.diff(partial_sums)
     return {

@@ -22,6 +22,12 @@ __all__ = [
     "kernel_regularity_check",
 ]
 
+#: stream id of the kernel regularity check's samples
+STREAM_KERNEL = 901
+
+#: normal quantile of the one-sided 99.5% lower confidence bound on p_eps(x, A)
+_Z_CONF = 2.576
+
 
 @dataclass(frozen=True)
 class NoiseStream:
@@ -131,8 +137,6 @@ def kernel_regularity_check(
     model: NoiseModel,
     n_pairs: int = 1000,
     n_draws: int = 4000,
-    stream_id: int = 901,
-    z_conf: float = 2.576,
 ) -> dict:
     """Monte-Carlo check of the kernel regularity bound on the core region.
 
@@ -143,7 +147,7 @@ def kernel_regularity_check(
     the taper zones can legitimately exceed the bound, which is why the check
     restricts itself to the core.
     """
-    rng = model.generator(stream_id)
+    rng = model.generator(STREAM_KERNEL)
     eps, L = model.eps, model.L
     core_lo, core_hi = model.core_interval(family)
     core_lo = max(core_lo, family.margin)
@@ -171,7 +175,7 @@ def kernel_regularity_check(
         bound = L * ((b - a) / (2.0 * eps)) ** (1.0 / L)
         ratio = p_hat / bound
         worst = max(worst, ratio)
-        if p_hat - z_conf * se > bound:
+        if p_hat - _Z_CONF * se > bound:
             confirmed += 1
         rows.append(
             {

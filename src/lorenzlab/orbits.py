@@ -53,13 +53,7 @@ class OrbitRecord:
         return len(self.points) - 1
 
 
-def random_orbit(
-    family: PerturbedFamily,
-    x0: float,
-    omega,
-    n: int,
-    guard: float = CRITICAL_GUARD,
-) -> OrbitRecord:
+def random_orbit(family: PerturbedFamily, x0: float, omega, n: int) -> OrbitRecord:
     """Iterate f_omega^n(x0) recording derivatives and the distortion sum.
 
     ``omega`` is any sequence of noise values of length >= n (a NoiseStream
@@ -73,6 +67,7 @@ def random_orbit(
     d2 = np.empty(n + 1, dtype=float)
     asum = np.empty(n + 1, dtype=float)
     points[0], d1[0], d2[0], asum[0] = x0, 1.0, 0.0, 0.0
+    guard = CRITICAL_GUARD
     x = x0
     hit = None
     for i in range(n):
@@ -101,18 +96,19 @@ def random_orbit(
     return OrbitRecord(x0=x0, omega=omega, points=points, d1=d1, d2=d2, asum=asum)
 
 
-def log_scan(family: PerturbedFamily, x: float, noise, guard: float = CRITICAL_GUARD):
+def log_scan(family: PerturbedFamily, x: float, noise):
     """Walk the random orbit of x in log space, one step per noise value.
 
     Yields ``(s, y, log_df, log_a)`` after step s = 1, 2, ..., where
     y = f_omega^s(x), log_df = log Df_omega^s(x) and log_a = log A(x, omega, s).
     Raises ``CriticalHit(s - 1, y)`` when the point about to be mapped is
-    within ``guard`` of c.  Scalar on purpose: numpy's array log and power
+    within CRITICAL_GUARD of c.  Scalar on purpose: numpy's array log and power
     differ from libm in the last bit for some inputs, so a member-vectorised
     scan would change the saved ``log_df`` and ``log_asum`` values.
     """
     c = family.base.c
     step = family.step
+    guard = CRITICAL_GUARD
     y, log_df, log_a = x, 0.0, -math.inf
     for s, t in enumerate(noise, 1):
         d = abs(y - c)

@@ -40,6 +40,9 @@ __all__ = [
 
 DEFAULT_DELTA_STAR = 0.05
 
+#: root-finding tolerance of every pullback step, scalar or batched
+PULLBACK_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class CriticalNeighborhood:
@@ -75,19 +78,16 @@ class CriticalNeighborhood:
         return self.lo, self.hi
 
 
-def critical_neighborhood(
-    params: MapParams, delta: float, check_range: bool = True
-) -> CriticalNeighborhood:
+def critical_neighborhood(params: MapParams, delta: float) -> CriticalNeighborhood:
     """Closed-form critical neighborhood at scale delta.
 
     Radii are c*(delta/u)**(1/ell) on the left and (1-c)*(delta/v)**(1/ell)
     on the right.  Scales must satisfy 0 < delta < min(u - (1 - v), u, v) so
     the two defining bands stay inside the branch images.
     """
-    if check_range:
-        cap = min(params.u - (1.0 - params.v), params.u, params.v)
-        if not 0.0 < delta < cap:
-            raise DeltaOutOfRange(f"delta={delta} outside (0, {cap})")
+    cap = min(params.u - (1.0 - params.v), params.u, params.v)
+    if not 0.0 < delta < cap:
+        raise DeltaOutOfRange(f"delta={delta} outside (0, {cap})")
     inv_ell = 1.0 / params.ell
     left = params.c * (delta / params.u) ** inv_ell
     right = (1.0 - params.c) * (delta / params.v) ** inv_ell
@@ -140,13 +140,12 @@ def landing_time(
     omega,
     delta: float,
     horizon: int,
-    guard: float = CRITICAL_GUARD,
 ) -> int | None:
     """First s >= 0 with f_omega^s(x) in B(delta), or None within the horizon."""
     nb = critical_neighborhood(family.base, delta)
     if nb.contains(x):
         return 0
-    for s, y, _, _ in log_scan(family, x, _noise_prefix(omega, horizon), guard):
+    for s, y, _, _ in log_scan(family, x, _noise_prefix(omega, horizon)):
         if nb.contains(y):
             return s
     return None
@@ -160,7 +159,6 @@ def good_return_time(
     delta: float,
     theta: float,
     horizon: int,
-    guard: float = CRITICAL_GUARD,
 ) -> ReturnEvent | None:
     """First s >= 1 returning to B(delta) with distortion controlled by theta.
 
@@ -169,7 +167,7 @@ def good_return_time(
     """
     nb = critical_neighborhood(family.base, delta)
     log_theta, log_len = math.log(theta), math.log(nb.length)
-    for s, y, log_df, log_a in log_scan(family, x, _noise_prefix(omega, horizon), guard):
+    for s, y, log_df, log_a in log_scan(family, x, _noise_prefix(omega, horizon)):
         if nb.contains(y) and log_theta + log_df >= log_a + log_len:
             return ReturnEvent("theta_good", s, delta, theta, None, log_df, log_a, nb.length)
     return None
@@ -198,7 +196,6 @@ def good_return_or_expansion_time(
     theta0: float = 0.01,
     delta_star: float = DEFAULT_DELTA_STAR,
     scale_grid=None,
-    guard: float = CRITICAL_GUARD,
 ) -> ReturnEvent | None:
     """Earliest of (a) a theta-good return at some scale >= delta, (b) a tau-scale
     expansion time with theta0 * Df >= e * tau * A.
@@ -215,7 +212,7 @@ def good_return_or_expansion_time(
     log_theta = math.log(theta)
     log_tau_rhs = 1.0 + math.log(tau)  # log(e * tau)
     log_theta0 = math.log(theta0)
-    for s, y, log_df, log_a in log_scan(family, x, _noise_prefix(omega, horizon), guard):
+    for s, y, log_df, log_a in log_scan(family, x, _noise_prefix(omega, horizon)):
         for nb, log_len in zip(nbs, log_lens):
             if nb.contains(y) and log_theta + log_df >= log_a + log_len:
                 return ReturnEvent("theta_good", s, nb.delta, theta, tau, log_df, log_a, nb.length)
@@ -294,7 +291,6 @@ def depth_trace(
     omega,
     eps: float,
     n: int,
-    guard: float = CRITICAL_GUARD,
 ) -> DepthTrace:
     """Depth values, neighborhood visits and cumulative counters for n+1 states."""
     if n < 1:
@@ -307,7 +303,7 @@ def depth_trace(
     flags = np.empty(n + 1, dtype=bool)
     y = x
     for j in range(n + 1):
-        if abs(y - c) < guard:
+        if abs(y - c) < CRITICAL_GUARD:
             raise CriticalHit(j, y)
         points[j] = y
         q[j] = depth_value(family, eps, float(values[j]), y)
@@ -360,7 +356,6 @@ def binding_period(
     zeta: float,
     horizon: int,
     delta_star: float = DEFAULT_DELTA_STAR,
-    guard: float = CRITICAL_GUARD,
 ) -> BindingPeriodRecord | None:
     """Largest binding period M <= horizon with all three witnesses satisfied.
 
@@ -383,7 +378,7 @@ def binding_period(
     dfns = [1.0]
     outside = []
     for j in range(horizon + 1):
-        if abs(x - params.c) < guard:
+        if abs(x - params.c) < CRITICAL_GUARD:
             raise CriticalHit(j, x)
         outside.append(not nbL.contains(x))
         asum += dfn / abs(x - params.c)
@@ -430,7 +425,6 @@ class PullbackChain:
 
     intervals: list  # [(lo, hi)] with index j = steps remaining to the target
     order: int
-    boundary_steps: list
 
     @property
     def component(self) -> tuple[float, float]:
@@ -442,7 +436,7 @@ class PullbackChain:
         return hi - lo
 
 
-def _pull_once(family: PerturbedFamily, t: float, side: str, interval, tol=1e-12):
+def _pull_once(family: PerturbedFamily, t: float, side: str, interval):
     """Preimage component of an interval through one branch of f_t."""
     a, b = interval
     rng_lo, rng_hi = family.branch_range(t, side)
@@ -452,17 +446,17 @@ def _pull_once(family: PerturbedFamily, t: float, side: str, interval, tol=1e-12
     c = family.base.c
     at_c = False
     if side == "left":
-        x_lo = 0.0 if lo_y <= rng_lo else family.inverse_branch(t, lo_y, side, tol=tol)
+        x_lo = 0.0 if lo_y <= rng_lo else family.inverse_branch(t, lo_y, side, tol=PULLBACK_TOL)
         if hi_y >= rng_hi:
             x_hi, at_c = c, True
         else:
-            x_hi = family.inverse_branch(t, hi_y, side, tol=tol)
+            x_hi = family.inverse_branch(t, hi_y, side, tol=PULLBACK_TOL)
     else:
         if lo_y <= rng_lo:
             x_lo, at_c = c, True
         else:
-            x_lo = family.inverse_branch(t, lo_y, side, tol=tol)
-        x_hi = 1.0 if hi_y >= rng_hi else family.inverse_branch(t, hi_y, side, tol=tol)
+            x_lo = family.inverse_branch(t, lo_y, side, tol=PULLBACK_TOL)
+        x_hi = 1.0 if hi_y >= rng_hi else family.inverse_branch(t, hi_y, side, tol=PULLBACK_TOL)
     if x_lo is None or x_hi is None or x_hi <= x_lo:
         raise EmptyPullback(f"degenerate preimage of ({a}, {b}) on the {side} branch")
     return (x_lo, x_hi), at_c
@@ -475,7 +469,6 @@ def pullback_component(
     branch_path=None,
     guide_orbit=None,
     omega=None,
-    tol: float = 1e-12,
 ) -> PullbackChain:
     """Backward chain of component preimages of a target interval.
 
@@ -487,7 +480,7 @@ def pullback_component(
     if s < 0:
         raise ValueError("s must be >= 0")
     if s == 0:
-        return PullbackChain([tuple(target)], 0, [])
+        return PullbackChain([tuple(target)], 0)
     values = _noise_prefix(omega, s) if omega is not None else np.zeros(s)
     if branch_path is not None:
         sides = list(branch_path)
@@ -502,13 +495,11 @@ def pullback_component(
     intervals = [None] * (s + 1)
     intervals[s] = tuple(target)
     order = 0
-    boundary_steps = []
     for j in range(s - 1, -1, -1):
-        intervals[j], at_c = _pull_once(family, float(values[j]), sides[j], intervals[j + 1], tol)
+        intervals[j], at_c = _pull_once(family, float(values[j]), sides[j], intervals[j + 1])
         if at_c:
             order += 1
-            boundary_steps.append(j)
-    return PullbackChain(intervals, order, sorted(boundary_steps))
+    return PullbackChain(intervals, order)
 
 
 def _interval_cv_distance(params: MapParams, interval) -> float:
@@ -528,7 +519,6 @@ def backward_contraction_check(
     s_max: int,
     sample_budget: int = 2000,
     seed: int = 0,
-    guard: float = CRITICAL_GUARD,
 ) -> dict:
     """Search for violations of backward contraction with constant r.
 
@@ -581,7 +571,7 @@ def backward_contraction_check(
                 interval, at_c = _pull_once(family, 0.0, side, target)
             except EmptyPullback:
                 continue
-            record(PullbackChain([interval, target], 1 if at_c else 0, []), 1)
+            record(PullbackChain([interval, target], 1 if at_c else 0), 1)
         # guided deeper components from orbits started near the critical values
         for v in cvs:
             starts = v + (rng.uniform(-2.0 * delta, 2.0 * delta, per_start))
@@ -591,7 +581,7 @@ def backward_contraction_check(
                 y = x0
                 dead = False
                 for _ in range(s_max):
-                    if abs(y - params.c) < guard:
+                    if abs(y - params.c) < CRITICAL_GUARD:
                         dead = True
                         break
                     y = params.eval(y)

@@ -23,7 +23,6 @@ from .errors import (
 )
 from .maps import CRITICAL_GUARD, PerturbedFamily
 from .noise import NoiseModel
-from .orbits import _noise_prefix
 
 __all__ = [
     "Partition",
@@ -34,13 +33,12 @@ __all__ = [
     "birkhoff_density",
     "l1_distance",
     "tv_distance",
-    "l1_cross",
     "stability_sweep",
-    "push_forward_density",
 ]
 
 _EDGE_TOL = 1e-12
 _BIRKHOFF_BLOCK = 1 << 16  # orbit steps per noise draw and per histogram call
+_CHECK_EVERY = 16  # power-iteration steps between residual checks
 
 
 @dataclass(frozen=True)
@@ -85,10 +83,10 @@ class Partition:
     def widths(self) -> np.ndarray:
         return np.diff(self.edges)
 
-    def has_edge_at(self, x: float, tol: float = _EDGE_TOL) -> bool:
+    def has_edge_at(self, x: float) -> bool:
         i = np.searchsorted(self.edges, x)
         for j in (i - 1, i, i + 1):
-            if 0 <= j < len(self.edges) and abs(self.edges[j] - x) <= tol:
+            if 0 <= j < len(self.edges) and abs(self.edges[j] - x) <= _EDGE_TOL:
                 return True
         return False
 
@@ -159,12 +157,6 @@ class UlamMatrix:
         if np.any(np.abs(rows - 1.0) > 1e-10):
             raise ValueError(f"rows must sum to 1 within 1e-10 (worst {np.abs(rows - 1.0).max():.3e})")
         self.matrix = P
-
-    def apply(self, density: Density) -> Density:
-        """Push a density forward by one operator step (mass preserving)."""
-        if not density.partition.same_as(self.partition):
-            raise PartitionMismatch("density partition differs from matrix partition")
-        return Density.from_masses(self.partition, density.masses @ self.matrix)
 
 
 def _branch_preimages(family: PerturbedFamily, t: float, side: str, targets: np.ndarray) -> np.ndarray:
@@ -247,7 +239,6 @@ def stationary_density(
     tol: float = 1e-10,
     max_iters: int = 200_000,
     initial: Density | None = None,
-    check_every: int = 16,
 ) -> tuple[Density, dict]:
     """Left fixed vector of the Ulam matrix by damped power iteration.
 
@@ -269,7 +260,7 @@ def stationary_density(
     residual = math.inf
     iterations = 0
     while iterations < max_iters:
-        steps = min(check_every, max_iters - iterations)
+        steps = min(_CHECK_EVERY, max_iters - iterations)
         for _ in range(steps):
             pi = 0.5 * (pi + pi @ P)
         iterations += steps
@@ -354,15 +345,6 @@ def tv_distance(a: Density, b: Density) -> float:
     return 0.5 * l1_distance(a, b)
 
 
-def l1_cross(a: Density, b: Density) -> float:
-    """L1 distance between densities on different partitions (union refinement)."""
-    edges = np.union1d(a.partition.edges, b.partition.edges)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    wa = a.weights[np.clip(np.searchsorted(a.partition.edges, mids) - 1, 0, a.partition.n_bins - 1)]
-    wb = b.weights[np.clip(np.searchsorted(b.partition.edges, mids) - 1, 0, b.partition.n_bins - 1)]
-    return float(np.sum(np.abs(wa - wb) * np.diff(edges)))
-
-
 def stability_sweep(
     family: PerturbedFamily,
     eps_ladder,
@@ -371,14 +353,13 @@ def stability_sweep(
     L: float = 2.0,
     seed: int = 0,
     quad_nodes: int = 32,
-    tol: float = 1e-10,
-    max_iters: int = 200_000,
-) -> list[dict]:
+) -> tuple[list[dict], Density, dict]:
     """Distance of the stationary density to the zero-noise density per rung.
 
     The ladder must be sorted in descending order and every rung must be an
     admissible amplitude.  A rung whose power iteration fails is recorded
-    with its final residual and does not abort the sweep.
+    with its final residual and does not abort the sweep.  Returns the rows,
+    the zero-noise density and its solve info.
     """
     ladder = [float(e) for e in eps_ladder]
     if any(b >= a for a, b in zip(ladder, ladder[1:])):
@@ -386,13 +367,13 @@ def stability_sweep(
     if any(e > family.eps_max for e in ladder):
         raise ValueError("eps ladder exceeds family eps_max")
     det_matrix = build_ulam(family, None, partition)
-    zeta0, det_info = stationary_density(det_matrix, tol=tol, max_iters=max_iters)
+    zeta0, det_info = stationary_density(det_matrix)
     rows = []
     for eps in ladder:
         model = NoiseModel(eps=eps, kind=noise_kind, L=L, seed=seed)
         matrix = build_ulam(family, model, partition, quad_nodes=quad_nodes)
         try:
-            zeta_eps, info = stationary_density(matrix, tol=tol, max_iters=max_iters)
+            zeta_eps, info = stationary_density(matrix)
             rows.append(
                 {
                     "eps": eps,
@@ -417,37 +398,3 @@ def stability_sweep(
                 }
             )
     return rows, zeta0, det_info
-
-
-def push_forward_density(
-    family: PerturbedFamily,
-    omega,
-    interval: tuple[float, float],
-    n: int,
-    partition: Partition,
-    n_grid: int = 10_000,
-    guard: float = CRITICAL_GUARD,
-) -> Density:
-    """Histogram of the n-step image of normalised Lebesgue measure on J.
-
-    Pushes a fine midpoint grid on J through the random composition and bins
-    the images with equal mass 1/len(grid); grid points that enter the
-    critical guard are dropped and the remainder renormalised.  Converges to
-    the exact pushforward density in the joint bin/grid limit.
-    """
-    a, b = interval
-    if not (0.0 <= a < b <= 1.0):
-        raise ValueError("interval must satisfy 0 <= a < b <= 1")
-    values = _noise_prefix(omega, n)
-    offsets = (np.arange(n_grid) + 0.5) / n_grid
-    pts = a + offsets * (b - a)
-    alive = np.ones(len(pts), dtype=bool)
-    c = family.base.c
-    for i in range(n):
-        alive &= np.abs(pts - c) >= guard
-        pts[alive] = family.eval_vec(float(values[i]), pts[alive])
-    pts = pts[alive]
-    if len(pts) == 0:
-        raise ValueError("every grid point hit the critical guard")
-    counts = np.histogram(pts, bins=partition.edges)[0]
-    return Density.from_masses(partition, counts.astype(float))

@@ -17,6 +17,9 @@ theory promises for the canonical map:
 See the README for the measured evidence behind both.
 """
 
+import os
+import tempfile
+
 import pytest
 
 from lorenzlab import acceptance
@@ -42,3 +45,9 @@ def _run(criterion, cfg):
 )
 def test_acceptance_criterion(criterion, cfg):
     _run(criterion, cfg)
+
+
+def test_determinism_check_leaves_no_temporary_files(cfg, tmp_path, monkeypatch):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    assert acceptance.criterion_16_determinism(cfg)["passed"]
+    assert os.listdir(tmp_path) == []

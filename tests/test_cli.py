@@ -129,6 +129,14 @@ class TestSubcommands:
         code = cli.main(["simulate", "--set", "noise.eps=5.0", "--out", "/tmp/x_unused"])
         assert code == 2
 
+    @pytest.mark.parametrize("item", ["noise=3", "ensemble.n_orbits=abc"])
+    def test_main_rejects_malformed_set(self, item, tmp_path, capsys):
+        key, value = item.split("=")
+        with pytest.raises(ConfigInvalid):
+            load_config(None, {key: value})
+        assert cli.main(["simulate", "--set", item, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_nice_set_requires_small_eps(self, tmp_path):
         cfg = _small_config()
         cfg.noise.eps = 0.01  # above delta0

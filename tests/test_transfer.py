@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from lorenzlab.acceptance import _project_density
 from lorenzlab.errors import NoConvergence, PartitionMismatch, PartitionTooCoarse
@@ -13,11 +11,9 @@ from lorenzlab.transfer import (
     UlamMatrix,
     birkhoff_density,
     build_ulam,
-    l1_cross,
     l1_distance,
     matrix_from_branch_preimages,
     partition_for,
-    push_forward_density,
     stability_sweep,
     stationary_density,
     tv_distance,
@@ -51,15 +47,6 @@ class TestDensity:
     def test_uniform_density_integrates_to_one(self, part64):
         d = Density.uniform(part64)
         assert np.sum(d.weights * part64.widths) == pytest.approx(1.0, abs=1e-13)
-
-    @settings(max_examples=25, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=999))
-    def test_operator_preserves_mass(self, family, part64, seed):
-        det = _cached_det(family, part64)
-        rng = np.random.default_rng(seed)
-        dens = Density.from_masses(part64, rng.uniform(0.1, 1.0, part64.n_bins))
-        out = det.apply(dens)
-        assert np.sum(out.masses) == pytest.approx(1.0, abs=1e-12)
 
 
 _det_cache = {}
@@ -169,11 +156,6 @@ class TestDistances:
         with pytest.raises(PartitionMismatch):
             l1_distance(a, b)
 
-    def test_cross_partition_distance(self, family):
-        a = Density.uniform(partition_for(family, 32))
-        b = Density.uniform(partition_for(family, 64))
-        assert l1_cross(a, b) == pytest.approx(0.0, abs=1e-13)
-
 
 class TestProjectDensity:
     def test_own_partition_is_identity(self, part64):
@@ -268,33 +250,7 @@ class TestBirkhoff:
         pb = partition_for(family, 512)
         da, _ = stationary_density(build_ulam(family, None, pa))
         db, _ = stationary_density(build_ulam(family, None, pb))
-        assert l1_cross(da, db) <= 0.1
-
-
-class TestPushForward:
-    def test_zero_steps_is_indicator(self, family, part64):
-        # an interval aligned with bin edges gives the exact normalised indicator
-        a, b = part64.edges[10], part64.edges[14]
-        dens = push_forward_density(family, np.zeros(0), (a, b), 0, part64, n_grid=4000)
-        inside = slice(10, 14)
-        assert np.allclose(dens.weights[inside], 1.0 / (b - a), rtol=1e-12)
-        assert np.sum(dens.masses) == pytest.approx(1.0)
-        outside = np.delete(dens.weights, np.arange(10, 14))
-        assert np.all(outside == 0.0)
-
-    def test_single_step_support_is_image(self, family, part64):
-        a, b = 0.2, 0.3  # inside the left branch
-        dens = push_forward_density(family, np.zeros(1), (a, b), 1, part64)
-        ya, yb = CANON.eval(a), CANON.eval(b)
-        support = np.nonzero(dens.masses)[0]
-        assert part64.edges[support[0] + 1] >= ya >= part64.edges[support[0]] - 1e-12
-        assert part64.edges[support[-1]] <= yb <= part64.edges[support[-1] + 1] + 1e-12
-
-    def test_normalisation_across_cases(self, family, part64, model):
-        for (a, b, n) in ((0.1, 0.4, 3), (0.55, 0.8, 5), (0.45, 0.55, 2)):
-            om = model.stream(17).prefix(n)
-            dens = push_forward_density(family, om, (a, b), n, part64)
-            assert np.sum(dens.masses) == pytest.approx(1.0, abs=1e-12)
+        assert l1_distance(_project_density(db, pa), da) <= 0.1
 
 
 class TestSweep:
