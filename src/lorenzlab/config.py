@@ -201,26 +201,36 @@ class ExperimentConfig:
         return self
 
 
-def _update_nested(obj, data: dict, path=""):
+def _flatten(data: dict, prefix: str = "") -> dict:
+    """Nested JSON sections as dotted keys: {"noise": {"eps": 0.1}} -> {"noise.eps": 0.1}."""
+    flat = {}
     for key, value in data.items():
-        if not hasattr(obj, key):
-            raise ConfigInvalid([f"unknown config field {path}{key}"])
-        current = getattr(obj, key)
-        if dataclasses.is_dataclass(current) and isinstance(value, dict):
-            _update_nested(current, value, path=f"{path}{key}.")
+        if isinstance(value, dict):
+            flat.update(_flatten(value, f"{prefix}{key}."))
         else:
-            if isinstance(current, tuple) and isinstance(value, list):
-                value = tuple(value)
-            setattr(obj, key, value)
+            flat[f"{prefix}{key}"] = value
+    return flat
 
 
 def load_config(path: str | None = None, overrides: dict | None = None) -> ExperimentConfig:
-    """Build a config from an optional JSON file plus dotted-path overrides."""
+    """Build a config from an optional JSON file plus dotted-path overrides.
+
+    The file's fields and the overrides (which win) go through the same checks
+    and type coercion; a bad field or value raises ConfigInvalid.
+    """
     cfg = ExperimentConfig()
+    settings = {}
     if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
-            _update_nested(cfg, json.load(fh))
-    for dotted, value in (overrides or {}).items():
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ConfigInvalid([f"{path}: {exc}"]) from exc
+        if not isinstance(data, dict):
+            raise ConfigInvalid([f"{path}: expected a JSON object of config sections"])
+        settings = _flatten(data)
+    settings.update(overrides or {})
+    for dotted, value in settings.items():
         *sections, name = dotted.split(".")
         target = cfg
         for part in sections:
@@ -235,15 +245,16 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Exper
         try:
             if isinstance(old, tuple):
                 if isinstance(value, str):
-                    value = tuple(float(tok) for tok in value.split(","))
-                else:
-                    value = tuple(value)
+                    value = value.split(",")
+                value = tuple(float(tok) for tok in value)
             elif isinstance(old, bool):
                 value = value in (True, "true", "True", "1", 1)
             elif isinstance(old, int):
-                value = int(value)
+                value = int(str(value))  # refuses 64.5 and true, which int() would truncate
             elif isinstance(old, float):
                 value = float(value)
+            elif not isinstance(value, str):
+                raise TypeError(value)
         except (TypeError, ValueError) as exc:
             raise ConfigInvalid([f"{dotted}: {value!r} is not a valid {type(old).__name__}"]) from exc
         setattr(target, name, value)

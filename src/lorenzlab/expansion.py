@@ -273,13 +273,14 @@ def koebe_check(
         raise NotDiffeomorphic("inner chain clips the critical point")
 
     def df_grid(interval, n):
+        """Df^s on a grid over the interval, and the grid's image under f^s."""
         lo, hi = interval
         g = np.linspace(lo + 1e-14, hi - 1e-14, n)
         d1 = np.ones(n)
         for _ in range(s):
             d1 = d1 * params.deriv_vec(g)
             g = params.eval_vec(g)
-        return d1
+        return d1, g
 
     result = {"applicable": True}
     lo_bound = (tau / (1.0 + tau)) ** 2
@@ -287,7 +288,7 @@ def koebe_check(
     worst_ratio = 0.0
     passed = True
     for n in (_KOEBE_GRID, 2 * _KOEBE_GRID):
-        d1 = df_grid(chain_J.component, n)
+        d1, _ = df_grid(chain_J.component, n)
         ratio_max = float(d1.max() / d1.min())
         worst_ratio = max(worst_ratio, ratio_max)
         if ratio_max > hi_bound * (1.0 + 1e-9) or 1.0 / ratio_max < lo_bound * (1.0 - 1e-9):
@@ -295,11 +296,7 @@ def koebe_check(
         result[f"ratio_max_grid_{n}"] = ratio_max
     # one-sided variant against the branch right endpoint
     t_lo, t_hi = chain_T.component
-    dT = df_grid((t_lo, t_hi), _KOEBE_GRID)
-    gT = np.linspace(t_lo + 1e-14, t_hi - 1e-14, _KOEBE_GRID)
-    fT = gT.copy()
-    for _ in range(s):
-        fT = params.eval_vec(fT)
+    dT, fT = df_grid((t_lo, t_hi), _KOEBE_GRID)
     df_b = dT[-1]
     sel = np.abs(fT - fT[0]) >= tau * np.abs(fT[-1] - fT)
     one_sided_ok = bool(np.all(dT[sel] >= lo_bound * df_b * (1.0 - 1e-9))) if sel.any() else True

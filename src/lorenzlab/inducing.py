@@ -540,52 +540,6 @@ def verify_markov_time(
     )
 
 
-# The batched verifier below reproduces verify_markov_time bit for bit.  Its
-# orbit replay and closed-form inverses raise to a power with Python's float
-# ``**`` (libm), as the scalar MapParams.eval and MapParams.inverse do: numpy's
-# array power differs from libm in the last bit for some inputs.
-
-
-def _libm_pow(a: np.ndarray, e: float) -> np.ndarray:
-    return np.array([v**e for v in a.tolist()])
-
-
-def _base_eval_rows(p, x: np.ndarray) -> np.ndarray:
-    """MapParams.eval per element (x off the critical guard)."""
-    left = x < p.c
-    zp = _libm_pow(np.where(left, (p.c - x) / p.c, (x - p.c) / (1.0 - p.c)), p.ell)
-    return np.where(left, p.u * (1.0 - zp), 1.0 - p.v + p.v * zp)
-
-
-def _eval_rows(family: PerturbedFamily, t: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """PerturbedFamily.eval per element, one noise value per element."""
-    fx = _base_eval_rows(family.base, x)
-    # taper_vec's clips never bind inside (0, 1), so it gives taper's bits
-    return np.where(t == 0.0, fx, fx + t * family.taper_vec(x))
-
-
-def _inverse_rows(family: PerturbedFamily, t, y, left):
-    """PerturbedFamily.inverse_branch per element where the closed form answers.
-
-    Returns (x, done); where ``done`` is false (the preimage is in a taper
-    zone, the closed form gives no candidate, fails the back-check or lands
-    within the critical guard) the caller asks the scalar inverse_branch.
-    ``y`` must lie in the branch image, as it does in a pullback.
-    """
-    p = family.base
-    m = family.margin
-    yy = np.where(t == 0.0, y, np.minimum(np.maximum(y - t, 0.0), 1.0))
-    # MapParams.inverse: None outside the base branch image
-    valid = np.where(left, yy <= p.u, yy >= 1.0 - p.v)
-    arg = np.where(left, (p.u - yy) / p.u, (yy - 1.0 + p.v) / p.v)
-    z = _libm_pow(np.where(valid, arg, 0.0), 1.0 / p.ell)
-    cand = np.where(left, p.c * (1.0 - z), p.c + (1.0 - p.c) * z)
-    # on the taper core f_t = f + t, so the back-check is base.eval + t
-    core = (m <= cand) & (cand <= 1.0 - m) & (np.abs(cand - p.c) >= CRITICAL_GUARD)
-    back = np.abs(_base_eval_rows(p, cand) + t - y) < PULLBACK_TOL
-    return cand, valid & ((t == 0.0) | (core & back))
-
-
 def _pullback_rows(family: PerturbedFamily, omega, sides_left, target, code):
     """recurrence.pullback_component along each row's orbit, for rows with code -1.
 
@@ -619,12 +573,7 @@ def _pullback_rows(family: PerturbedFamily, omega, sides_left, target, code):
         need_hi = ~empty & ~hi_end
         ks = np.concatenate([np.nonzero(need_lo)[0], np.nonzero(need_hi)[0]])
         ys = np.concatenate([lo_y[need_lo], hi_y[need_hi]])
-        xs, done = _inverse_rows(family, t[ks], ys, left[ks])
-        for q in np.nonzero(~done)[0]:
-            k = ks[q]
-            side = "left" if left[k] else "right"
-            root = family.inverse_branch(float(t[k]), float(ys[q]), side, tol=PULLBACK_TOL)
-            xs[q] = np.nan if root is None else root
+        xs = family.inverse_rows(t[ks], ys, left[ks], PULLBACK_TOL)
         n_lo = int(need_lo.sum())
         x_lo[need_lo] = xs[:n_lo]
         x_hi[need_hi] = xs[n_lo:]
@@ -669,7 +618,7 @@ def verify_markov_batch(
         hit = (np.abs(y - c) < CRITICAL_GUARD) & (code < 0)
         code[hit] = VERIFY_REASONS.index("critical_guard")
         orbit[:, j] = y
-        y = _eval_rows(family, omega[:, j], y)
+        y = family.eval_rows(omega[:, j], y)
     outside = ~((target[0] < y) & (y < target[1])) & (code < 0)
     code[outside] = VERIFY_REASONS.index("endpoint_outside")
 

@@ -192,6 +192,14 @@ def schwarzian(params: MapParams, x: float) -> float:
     return -(params.ell**2 - 1.0) / (2.0 * d * d)
 
 
+def _libm_pow(a: np.ndarray, e: float) -> np.ndarray:
+    """Elementwise a**e with Python's float ``**`` (libm pow), as the scalar kernels compute it.
+
+    numpy's array power differs from libm in the last bit for some inputs.
+    """
+    return np.array([v**e for v in a.tolist()])
+
+
 def _smoothstep(r):
     return r * r * (3.0 - 2.0 * r)
 
@@ -383,7 +391,8 @@ class PerturbedFamily:
         m = self.margin
         candidate = self.base.inverse(min(max(y - t, 0.0), 1.0), side)
         if candidate is not None and m <= candidate <= 1.0 - m:
-            if abs(self.eval(t, candidate) - y) < tol:
+            # within the critical guard, y is this side's critical value of f_t and c its preimage
+            if abs(candidate - self.base.c) < CRITICAL_GUARD or abs(self.eval(t, candidate) - y) < tol:
                 return candidate
         # Otherwise the preimage sits in the taper zone of this branch, which
         # is bounded away from the critical point.
@@ -395,6 +404,51 @@ class PerturbedFamily:
             return candidate
         root = brentq(lambda s: self.eval(t, s) - y, a, b, xtol=tol, rtol=8.0 * np.finfo(float).eps)
         return float(root)
+
+    # -- per-element kernels with the scalar bits (powers through _libm_pow) -------
+
+    def eval_rows(self, t, x: np.ndarray) -> np.ndarray:
+        """eval per element (x off the critical guard); t is a scalar or one value per element."""
+        p = self.base
+        left = x < p.c
+        zp = _libm_pow(np.where(left, (p.c - x) / p.c, (x - p.c) / (1.0 - p.c)), p.ell)
+        fx = np.where(left, p.u * (1.0 - zp), 1.0 - p.v + p.v * zp)
+        if isinstance(t, float) and t == 0.0:  # a scalar zero: skip the taper
+            return fx
+        # taper_vec's clips never bind inside (0, 1), so it gives taper's bits
+        return np.where(t == 0.0, fx, fx + t * self.taper_vec(x))
+
+    def inverse_rows(self, t, y: np.ndarray, left, tol: float) -> np.ndarray:
+        """inverse_branch(t, y, side, tol) per element, with NaN where it returns None.
+
+        ``t`` and ``left`` (True for the left branch) are scalars or one value per
+        element.  The closed form answers where inverse_branch's does; every other
+        element (taper zones, the range ends and beyond) goes through the scalar
+        inverse_branch and its brentq.
+        """
+        p = self.base
+        m = self.margin
+        y = np.asarray(y, dtype=float)
+        zero = t == 0.0
+        lo = np.where(left, 0.0, p.c1_plus + t)
+        hi = np.where(left, p.c1_minus + t, 1.0)
+        yy = np.where(zero, y, np.minimum(np.maximum(y - t, 0.0), 1.0))
+        # strictly inside the branch range, y - t rounds into the base branch image, so
+        # arg >= 0; the clamp only keeps pow real for the elements left to the scalar
+        arg = np.where(left, (p.u - yy) / p.u, (yy - 1.0 + p.v) / p.v)
+        z = _libm_pow(np.maximum(arg, 0.0), 1.0 / p.ell)
+        x = np.where(left, p.c * (1.0 - z), p.c + (1.0 - p.c) * z)
+        # on the taper core f_t = f + t, so the back-check is the base map plus t
+        core = (m <= x) & (x <= 1.0 - m)
+        back = (np.abs(x - p.c) < CRITICAL_GUARD) | (np.abs(self.eval_rows(0.0, x) + t - y) < tol)
+        done = (lo < y) & (y < hi) & (zero | (core & back))
+        todo = np.nonzero(~done)[0]
+        if len(todo):
+            t, left = np.broadcast_to(t, y.shape), np.broadcast_to(left, y.shape)
+        for k in todo:
+            root = self.inverse_branch(float(t[k]), float(y[k]), "left" if left[k] else "right", tol)
+            x[k] = np.nan if root is None else root
+        return x
 
     def eval_vec(self, t, x: np.ndarray) -> np.ndarray:
         """Vectorised f_t; t may be a scalar or an array matching x."""

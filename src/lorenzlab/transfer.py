@@ -159,52 +159,26 @@ class UlamMatrix:
         self.matrix = P
 
 
-def _branch_preimages(family: PerturbedFamily, t: float, side: str, targets: np.ndarray) -> np.ndarray:
-    """Preimages of sorted target values under one branch of f_t, clamped to the domain."""
-    dom_lo, dom_hi = family.branch_domain(side)
-    rng_lo, rng_hi = family.branch_range(t, side)
-    out = np.empty(len(targets), dtype=float)
-    for k, y in enumerate(targets):
-        if y <= rng_lo:
-            out[k] = dom_lo
-        elif y >= rng_hi:
-            out[k] = dom_hi
-        else:
-            out[k] = family.inverse_branch(t, y, side)
-    return out
-
-
-def matrix_from_branch_preimages(partition: Partition, branch_rows) -> np.ndarray:
-    """Assemble bin-to-bin fractions from per-branch preimages of the edges.
-
-    ``branch_rows`` is a list of (bin_range, preimages) pairs where
-    ``preimages[k]`` is the preimage of edge k under that branch, clamped to
-    the branch domain.  Useful directly as a test hook: a single branch with
-    identity preimages yields the identity matrix.
-    """
-    edges = partition.edges
-    n = partition.n_bins
-    P = np.zeros((n, n))
-    for bins, pre in branch_rows:
-        for i in bins:
-            a, b = edges[i], edges[i + 1]
-            width = b - a
-            lo = np.maximum(pre[:-1], a)
-            hi = np.minimum(pre[1:], b)
-            overlap = np.maximum(hi - lo, 0.0)
-            P[i, :] = overlap / width
-    return P
-
-
-def _deterministic_matrix(family: PerturbedFamily, t: float, partition: Partition) -> np.ndarray:
+def _deterministic_matrix(family: PerturbedFamily, t: float, partition: Partition, P: np.ndarray) -> np.ndarray:
+    """Fill P with P[i, j] = |bin_i ∩ f_t^{-1}(bin_j)| / |bin_i|, one branch's row block at a time."""
     edges = partition.edges
     n = partition.n_bins
     c_idx = int(np.argmin(np.abs(edges - family.base.c)))
-    branch_rows = [
-        (range(0, c_idx), _branch_preimages(family, t, "left", edges)),
-        (range(c_idx, n), _branch_preimages(family, t, "right", edges)),
-    ]
-    return matrix_from_branch_preimages(partition, branch_rows)
+    for side, rows in (("left", slice(0, c_idx)), ("right", slice(c_idx, n))):
+        # preimages of the edges, clamped to the branch domain outside the branch range
+        dom_lo, dom_hi = family.branch_domain(side)
+        rng_lo, rng_hi = family.branch_range(t, side)
+        pre = np.where(edges <= rng_lo, dom_lo, dom_hi)
+        inner = (rng_lo < edges) & (edges < rng_hi)
+        pre[inner] = family.inverse_rows(t, edges[inner], side == "left", 1e-13)
+        a = edges[rows, None]
+        b = edges[rows.start + 1 : rows.stop + 1, None]
+        block = P[rows]
+        np.minimum(pre[1:], b, out=block)
+        block -= np.maximum(pre[:-1], a)
+        np.maximum(block, 0.0, out=block)
+        block /= b - a
+    return P
 
 
 def build_ulam(
@@ -220,17 +194,21 @@ def build_ulam(
     """
     if not partition.has_edge_at(family.base.c):
         raise PartitionTooCoarse(f"no partition edge at the critical point c={family.base.c}")
+    n = partition.n_bins
     if model is None:
-        P = _deterministic_matrix(family, 0.0, partition)
-        P = P / P.sum(axis=1, keepdims=True)
+        P = _deterministic_matrix(family, 0.0, partition, np.empty((n, n)))
+        P /= P.sum(axis=1, keepdims=True)
         return UlamMatrix(partition, P, mode="deterministic")
     if model.eps > family.eps_max:
         raise ValueError(f"model.eps={model.eps} exceeds family eps_max={family.eps_max}")
     nodes, weights = model.quadrature(quad_nodes)
-    P = np.zeros((partition.n_bins, partition.n_bins))
+    P = np.zeros((n, n))
+    D = np.empty((n, n))  # reused by every node: a fresh matrix per node raises the peak RSS
     for t, w in zip(nodes, weights):
-        P += w * _deterministic_matrix(family, float(t), partition)
-    P = P / P.sum(axis=1, keepdims=True)
+        _deterministic_matrix(family, float(t), partition, D)
+        D *= w
+        P += D
+    P /= P.sum(axis=1, keepdims=True)
     return UlamMatrix(partition, P, mode="randomized", eps=model.eps, quad_nodes=quad_nodes)
 
 

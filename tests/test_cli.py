@@ -1,3 +1,4 @@
+import csv
 import filecmp
 import json
 import os
@@ -136,6 +137,41 @@ class TestSubcommands:
             load_config(None, {key: value})
         assert cli.main(["simulate", "--set", item, "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("data", [
+        {"noise": 3},
+        {"noise": {"eps": "abc"}},
+        {"ensemble": {"n_orbits": "x"}},
+        {"partition": {"n_bins": 64.5}},
+        {"noise": {"eps_ladder": ["a"]}},
+        {"output": {"out_dir": 5}},
+        [1, 2],
+    ])
+    def test_main_rejects_malformed_config_file(self, data, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ConfigInvalid):
+            load_config(str(path))
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["simulate", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_main_rejects_unreadable_config_file(self, tmp_path, monkeypatch, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{noise: 3")
+        monkeypatch.chdir(tmp_path)
+        for path in (bad, tmp_path / "missing.json"):
+            assert cli.main(["simulate", "--config", str(path)]) == 2
+            assert capsys.readouterr().err.startswith("error:")
+
+    def test_csv_quotes_fields_with_commas(self, tmp_path):
+        rows = [(1, "name", 1, "a, b; c=0.5", 0.25), (2, 'say "x"', 0, "plain", 1.5)]
+        path = cli._write_csv(str(tmp_path / "t.csv"), ["id", "name", "passed", "details", "elapsed_s"], rows)
+        with open(path, newline="") as fh:
+            read = list(csv.DictReader(fh))
+        assert [r["details"] for r in read] == ["a, b; c=0.5", "plain"]
+        assert [r["name"] for r in read] == ["name", 'say "x"']
+        assert [r["elapsed_s"] for r in read] == ["0.25", "1.5"]
 
     def test_nice_set_requires_small_eps(self, tmp_path):
         cfg = _small_config()

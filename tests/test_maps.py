@@ -112,6 +112,7 @@ class TestInverseBranch:
     )
     @example(y=0.9, t=0.0, side="left")
     @example(y=0.1, t=0.0, side="right")
+    @example(y=0.9, t=1.945380332785617e-199, side="left")  # y - t rounds to u: the preimage is c
     def test_round_trip(self, family, y, t, side):
         x = family.inverse_branch(t, y, side)
         if x is None:
@@ -231,6 +232,52 @@ class TestStepKernels:
             scalar = family.jet_vec(float(t[k]), rows[k])
             for got, want in zip(batched, scalar):
                 assert got[k].tobytes() == want.tobytes()
+
+    @staticmethod
+    def _kernel_points(family, n_random=200):
+        p = family.base
+        m = family.margin
+        # both taper zones, the core edges, both sides of c, and a random spread
+        xs = [0.1 * m, 0.5 * m, 0.99 * m, m, 0.3, p.c - 1e-9, p.c - 1e-3, p.c + 1e-3, p.c + 1e-9,
+              0.8, 1.0 - m, 1.0 - 0.7 * m, 1.0 - 0.05 * m]
+        return np.concatenate([xs, np.random.default_rng(5).uniform(0.0, 1.0, n_random)])
+
+    def test_eval_rows_matches_eval_bit_for_bit(self, params):
+        family = PerturbedFamily(params)
+        # enough points that libm's pow and numpy's array power differ on some (CANON's z**2.0)
+        xs = self._kernel_points(family, 20_000)
+        noise = (0.0, 0.5 * family.eps_max, -0.5 * family.eps_max)
+        for t in noise:
+            want = np.array([family.eval(t, float(x)) for x in xs])
+            assert family.eval_rows(t, xs).tobytes() == want.tobytes()
+        # one noise value per element
+        ts = np.resize(noise, len(xs))
+        want = np.array([family.eval(float(t), float(x)) for t, x in zip(ts, xs)])
+        assert family.eval_rows(ts, xs).tobytes() == want.tobytes()
+
+    def test_inverse_rows_matches_inverse_branch_bit_for_bit(self, params):
+        family = PerturbedFamily(params)
+        xs = self._kernel_points(family)
+        grid = np.linspace(0.0, 1.0, 129)
+        cases = []
+        for t in (0.0, 0.5 * family.eps_max, -0.5 * family.eps_max):
+            for side in ("left", "right"):
+                lo, hi = family.branch_range(t, side)
+                # images of taper-zone, core-edge and near-critical points, the range ends
+                # and just past them (no preimage: NaN), and a grid over [0, 1]
+                ys = np.concatenate([
+                    family.eval_rows(t, xs), [lo, hi, lo - 1e-3, hi + 1e-3, lo + 1e-16], grid,
+                ])
+                ys = ys[(0.0 <= ys) & (ys <= 1.0)]
+                want = [family.inverse_branch(t, float(y), side, 1e-12) for y in ys]
+                want = np.array([np.nan if r is None else r for r in want])
+                assert np.isnan(want).any() and not np.isnan(want).all()
+                got = family.inverse_rows(t, ys, side == "left", 1e-12)
+                assert got.tobytes() == want.tobytes(), (t, side)
+                cases.append((np.full(len(ys), t), ys, np.full(len(ys), side == "left"), want))
+        # one noise value and one branch per element, in one call
+        ts, ys, left, want = (np.concatenate(col) for col in zip(*cases))
+        assert family.inverse_rows(ts, ys, left, 1e-12).tobytes() == want.tobytes()
 
 
 class TestSchwarzian:

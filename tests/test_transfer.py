@@ -12,7 +12,6 @@ from lorenzlab.transfer import (
     birkhoff_density,
     build_ulam,
     l1_distance,
-    matrix_from_branch_preimages,
     partition_for,
     stability_sweep,
     stationary_density,
@@ -59,11 +58,40 @@ def _cached_det(family, part):
     return _det_cache[key]
 
 
+def _scalar_ulam(family, model, part):
+    """build_ulam's matrix per edge and per row: scalar inverse_branch, one row's overlaps at a time."""
+    edges = part.edges
+    n = part.n_bins
+    c_idx = int(np.argmin(np.abs(edges - family.base.c)))
+
+    def deterministic(t):
+        D = np.zeros((n, n))
+        for side, rows in (("left", range(c_idx)), ("right", range(c_idx, n))):
+            dom_lo, dom_hi = family.branch_domain(side)
+            rng_lo, rng_hi = family.branch_range(t, side)
+            pre = np.array([
+                dom_lo if y <= rng_lo else dom_hi if y >= rng_hi else family.inverse_branch(t, y, side)
+                for y in edges.tolist()
+            ])
+            for i in rows:
+                a, b = edges[i], edges[i + 1]
+                D[i] = np.maximum(np.minimum(pre[1:], b) - np.maximum(pre[:-1], a), 0.0) / (b - a)
+        return D
+
+    if model is None:
+        P = deterministic(0.0)
+    else:
+        P = np.zeros((n, n))
+        for t, w in zip(*model.quadrature(32)):
+            P += w * deterministic(float(t))
+    return P / P.sum(axis=1, keepdims=True)
+
+
 class TestUlamMatrix:
-    def test_identity_hook(self, part64):
-        pre = part64.edges.copy()
-        P = matrix_from_branch_preimages(part64, [(range(part64.n_bins), pre)])
-        assert np.allclose(P, np.eye(part64.n_bins), atol=1e-14)
+    @pytest.mark.parametrize("kind", [None, "uniform", "triangular"])
+    def test_matches_scalar_reference(self, family, part64, kind):
+        model = None if kind is None else NoiseModel(eps=0.01, kind=kind, seed=3)
+        assert np.array_equal(build_ulam(family, model, part64).matrix, _scalar_ulam(family, model, part64))
 
     def test_rows_stochastic(self, family):
         part = partition_for(family, 512)
