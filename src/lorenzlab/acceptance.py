@@ -91,7 +91,7 @@ def criterion_02_chain_rule(cfg: ExperimentConfig):
     t0 = time.time()
     family = cfg.perturbed_family()
     model = NoiseModel(eps=min(cfg.noise.eps, 0.005) if cfg.noise.eps > 0 else 0.005,
-                       kind=cfg.noise.kind, L=cfg.noise.L, seed=123)
+                       kind=cfg.noise.kind, seed=123)
     rng = np.random.default_rng(7)
     h1 = 1e-7
     h_grid = (2e-6, 4e-6, 8e-6, 1.6e-5, 3.2e-5)
@@ -158,8 +158,7 @@ def criterion_04_ulam_stationarity(cfg: ExperimentConfig):
     part = partition_for(family, cfg.partition.n_bins)
     det = build_ulam(family, None, part)
     pi_det, info_det = stationary_density(det, tol=1e-10)
-    model = NoiseModel(eps=0.01, kind=cfg.noise.kind, L=cfg.noise.L, seed=cfg.noise.seed)
-    rnd = build_ulam(family, model, part)
+    rnd = build_ulam(family, cfg.noise_model(0.01), part)
     pi_rnd, info_rnd = stationary_density(rnd, tol=1e-10)
     ok = info_det["residual"] <= 1e-10 and info_rnd["residual"] <= 1e-10
     return _result(4, "Ulam stationarity residuals", ok,
@@ -218,8 +217,7 @@ def criterion_06_uniqueness(cfg: ExperimentConfig):
     t0 = time.time()
     family = cfg.perturbed_family()
     part = partition_for(family, cfg.partition.n_bins)
-    model = NoiseModel(eps=0.01, kind=cfg.noise.kind, L=cfg.noise.L, seed=cfg.noise.seed)
-    rnd = build_ulam(family, model, part)
+    rnd = build_ulam(family, cfg.noise_model(0.01), part)
     pi_a, _ = stationary_density(rnd, tol=1e-12)
     rng = np.random.default_rng(3)
     ini = Density.from_masses(part, rng.uniform(0.5, 1.5, part.n_bins))
@@ -236,7 +234,7 @@ def criterion_07_stability_trend(cfg: ExperimentConfig):
     part = partition_for(family, cfg.partition.n_bins)
     rows, _, _ = stability_sweep(
         family, cfg.noise.eps_ladder, part,
-        noise_kind=cfg.noise.kind, L=cfg.noise.L, seed=cfg.noise.seed,
+        noise_kind=cfg.noise.kind, seed=cfg.noise.seed,
     )
     dists = [r["l1"] for r in rows]
     ok = all(np.isfinite(dists)) and all(b <= a * 1.1 for a, b in zip(dists, dists[1:]))
@@ -248,8 +246,7 @@ def criterion_07_stability_trend(cfg: ExperimentConfig):
 def criterion_08_kernel_regularity(cfg: ExperimentConfig):
     t0 = time.time()
     family = cfg.perturbed_family()
-    model = NoiseModel(eps=0.01, kind=cfg.noise.kind, L=2.0, seed=cfg.noise.seed)
-    rep = kernel_regularity_check(family, model, n_pairs=1000, n_draws=4000)
+    rep = kernel_regularity_check(family, cfg.noise_model(0.01), n_pairs=1000, n_draws=4000)
     ok = rep["confirmed_violations"] == 0
     return _result(8, "transition-kernel regularity", ok,
                    f"{rep['n_pairs']} (x, A) pairs, worst ratio {rep['worst_ratio']:.3f}, "
@@ -257,14 +254,14 @@ def criterion_08_kernel_regularity(cfg: ExperimentConfig):
                    t0)
 
 
-def _brute_force_scan(family, model, x, om_values, delta, theta, tau, theta0, delta_star, horizon):
+def _brute_force_scan(family, model, x, om_values, delta, theta, tau, theta0, horizon):
     """Naive re-derivation of the stopping times from full re-iterations.
 
     It keeps to eval and derivatives rather than PerturbedFamily.step, so that
     it stays an oracle independent of the kernel the scans use.
     """
     params = family.base
-    grid = default_scale_grid(params, delta, delta_star)
+    grid = default_scale_grid(params, delta)
     nbs = [critical_neighborhood(params, d) for d in grid]
     nb0 = nbs[0]
 
@@ -308,7 +305,7 @@ def criterion_09_oracle_equivalence(cfg: ExperimentConfig):
     """
     t0 = time.time()
     family = cfg.perturbed_family()
-    model = NoiseModel(eps=cfg.noise.eps, kind=cfg.noise.kind, L=cfg.noise.L, seed=cfg.noise.seed)
+    model = cfg.noise_model(cfg.noise.eps)
     delta, theta, horizon = cfg.scales.delta, 2.0, 300
     passes = ((7_300_000, cfg.scales.tau, cfg.scales.theta0), (7_310_000, 0.05, 0.5))
     mismatches = 0
@@ -321,11 +318,10 @@ def criterion_09_oracle_equivalence(cfg: ExperimentConfig):
             om = stream.prefix(horizon)
             ev = good_return_time(family, model, x0, stream, delta, theta, horizon)
             cap = good_return_or_expansion_time(
-                family, model, x0, stream, delta, theta, tau, horizon,
-                theta0=theta0, delta_star=cfg.scales.delta_star,
+                family, model, x0, stream, delta, theta, tau, horizon, theta0=theta0,
             )
             plain_bf, capped_bf = _brute_force_scan(
-                family, model, x0, om, delta, theta, tau, theta0, cfg.scales.delta_star, horizon
+                family, model, x0, om, delta, theta, tau, theta0, horizon
             )
             got_plain = None if ev is None else ev.time
             got_capped = None if cap is None else (cap.kind, cap.time)
@@ -344,8 +340,7 @@ def criterion_10_window_nonlinearity(cfg: ExperimentConfig):
     from .inducing import _chain_derivatives
 
     family = cfg.perturbed_family()
-    model = NoiseModel(eps=min(cfg.noise.eps, 0.005) if cfg.noise.eps > 0 else 0.005,
-                       kind=cfg.noise.kind, L=cfg.noise.L, seed=cfg.noise.seed)
+    model = cfg.noise_model(min(cfg.noise.eps, 0.005) if cfg.noise.eps > 0 else 0.005)
     theta0 = cfg.scales.theta0
     rng = np.random.default_rng(41)
     worst = 0.0
@@ -399,22 +394,18 @@ def criterion_11_koebe(cfg: ExperimentConfig):
 def criterion_12_binding(cfg: ExperimentConfig):
     t0 = time.time()
     params = cfg.map_params()
-    s = cfg.scales
     ok = True
     notes = []
     for v, label in ((params.c1_minus, "c1-"), (params.c1_plus, "c1+")):
         last_m = 0
         ms = []
-        for delta in s.binding_delta_ladder:
-            rec = binding_period(
-                params, v, float(delta), s.binding_theta, s.L_binding, s.zeta,
-                cfg.horizons.binding_horizon, delta_star=s.delta_star,
-            )
+        for delta in cfg.scales.binding_delta_ladder:
+            rec = binding_period(params, v, float(delta), cfg.horizons.binding_horizon)
             if rec is None:
                 ok = False
                 notes.append(f"{label}@{delta}: none")
                 continue
-            if not rec.verify(params, delta_star=s.delta_star):
+            if not rec.verify(params):
                 ok = False
                 notes.append(f"{label}@{delta}: witnesses fail re-verification")
             if rec.M < last_m:
@@ -501,7 +492,7 @@ def criterion_14_nice_set(cfg: ExperimentConfig):
     family = cfg.perturbed_family()
     s = cfg.scales
     eps = min(cfg.noise.eps, s.delta0)
-    model = NoiseModel(eps=eps, kind=cfg.noise.kind, L=cfg.noise.L, seed=cfg.noise.seed)
+    model = cfg.noise_model(eps)
     nb = critical_neighborhood(family.base, s.delta0)
     nb2 = critical_neighborhood(family.base, 2.0 * s.delta0)
     ok = True
@@ -536,7 +527,7 @@ def criterion_15_inducing_tail(cfg: ExperimentConfig):
     family = cfg.perturbed_family()
     s = cfg.scales
     eps = min(cfg.noise.eps, s.delta0)
-    model = NoiseModel(eps=eps, kind=cfg.noise.kind, L=cfg.noise.L, seed=cfg.noise.seed)
+    model = cfg.noise_model(eps)
     stats = inducing_tail_stats(
         family, model, s.delta0,
         n_members=cfg.ensemble.tail_members,

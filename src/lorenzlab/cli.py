@@ -23,7 +23,6 @@ from .config import ExperimentConfig, config_hash, load_config
 from .errors import ConfigInvalid, NoConvergence
 from .expansion import expansion_envelope, mane_estimate, random_koebe_branch, total_distortion_trend
 from .inducing import build_nice_set, inducing_tail_stats
-from .noise import NoiseModel
 from .orbits import random_orbit
 from .recurrence import (
     backward_contraction_check,
@@ -123,7 +122,7 @@ def _density_rows(density):
 
 def run_simulate(cfg: ExperimentConfig, out_dir: str):
     family = cfg.perturbed_family()
-    model = NoiseModel(eps=cfg.noise.eps, kind=cfg.noise.kind, L=cfg.noise.L, seed=cfg.noise.seed)
+    model = cfg.noise_model(cfg.noise.eps)
     rng = np.random.default_rng(cfg.noise.seed)
     rows = []
     hits = 0
@@ -145,11 +144,7 @@ def run_simulate(cfg: ExperimentConfig, out_dir: str):
 def run_density(cfg: ExperimentConfig, out_dir: str):
     family = cfg.perturbed_family()
     part = partition_for(family, cfg.partition.n_bins)
-    model = (
-        None
-        if cfg.noise.eps == 0.0
-        else NoiseModel(eps=cfg.noise.eps, kind=cfg.noise.kind, L=cfg.noise.L, seed=cfg.noise.seed)
-    )
+    model = None if cfg.noise.eps == 0.0 else cfg.noise_model(cfg.noise.eps)
     matrix = build_ulam(family, model, part)
     pi, info = stationary_density(matrix)
     bd, binfo = birkhoff_density(
@@ -181,7 +176,6 @@ def run_stability_sweep(cfg: ExperimentConfig, out_dir: str):
         cfg.noise.eps_ladder,
         part,
         noise_kind=cfg.noise.kind,
-        L=cfg.noise.L,
         seed=cfg.noise.seed,
     )
     p1 = _write_csv(
@@ -202,7 +196,7 @@ def run_stability_sweep(cfg: ExperimentConfig, out_dir: str):
 
 def run_returns(cfg: ExperimentConfig, out_dir: str):
     family = cfg.perturbed_family()
-    model = NoiseModel(eps=cfg.noise.eps, kind=cfg.noise.kind, L=cfg.noise.L, seed=cfg.noise.seed)
+    model = cfg.noise_model(cfg.noise.eps)
     s = cfg.scales
     rng = np.random.default_rng(cfg.noise.seed)
     rows = []
@@ -213,7 +207,7 @@ def run_returns(cfg: ExperimentConfig, out_dir: str):
         ev = good_return_time(family, model, x0, stream, s.delta, s.theta, cfg.horizons.return_horizon)
         cap = good_return_or_expansion_time(
             family, model, x0, stream, s.delta, s.theta, s.tau,
-            cfg.horizons.return_horizon, theta0=s.theta0, delta_star=s.delta_star,
+            cfg.horizons.return_horizon, theta0=s.theta0,
         )
         rows.append(
             (
@@ -240,7 +234,7 @@ def run_returns(cfg: ExperimentConfig, out_dir: str):
 
 def run_depth(cfg: ExperimentConfig, out_dir: str):
     family = cfg.perturbed_family()
-    model = NoiseModel(eps=cfg.noise.eps, kind=cfg.noise.kind, L=cfg.noise.L, seed=cfg.noise.seed)
+    model = cfg.noise_model(cfg.noise.eps)
     rng = np.random.default_rng(cfg.noise.seed)
     rows = []
     bad_rows = []
@@ -273,10 +267,7 @@ def run_binding(cfg: ExperimentConfig, out_dir: str):
     rows = []
     for v, side in ((params.c1_minus, "minus"), (params.c1_plus, "plus")):
         for delta in s.binding_delta_ladder:
-            rec = binding_period(
-                params, v, float(delta), s.binding_theta, s.L_binding, s.zeta,
-                cfg.horizons.binding_horizon, delta_star=s.delta_star,
-            )
+            rec = binding_period(params, v, float(delta), cfg.horizons.binding_horizon)
             if rec is None:
                 rows.append((side, delta, -1, float("nan"), float("nan"), float("nan"), 0))
             else:
@@ -319,7 +310,7 @@ def run_nice_set(cfg: ExperimentConfig, out_dir: str):
     s = cfg.scales
     if cfg.noise.eps > s.delta0:
         raise ConfigInvalid([f"noise.eps={cfg.noise.eps} must not exceed scales.delta0={s.delta0} for nice sets"])
-    model = NoiseModel(eps=cfg.noise.eps, kind=cfg.noise.kind, L=cfg.noise.L, seed=cfg.noise.seed)
+    model = cfg.noise_model(cfg.noise.eps)
     rows = []
     verify_summary = []
     for k in range(4):
@@ -347,7 +338,7 @@ def run_inducing_tail(cfg: ExperimentConfig, out_dir: str):
     s = cfg.scales
     if cfg.noise.eps > s.delta0:
         raise ConfigInvalid([f"noise.eps={cfg.noise.eps} must not exceed scales.delta0={s.delta0} for inducing"])
-    model = NoiseModel(eps=cfg.noise.eps, kind=cfg.noise.kind, L=cfg.noise.L, seed=cfg.noise.seed)
+    model = cfg.noise_model(cfg.noise.eps)
     stats = inducing_tail_stats(
         family, model, s.delta0,
         n_members=cfg.ensemble.tail_members,
@@ -381,7 +372,7 @@ def run_expansion(cfg: ExperimentConfig, out_dir: str):
     family = cfg.perturbed_family()
     params = family.base
     s = cfg.scales
-    model = NoiseModel(eps=cfg.noise.eps, kind=cfg.noise.kind, L=cfg.noise.L, seed=cfg.noise.seed)
+    model = cfg.noise_model(cfg.noise.eps)
     nb = critical_neighborhood(params, s.delta)
     mane_det = mane_estimate(family, None, nb.interval(), n_starts=cfg.ensemble.expansion_starts,
                              horizon=cfg.horizons.mane_horizon, seed=cfg.noise.seed)
@@ -391,7 +382,7 @@ def run_expansion(cfg: ExperimentConfig, out_dir: str):
     for eps in cfg.noise.eps_ladder:
         if eps > family.eps_max:
             continue
-        env_model = NoiseModel(eps=float(eps), kind=cfg.noise.kind, L=cfg.noise.L, seed=cfg.noise.seed)
+        env_model = cfg.noise_model(float(eps))
         env = expansion_envelope(family, env_model, float(eps),
                                  n_starts=cfg.ensemble.expansion_starts,
                                  horizon=cfg.horizons.envelope_horizon)
@@ -407,7 +398,7 @@ def run_expansion(cfg: ExperimentConfig, out_dir: str):
     dist_rows = total_distortion_trend(
         family, cfg.noise.seed, cfg.noise.eps_ladder,
         n_starts=cfg.ensemble.expansion_starts * 3, horizon=cfg.horizons.envelope_horizon,
-        noise_kind=cfg.noise.kind, L=cfg.noise.L,
+        noise_kind=cfg.noise.kind,
     )
     # koebe survey over random pullback branches
     rng = np.random.default_rng(cfg.noise.seed)

@@ -13,9 +13,10 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .errors import ConfigInvalid
-
+from .errors import ConfigInvalid, CriticalHit
 from .maps import MapParams, PerturbedFamily, summability_stats
+from .noise import NoiseModel
+from .recurrence import DELTA_STAR
 
 __all__ = ["ExperimentConfig", "load_config", "config_hash"]
 
@@ -38,7 +39,6 @@ class NoiseConfig:
     kind: str = "uniform"
     eps: float = 0.001
     eps_ladder: tuple = (0.02, 0.01, 0.005, 0.0025)
-    L: float = 2.0
     seed: int = 20240901
 
 
@@ -78,18 +78,14 @@ class HorizonConfig:
 class ScaleConfig:
     theta: float = 0.001        # distortion constant for good returns / inducing
     theta0: float = 0.01        # distortion-window constant (half-width theta0/A)
-    theta1: float = 0.0919      # binding-period smallness budget (1/(4e))
     tau: float = 1.0            # scale-expansion constant
     delta: float = 0.009        # generic return scale
     delta0: float = 0.002       # nice-set / inducing scale
-    delta_star: float = 0.05    # reference scale for the distance convention
     kappa: float = 5.0          # depth bad-set constant
-    L_binding: float = 16.0     # binding-period exclusion factor (> 2**(ell+1))
-    zeta: float = 0.25          # binding-period derivative exponent (< 1/ell)
-    binding_theta: float = 0.008
-    # halving ladder deep enough that the preferred binding period exists at
-    # every rung (the defining inequalities are satisfiable only well below
-    # desk scales for the canonical map)
+    # the binding-period constants (theta, L, zeta) come from the map through
+    # recurrence.binding_constants; the halving ladder is deep enough that the
+    # preferred binding period exists at every rung (the defining inequalities
+    # are satisfiable only well below desk scales for the canonical map)
     binding_delta_ladder: tuple = (3.125e-12, 1.5625e-12, 7.8125e-13, 3.90625e-13)
 
 
@@ -118,6 +114,9 @@ class ExperimentConfig:
     def perturbed_family(self) -> PerturbedFamily:
         return PerturbedFamily(self.map_params(), margin=self.family.taper_margin)
 
+    def noise_model(self, eps: float) -> NoiseModel:
+        return NoiseModel(eps=eps, kind=self.noise.kind, seed=self.noise.seed)
+
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
@@ -138,8 +137,6 @@ class ExperimentConfig:
             problems.append(f"noise.kind: unknown kind {n.kind!r}")
         if not n.eps > 0:
             problems.append("noise.eps: must be positive")
-        if not n.L > 1.0:
-            problems.append("noise.L: must exceed 1")
         ladder = tuple(float(e) for e in n.eps_ladder)
         if any(b >= a for a, b in zip(ladder, ladder[1:])):
             problems.append("noise.eps_ladder: must be sorted in descending order")
@@ -156,37 +153,27 @@ class ExperimentConfig:
         s = self.scales
         if params is not None:
             scale_cap = min(params.u - (1.0 - params.v), params.u, params.v)
-            for name, val in (("delta", s.delta), ("delta0", s.delta0), ("delta_star", s.delta_star)):
+            for name, val in (("delta", s.delta), ("delta0", s.delta0)):
                 if not 0.0 < val < scale_cap:
                     problems.append(f"scales.{name}: {val} outside (0, {scale_cap:.4g})")
-            if not 0.0 < s.zeta < 1.0 / params.ell:
-                problems.append(f"scales.zeta: {s.zeta} outside (0, 1/ell)")
-            if not s.L_binding > 2.0 ** (params.ell + 1.0):
-                problems.append(
-                    f"scales.L_binding: {s.L_binding} must exceed 2**(ell+1)="
-                    f"{2.0 ** (params.ell + 1.0):.4g}"
-                )
+            for label, v in (("c1-", params.c1_minus), ("c1+", params.c1_plus)):
+                try:
+                    summable = not summability_stats(params, v, 400)["ld_flag"]
+                except CriticalHit:
+                    summable = False
+                if not summable:
+                    problems.append(
+                        f"map: critical value {label} fails the summability check "
+                        "(its 400-step orbit hits c, or Df^n drops below 1 on the orbit's second half)"
+                    )
         if self.map.ell > 1.0:
             kappa = 2.0 ** (1.0 / self.map.ell)
             cap = min(s.theta0 / (4.0 * kappa), 1.0 / (kappa**2 * math.e**3))
             if not 0.0 < s.theta < cap:
                 problems.append(f"scales.theta: {s.theta} outside the inducing cap (0, {cap:.4g})")
-        if family is not None and params is not None:
-            try:
-                w0 = max(
-                    summability_stats(params, params.c1_minus, 400)["S_N"],
-                    summability_stats(params, params.c1_plus, 400)["S_N"],
-                )
-                if 4.0 * s.binding_theta * w0 > s.theta1:
-                    problems.append(
-                        f"scales.binding_theta: 4*theta*W0={4.0 * s.binding_theta * w0:.4g} "
-                        f"exceeds theta1={s.theta1}"
-                    )
-            except Exception as exc:  # critical orbit hit c: cannot estimate W0
-                problems.append(f"scales.binding_theta: W0 estimate failed ({exc})")
-            for rung in s.binding_delta_ladder:
-                if not 0.0 < rung < s.delta_star:
-                    problems.append(f"scales.binding_delta_ladder: rung {rung} out of range")
+        for rung in s.binding_delta_ladder:
+            if not 0.0 < rung < DELTA_STAR:
+                problems.append(f"scales.binding_delta_ladder: rung {rung} outside (0, {DELTA_STAR})")
         if not s.kappa > 1.0:
             problems.append("scales.kappa: must exceed 1")
         if not s.tau > 0.0:
@@ -199,6 +186,13 @@ class ExperimentConfig:
         if problems:
             raise ConfigInvalid(problems)
         return self
+
+
+def _real(value) -> float:
+    """float(value), refusing booleans, which float() would read as 1.0 and 0.0."""
+    if isinstance(value, bool):
+        raise TypeError(value)
+    return float(value)
 
 
 def _flatten(data: dict, prefix: str = "") -> dict:
@@ -246,13 +240,11 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Exper
             if isinstance(old, tuple):
                 if isinstance(value, str):
                     value = value.split(",")
-                value = tuple(float(tok) for tok in value)
-            elif isinstance(old, bool):
-                value = value in (True, "true", "True", "1", 1)
+                value = tuple(_real(tok) for tok in value)
             elif isinstance(old, int):
                 value = int(str(value))  # refuses 64.5 and true, which int() would truncate
             elif isinstance(old, float):
-                value = float(value)
+                value = _real(value)
             elif not isinstance(value, str):
                 raise TypeError(value)
         except (TypeError, ValueError) as exc:

@@ -366,7 +366,6 @@ def total_distortion_trend(
     n_starts: int = 1500,
     horizon: int = 4000,
     noise_kind: str = "uniform",
-    L: float = 2.0,
 ) -> list[dict]:
     """Worst distortion at first landings per noise amplitude, for the trend.
 
@@ -377,7 +376,7 @@ def total_distortion_trend(
     """
     rows = []
     for idx, eps in enumerate(eps_ladder):
-        model = NoiseModel(eps=float(eps), kind=noise_kind, L=L, seed=model_seed)
+        model = NoiseModel(eps=float(eps), kind=noise_kind, seed=model_seed)
         nb = critical_neighborhood(family.base, float(eps))
         rng = np.random.default_rng(model_seed + idx)
         ratios = []

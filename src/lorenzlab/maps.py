@@ -524,7 +524,9 @@ def summability_stats(params: MapParams, v: float, n_steps: int) -> dict:
     Follows the deterministic orbit of a critical value ``v`` for ``n_steps``
     steps and reports the partial sums of sum(1/Df^n(v)), the running minimum
     of Df^n(v) over the trailing half of the orbit, and a monotone-growth
-    indicator.  This is measurement, not proof.
+    indicator.  This is measurement, not proof.  Once Df^n underflows to 0.0
+    the sum diverges numerically: the partial sums are inf from there on, the
+    increment trend covers the finite ones, and ``ld_flag`` is set.
 
     Raises CriticalHit if the orbit lands on the critical point.
     """
@@ -537,7 +539,7 @@ def summability_stats(params: MapParams, v: float, n_steps: int) -> dict:
     dfn_values = np.empty(n_steps, dtype=float)
     for n in range(n_steps):
         dfn_values[n] = dfn
-        partial += 1.0 / dfn
+        partial += 1.0 / dfn if dfn > 0.0 else np.inf
         partial_sums[n] = partial
         if abs(x - params.c) < CRITICAL_GUARD:
             raise CriticalHit(n, x)
@@ -545,7 +547,7 @@ def summability_stats(params: MapParams, v: float, n_steps: int) -> dict:
         x = params.eval(x)
     tail_start = n_steps // 2
     tail = dfn_values[tail_start:]
-    increments = np.diff(partial_sums)
+    increments = np.diff(partial_sums[np.isfinite(partial_sums)])
     return {
         "partial_sums": partial_sums,
         "dfn": dfn_values,

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CriticalHit, DeltaOutOfRange, EmptyPullback
-from .maps import CRITICAL_GUARD, MapParams, PerturbedFamily
+from .maps import CRITICAL_GUARD, MapParams, PerturbedFamily, summability_stats
 from .orbits import _noise_prefix, log_scan
 
 __all__ = [
@@ -32,13 +32,18 @@ __all__ = [
     "DepthTrace",
     "depth_trace",
     "BindingPeriodRecord",
+    "binding_constants",
     "binding_period",
     "PullbackChain",
     "pullback_component",
     "backward_contraction_check",
 ]
 
-DEFAULT_DELTA_STAR = 0.05
+#: reference scale delta_* of the distance convention d_*
+DELTA_STAR = 0.05
+
+#: binding-period smallness budget theta1 (about 1/(4e))
+THETA1 = 0.0919
 
 #: root-finding tolerance of every pullback step, scalar or batched
 PULLBACK_TOL = 1e-12
@@ -94,13 +99,13 @@ def critical_neighborhood(params: MapParams, delta: float) -> CriticalNeighborho
     return CriticalNeighborhood(params, delta, left, right)
 
 
-def d_star(params: MapParams, x: float, delta_star: float = DEFAULT_DELTA_STAR) -> float:
-    """Distance-to-critical at reference scale: d(f(x), CV) inside B(delta_star), else delta_star."""
-    nb = critical_neighborhood(params, delta_star)
+def d_star(params: MapParams, x: float) -> float:
+    """Distance-to-critical at reference scale: d(f(x), CV) inside B(DELTA_STAR), else DELTA_STAR."""
+    nb = critical_neighborhood(params, DELTA_STAR)
     if nb.contains(x):
         fx = params.eval(x)
         return min(abs(fx - params.c1_plus), abs(fx - params.c1_minus))
-    return delta_star
+    return DELTA_STAR
 
 
 @dataclass
@@ -173,9 +178,9 @@ def good_return_time(
     return None
 
 
-def default_scale_grid(params: MapParams, delta: float, delta_star: float = DEFAULT_DELTA_STAR):
-    """Geometric grid {delta * e^k} up to delta_star (capped at admissible scales)."""
-    cap = min(delta_star, 0.999 * min(params.u - (1.0 - params.v), params.u, params.v))
+def default_scale_grid(params: MapParams, delta: float):
+    """Geometric grid {delta * e^k} up to DELTA_STAR (capped at admissible scales)."""
+    cap = min(DELTA_STAR, 0.999 * min(params.u - (1.0 - params.v), params.u, params.v))
     grid = []
     d = delta
     while d <= cap * (1.0 + 1e-12):
@@ -194,19 +199,18 @@ def good_return_or_expansion_time(
     tau: float,
     horizon: int,
     theta0: float = 0.01,
-    delta_star: float = DEFAULT_DELTA_STAR,
     scale_grid=None,
 ) -> ReturnEvent | None:
     """Earliest of (a) a theta-good return at some scale >= delta, (b) a tau-scale
     expansion time with theta0 * Df >= e * tau * A.
 
     The scale infimum runs over a geometric grid with ratio e from delta up to
-    delta_star; refining the grid can only make the reported time earlier.
+    DELTA_STAR; refining the grid can only make the reported time earlier.
     Ties at the same step report the good return (it carries the scale).
     """
     params = family.base
     if scale_grid is None:
-        scale_grid = default_scale_grid(params, delta, delta_star)
+        scale_grid = default_scale_grid(params, delta)
     nbs = [critical_neighborhood(params, d) for d in scale_grid]
     log_lens = [math.log(nb.length) for nb in nbs]
     log_theta = math.log(theta)
@@ -328,7 +332,7 @@ class BindingPeriodRecord:
     delta_prime: float
     min_cv_clearance: float  # min over j < M of d_*(f^j(v), c) relative to L*delta
 
-    def verify(self, params: MapParams, delta_star: float = DEFAULT_DELTA_STAR) -> bool:
+    def verify(self, params: MapParams) -> bool:
         """Re-check the three defining inequalities from scratch."""
         nbL = critical_neighborhood(params, self.L * self.delta)
         x = self.v
@@ -342,32 +346,32 @@ class BindingPeriodRecord:
             x = params.eval(x)
         if asum > self.theta / self.delta * (1.0 + 1e-12):
             return False
-        dprime = max(d_star(params, x, delta_star), self.delta)
+        dprime = max(d_star(params, x), self.delta)
         df_after = dfn * params.deriv(x)
         return df_after >= (dprime / self.delta) ** (1.0 - self.zeta) * (1.0 - 1e-12)
 
 
-def binding_period(
-    params: MapParams,
-    v: float,
-    delta: float,
-    theta: float,
-    L: float,
-    zeta: float,
-    horizon: int,
-    delta_star: float = DEFAULT_DELTA_STAR,
-) -> BindingPeriodRecord | None:
+def binding_constants(params: MapParams) -> tuple[float, float, float]:
+    """The map's binding-period constants (theta, L, zeta).
+
+    theta = min(0.008, THETA1 / (4 W0)), where W0 is the larger 400-step
+    summability sum of the two critical values; L = 2**(ell+2) exceeds
+    2**(ell+1) and zeta = 1/(2 ell) lies in (0, 1/ell).
+    """
+    w0 = max(summability_stats(params, v, 400)["S_N"] for v in (params.c1_minus, params.c1_plus))
+    return min(0.008, THETA1 / (4.0 * w0)), 2.0 ** (params.ell + 2.0), 1.0 / (2.0 * params.ell)
+
+
+def binding_period(params: MapParams, v: float, delta: float, horizon: int) -> BindingPeriodRecord | None:
     """Largest binding period M <= horizon with all three witnesses satisfied.
 
-    Locates the maximal N with A(v, f, N) <= theta/delta, then searches M <= N
-    (largest first) for which the orbit stays out of B(L*delta) up to M and the
-    (M+1)-step derivative clears (delta'/delta)**(1 - zeta).  Returns None with
-    no record when no M qualifies, which is possible at coarse scales.
+    With the map's :func:`binding_constants`, locates the maximal N with
+    A(v, f, N) <= theta/delta, then searches M <= N (largest first) for which
+    the orbit stays out of B(L*delta) up to M and the (M+1)-step derivative
+    clears (delta'/delta)**(1 - zeta).  Returns None with no record when no M
+    qualifies, which is possible at coarse scales.
     """
-    if not 0.0 < zeta < 1.0 / params.ell:
-        raise ValueError(f"zeta={zeta} outside (0, 1/ell)")
-    if not L > 2.0 ** (params.ell + 1.0):
-        raise ValueError(f"L={L} must exceed 2**(ell+1)")
+    theta, L, zeta = binding_constants(params)
     nbL = critical_neighborhood(params, L * delta)
     budget = theta / delta
     x = v
@@ -397,7 +401,7 @@ def binding_period(
         if not clear_prefix[M - 1]:
             continue
         xM = orbit[M]
-        dprime = max(d_star(params, xM, delta_star), delta)
+        dprime = max(d_star(params, xM), delta)
         df_after = dfns[M] * params.deriv(xM)
         if df_after >= (dprime / delta) ** (1.0 - zeta):
             clearance = min(

@@ -39,6 +39,7 @@ __all__ = [
 _EDGE_TOL = 1e-12
 _BIRKHOFF_BLOCK = 1 << 16  # orbit steps per noise draw and per histogram call
 _CHECK_EVERY = 16  # power-iteration steps between residual checks
+_ROW_CHUNK = 256  # Ulam rows filled per step, bounding the assembly temporary
 
 
 @dataclass(frozen=True)
@@ -160,24 +161,30 @@ class UlamMatrix:
 
 
 def _deterministic_matrix(family: PerturbedFamily, t: float, partition: Partition, P: np.ndarray) -> np.ndarray:
-    """Fill P with P[i, j] = |bin_i ∩ f_t^{-1}(bin_j)| / |bin_i|, one branch's row block at a time."""
+    """Fill P with P[i, j] = |bin_i ∩ f_t^{-1}(bin_j)| / |bin_i|, one branch's row block at a time.
+
+    Each block is filled _ROW_CHUNK rows at a time, so the one temporary stays
+    that many rows long whatever the bin count.
+    """
     edges = partition.edges
     n = partition.n_bins
     c_idx = int(np.argmin(np.abs(edges - family.base.c)))
-    for side, rows in (("left", slice(0, c_idx)), ("right", slice(c_idx, n))):
+    for side, start, stop in (("left", 0, c_idx), ("right", c_idx, n)):
         # preimages of the edges, clamped to the branch domain outside the branch range
         dom_lo, dom_hi = family.branch_domain(side)
         rng_lo, rng_hi = family.branch_range(t, side)
         pre = np.where(edges <= rng_lo, dom_lo, dom_hi)
         inner = (rng_lo < edges) & (edges < rng_hi)
         pre[inner] = family.inverse_rows(t, edges[inner], side == "left", 1e-13)
-        a = edges[rows, None]
-        b = edges[rows.start + 1 : rows.stop + 1, None]
-        block = P[rows]
-        np.minimum(pre[1:], b, out=block)
-        block -= np.maximum(pre[:-1], a)
-        np.maximum(block, 0.0, out=block)
-        block /= b - a
+        for lo in range(start, stop, _ROW_CHUNK):
+            hi = min(lo + _ROW_CHUNK, stop)
+            a = edges[lo:hi, None]
+            b = edges[lo + 1 : hi + 1, None]
+            block = P[lo:hi]
+            np.minimum(pre[1:], b, out=block)
+            block -= np.maximum(pre[:-1], a)
+            np.maximum(block, 0.0, out=block)
+            block /= b - a
     return P
 
 
@@ -328,7 +335,6 @@ def stability_sweep(
     eps_ladder,
     partition: Partition,
     noise_kind: str = "uniform",
-    L: float = 2.0,
     seed: int = 0,
     quad_nodes: int = 32,
 ) -> tuple[list[dict], Density, dict]:
@@ -348,7 +354,7 @@ def stability_sweep(
     zeta0, det_info = stationary_density(det_matrix)
     rows = []
     for eps in ladder:
-        model = NoiseModel(eps=eps, kind=noise_kind, L=L, seed=seed)
+        model = NoiseModel(eps=eps, kind=noise_kind, seed=seed)
         matrix = build_ulam(family, model, partition, quad_nodes=quad_nodes)
         try:
             zeta_eps, info = stationary_density(matrix)

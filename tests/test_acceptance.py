@@ -51,3 +51,10 @@ def test_determinism_check_leaves_no_temporary_files(cfg, tmp_path, monkeypatch)
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     assert acceptance.criterion_16_determinism(cfg)["passed"]
     assert os.listdir(tmp_path) == []
+
+
+def test_binding_criterion_off_canon():
+    # a summable map off CANON, binding with its own derived constants
+    off = ExperimentConfig()
+    off.map.u, off.map.v = 0.92, 0.86
+    _run(acceptance.criterion_12_binding, off.validate())

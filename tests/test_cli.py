@@ -71,6 +71,28 @@ class TestConfig:
         with pytest.raises(ConfigInvalid):
             load_config(None, {"noise.bogus": 1})
 
+    @pytest.mark.parametrize("fields", [
+        {"c": 0.45}, {"u": 0.88}, {"u": 0.92, "v": 0.86}, {"ell": 1.5},
+    ])
+    def test_summable_families_accepted(self, fields):
+        load_config(None, {f"map.{k}": v for k, v in fields.items()}).validate()
+
+    @pytest.mark.parametrize("fields", [
+        {"ell": 2.2}, {"c": 0.4, "ell": 2.5}, {"ell": 3.0}, {"u": 0.6, "v": 0.52},
+    ])
+    def test_non_summable_families_rejected(self, fields):
+        with pytest.raises(ConfigInvalid) as err:
+            load_config(None, {f"map.{k}": v for k, v in fields.items()}).validate()
+        assert "fails the summability check" in str(err.value)
+
+    @pytest.mark.parametrize("field", [
+        "scales.theta1", "scales.L_binding", "scales.zeta",
+        "scales.binding_theta", "scales.delta_star", "noise.L",
+    ])
+    def test_removed_fields_rejected(self, field):
+        with pytest.raises(ConfigInvalid, match="unknown config field"):
+            load_config(None, {field: "1.0"})
+
     def test_hash_changes_with_config(self):
         a, b = ExperimentConfig(), ExperimentConfig()
         b.noise.seed = 999
@@ -146,6 +168,8 @@ class TestSubcommands:
         {"noise": {"eps_ladder": ["a"]}},
         {"output": {"out_dir": 5}},
         [1, 2],
+        {"scales": {"tau": True}},
+        {"noise": {"eps_ladder": [0.02, True]}},
     ])
     def test_main_rejects_malformed_config_file(self, data, tmp_path, monkeypatch, capsys):
         path = tmp_path / "cfg.json"

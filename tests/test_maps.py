@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -315,6 +318,16 @@ class TestSummability:
         assert stats["tail_min_dfn"] > 1e30
         assert not stats["ld_flag"]
         assert stats["growing"]
+
+    def test_underflowed_derivative_reports_divergence(self):
+        # on this near-critical map Df^n(c1-) underflows to 0.0 at n = 233
+        nonld = MapParams(c=0.5, ell=2.0, u=0.6, v=0.52)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stats = summability_stats(nonld, nonld.c1_minus, 400)
+        assert stats["dfn"][233] == 0.0
+        assert stats["S_N"] == math.inf
+        assert stats["ld_flag"]
 
     def test_attracting_fixed_point_flags_failure(self):
         trivial = MapParams(c=0.5, ell=2.0, u=0.2, v=0.9, allow_trivial=True)

@@ -135,7 +135,7 @@ def test_stopping_times_match_brute_force(params):
     """
     family = PerturbedFamily(params)
     model = NoiseModel(eps=0.005, seed=7)
-    delta, theta, tau, theta0, delta_star, horizon = 0.009, 2.0, 0.05, 0.5, 0.05, 300
+    delta, theta, tau, theta0, horizon = 0.009, 2.0, 0.05, 0.5, 300
     rng = np.random.default_rng(31)
     kinds = set()
     for k in range(20):
@@ -143,11 +143,9 @@ def test_stopping_times_match_brute_force(params):
         om = model.stream(7_300_000 + k).prefix(horizon)
         ev = good_return_time(family, model, x, om, delta, theta, horizon)
         cap = good_return_or_expansion_time(
-            family, model, x, om, delta, theta, tau, horizon, theta0=theta0, delta_star=delta_star,
+            family, model, x, om, delta, theta, tau, horizon, theta0=theta0,
         )
-        plain, capped = _brute_force_scan(
-            family, model, x, om, delta, theta, tau, theta0, delta_star, horizon
-        )
+        plain, capped = _brute_force_scan(family, model, x, om, delta, theta, tau, theta0, horizon)
         assert (None if ev is None else ev.time) == plain
         assert (None if cap is None else (cap.kind, cap.time)) == capped
         kinds.add(None if cap is None else cap.kind)

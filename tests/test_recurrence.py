@@ -10,6 +10,7 @@ from lorenzlab.errors import DeltaOutOfRange, EmptyPullback
 from lorenzlab.maps import CANON, MapParams, PerturbedFamily
 from lorenzlab.recurrence import (
     backward_contraction_check,
+    binding_constants,
     binding_period,
     critical_neighborhood,
     d_star,
@@ -68,9 +69,9 @@ class TestCriticalNeighborhood:
     def test_d_star_convention(self):
         # inside the reference neighborhood: image distance to the critical values
         x = 0.49
-        assert d_star(CANON, x, 0.05) == pytest.approx(CANON.c1_minus - CANON.eval(x), rel=1e-12)
+        assert d_star(CANON, x) == pytest.approx(CANON.c1_minus - CANON.eval(x), rel=1e-12)
         # outside: the reference scale itself
-        assert d_star(CANON, 0.2, 0.05) == 0.05
+        assert d_star(CANON, 0.2) == 0.05
 
     def test_reference_scale_derivative_bound(self):
         # Df(x) dominates the expansion scale of d_*(x, c) on the reference window
@@ -78,7 +79,7 @@ class TestCriticalNeighborhood:
         for x in np.linspace(nb.lo + 1e-6, nb.hi - 1e-6, 201):
             if abs(x - CANON.c) < 1e-6:
                 continue
-            ds = d_star(CANON, float(x), 0.05)
+            ds = d_star(CANON, float(x))
             scale = critical_neighborhood(CANON, ds).expansion_scale
             assert CANON.deriv(float(x)) >= scale * (1.0 - 1e-9)
 
@@ -211,28 +212,33 @@ class TestBindingPeriod:
         assert 1.0 / abs(CANON.c1_minus - CANON.c) <= 0.008 / delta
 
     def test_witnesses_reverify(self):
-        rec = binding_period(CANON, CANON.c1_minus, 3.125e-12, 0.008, 16.0, 0.25, 2000)
+        rec = binding_period(CANON, CANON.c1_minus, 3.125e-12, 2000)
         assert rec is not None
         assert rec.verify(CANON)
 
     def test_none_at_coarse_scales(self):
-        assert binding_period(CANON, CANON.c1_minus, 0.002, 0.008, 16.0, 0.25, 2000) is None
+        assert binding_period(CANON, CANON.c1_minus, 0.002, 2000) is None
 
     def test_ladder_nondecreasing(self):
         ladder = (3.125e-12, 1.5625e-12, 7.8125e-13, 3.90625e-13)
         for v in (CANON.c1_minus, CANON.c1_plus):
             ms = []
             for delta in ladder:
-                rec = binding_period(CANON, v, delta, 0.008, 16.0, 0.25, 2000)
+                rec = binding_period(CANON, v, delta, 2000)
                 assert rec is not None
                 ms.append(rec.M)
             assert all(b >= a for a, b in zip(ms, ms[1:]))
 
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            binding_period(CANON, 0.9, 1e-12, 0.008, 4.0, 0.25, 100)  # L too small
-        with pytest.raises(ValueError):
-            binding_period(CANON, 0.9, 1e-12, 0.008, 16.0, 0.7, 100)  # zeta >= 1/ell
+    def test_canonical_constants(self):
+        # exact, so that the pinned binding artifacts of CANON hold
+        assert binding_constants(CANON) == (0.008, 16.0, 0.25)
+
+    def test_constants_within_their_bounds(self):
+        for params in (CANON, MapParams(c=0.45, ell=1.5, u=0.9, v=0.9), MapParams(c=0.5, ell=2.0, u=0.92, v=0.86)):
+            theta, L, zeta = binding_constants(params)
+            assert 0.0 < theta <= 0.008
+            assert L > 2.0 ** (params.ell + 1.0)
+            assert 0.0 < zeta < 1.0 / params.ell
 
 
 class TestPullback:
