@@ -19,7 +19,7 @@ from .expansion import random_koebe_branch
 from .inducing import build_nice_set, inducing_tail_stats
 from .maps import MapParams, schwarzian
 from .noise import NoiseModel, kernel_regularity_check
-from .orbits import random_orbit
+from .orbits import chain_derivatives, random_orbit
 from .recurrence import (
     backward_contraction_check,
     binding_period,
@@ -90,8 +90,7 @@ def _compose(family, x, om, n):
 def criterion_02_chain_rule(cfg: ExperimentConfig):
     t0 = time.time()
     family = cfg.perturbed_family()
-    model = NoiseModel(eps=min(cfg.noise.eps, 0.005) if cfg.noise.eps > 0 else 0.005,
-                       kind=cfg.noise.kind, seed=123)
+    model = NoiseModel(eps=min(cfg.noise.eps, 0.005), kind=cfg.noise.kind, seed=123)
     rng = np.random.default_rng(7)
     h1 = 1e-7
     h_grid = (2e-6, 4e-6, 8e-6, 1.6e-5, 3.2e-5)
@@ -337,10 +336,8 @@ def criterion_09_oracle_equivalence(cfg: ExperimentConfig):
 
 def criterion_10_window_nonlinearity(cfg: ExperimentConfig):
     t0 = time.time()
-    from .inducing import _chain_derivatives
-
     family = cfg.perturbed_family()
-    model = cfg.noise_model(min(cfg.noise.eps, 0.005) if cfg.noise.eps > 0 else 0.005)
+    model = cfg.noise_model(min(cfg.noise.eps, 0.005))
     theta0 = cfg.scales.theta0
     rng = np.random.default_rng(41)
     worst = 0.0
@@ -359,7 +356,7 @@ def criterion_10_window_nonlinearity(cfg: ExperimentConfig):
             continue
         count += 1
         g = np.linspace(lo, hi, 256)
-        _, d1, d2 = _chain_derivatives(family, om, g, n)
+        _, d1, d2 = chain_derivatives(family, om, g, n)
         if np.any(d1 <= 0):
             worst = math.inf
             continue

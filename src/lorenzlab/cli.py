@@ -144,7 +144,7 @@ def run_simulate(cfg: ExperimentConfig, out_dir: str):
 def run_density(cfg: ExperimentConfig, out_dir: str):
     family = cfg.perturbed_family()
     part = partition_for(family, cfg.partition.n_bins)
-    model = None if cfg.noise.eps == 0.0 else cfg.noise_model(cfg.noise.eps)
+    model = cfg.noise_model(cfg.noise.eps)
     matrix = build_ulam(family, model, part)
     pi, info = stationary_density(matrix)
     bd, binfo = birkhoff_density(

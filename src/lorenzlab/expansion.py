@@ -18,7 +18,7 @@ import numpy as np
 from .errors import CriticalHit, NotDiffeomorphic
 from .maps import MapParams, PerturbedFamily
 from .noise import NoiseModel
-from .orbits import log_scan
+from .orbits import chain_derivatives, log_scan
 from .recurrence import critical_neighborhood, pullback_component
 
 __all__ = [
@@ -275,11 +275,7 @@ def koebe_check(
     def df_grid(interval, n):
         """Df^s on a grid over the interval, and the grid's image under f^s."""
         lo, hi = interval
-        g = np.linspace(lo + 1e-14, hi - 1e-14, n)
-        d1 = np.ones(n)
-        for _ in range(s):
-            d1 = d1 * params.deriv_vec(g)
-            g = params.eval_vec(g)
+        g, d1, _ = chain_derivatives(family, [0.0] * s, np.linspace(lo + 1e-14, hi - 1e-14, n), s)
         return d1, g
 
     result = {"applicable": True}

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import EmptyPullback, NicenessViolated, VerificationFailed
 from .maps import CRITICAL_GUARD, PerturbedFamily
 from .noise import NoiseModel
-from .orbits import _noise_prefix
+from .orbits import _noise_prefix, chain_derivatives
 from .recurrence import (
     PULLBACK_TOL,
     CriticalNeighborhood,
@@ -456,21 +456,6 @@ VERIFY_REASONS = (
 )
 
 
-def _chain_derivatives(family: PerturbedFamily, values, g: np.ndarray, m: int):
-    """m-step chain rule on a grid: returns (points, d1, d2) at step m.
-
-    ``values[j]`` is the noise value of step j, or one value per row of a
-    2-D grid.
-    """
-    d1 = np.ones_like(g)
-    d2 = np.zeros_like(g)
-    for j in range(m):
-        g, s1, s2 = family.jet_vec(values[j], g)
-        d2 = s2 * d1 * d1 + s1 * d2
-        d1 = s1 * d1
-    return g, d1, d2
-
-
 def verify_markov_time(
     family: PerturbedFamily,
     omega_values: np.ndarray,
@@ -516,7 +501,7 @@ def verify_markov_time(
     g = np.linspace(lo, hi, grid_points)
     g[0] += 1e-15
     g[-1] -= 1e-15
-    _, d1, d2 = _chain_derivatives(family, omega_values, g, m)
+    _, d1, d2 = chain_derivatives(family, omega_values, g, m)
     if np.any(d1 <= 0.0) or not np.all(np.isfinite(d1)):
         raise VerificationFailed(
             "composition is not orientation-preserving on the window", "not_orientation_preserving"
@@ -633,7 +618,7 @@ def verify_markov_batch(
     g = np.linspace(lo[r], hi[r], grid_points, axis=1)
     g[:, 0] += 1e-15
     g[:, -1] -= 1e-15
-    _, d1, d2 = _chain_derivatives(family, omega[r].T, g, m)
+    _, d1, d2 = chain_derivatives(family, omega[r].T, g, m)
     with np.errstate(divide="ignore", invalid="ignore"):
         nonlinearity = np.max(np.abs(d2) / d1, axis=1) * (hi[r] - lo[r])
     floor = math.e**2 * (target[1] - target[0]) / base_length
@@ -843,7 +828,6 @@ def inducing_tail_stats(
     hull = estimate_companion_hull(family, model, delta, depth)
     hull_len = hull[1] - hull[0]
     c = params.c
-    log_theta0 = math.log(theta0)
     log_theta = math.log(theta)
     log_len = math.log(nb.length)
     guard = CRITICAL_GUARD
@@ -878,12 +862,9 @@ def inducing_tail_stats(
             dead = d < guard
             if dead.any():
                 critical_hits += int(dead.sum())
-            t = hist[:, s + b]
-            # one noise value per member: eval_vec and deriv_vec take t elementwise
-            df = family.deriv_vec(t, xa)
+            xn, df, _ = family.jet_vec(hist[:, s + b], xa)  # one noise value per member
             log_a[alive] = np.logaddexp(log_a[alive], log_df[alive] - np.log(np.maximum(d, guard)))
             log_df[alive] += np.log(np.maximum(df, 1e-300))
-            xn = family.eval_vec(t, xa)
             x[alive] = xn
             inside = (xn > nb.lo) & (xn < nb.hi)
             # theta-good return bookkeeping (first occurrence)

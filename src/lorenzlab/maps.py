@@ -140,36 +140,6 @@ class MapParams:
         right = self.v * self.ell / (1.0 - self.c) ** self.ell
         return min(left, right), max(left, right)
 
-    # -- vectorised kernels --------------------------------------------------------
-
-    def eval_vec(self, x: np.ndarray) -> np.ndarray:
-        """Vectorised base map; points at c are assigned the left limit u.
-
-        Intended for diagnostic scans where hitting c exactly has measure
-        zero; orbit-level code uses the guarded scalar path.
-        """
-        x = np.asarray(x, dtype=float)
-        out = np.empty_like(x)
-        left = x < self.c
-        z = (self.c - x[left]) / self.c
-        out[left] = self.u * (1.0 - z**self.ell)
-        right = x > self.c
-        z = (x[right] - self.c) / (1.0 - self.c)
-        out[right] = 1.0 - self.v + self.v * z**self.ell
-        out[~(left | right)] = self.u
-        return out
-
-    def deriv_vec(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        out = np.empty_like(x)
-        left = x < self.c
-        z = (self.c - x[left]) / self.c
-        out[left] = self.u * self.ell / self.c * z ** (self.ell - 1.0)
-        right = ~left
-        z = (x[right] - self.c) / (1.0 - self.c)
-        out[right] = self.v * self.ell / (1.0 - self.c) * z ** (self.ell - 1.0)
-        return out
-
 
 #: canonical parameter set used throughout the test-suite and default configs
 CANON = MapParams(c=0.5, ell=2.0, u=0.9, v=0.9)
@@ -243,13 +213,12 @@ class PerturbedFamily:
             np.linspace(1.0 - self.margin, 1.0 - 1e-9, 4096),
         ]
         for grid in grids:
-            df = p.deriv_vec(grid)
-            wd = np.abs(self.taper_d_vec(grid))
+            f, df, _ = self.jet_vec(0.0, grid)
+            w, wd, _ = self._taper_jet(grid)
+            wd = np.abs(wd)
             mask = wd > 0.0
             if mask.any():
                 bounds.append(float(np.min(df[mask] / wd[mask])))
-            w = self.taper_vec(grid)
-            f = p.eval_vec(grid)
             wmask = w > 0.0
             bounds.append(float(np.min(f[wmask] / w[wmask])))
             bounds.append(float(np.min((1.0 - f[wmask]) / w[wmask])))
@@ -283,25 +252,27 @@ class PerturbedFamily:
             return _smoothstep_d2((1.0 - x) / m) / m**2
         return 0.0
 
-    def taper_vec(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        m = self.margin
-        out = np.ones_like(x)
-        lo = x < m
-        out[lo] = _smoothstep(np.clip(x[lo], 0.0, m) / m)
-        hi = x > 1.0 - m
-        out[hi] = _smoothstep(np.clip(1.0 - x[hi], 0.0, m) / m)
-        return out
+    def _taper_jet(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(w, w', w'') on an array.
 
-    def taper_d_vec(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
+        The clips bind only outside (0, 1), so inside it each element gets the
+        bits of taper, taper_d and taper_d2.
+        """
         m = self.margin
-        out = np.zeros_like(x)
-        lo = (x > 0.0) & (x < m)
-        out[lo] = _smoothstep_d(x[lo] / m) / m
-        hi = (x > 1.0 - m) & (x < 1.0)
-        out[hi] = -_smoothstep_d((1.0 - x[hi]) / m) / m
-        return out
+        w = np.ones_like(x)
+        w1 = np.zeros_like(x)
+        w2 = np.zeros_like(x)
+        lo = x < m
+        r = np.clip(x[lo], 0.0, m) / m
+        w[lo] = _smoothstep(r)
+        w1[lo] = _smoothstep_d(r) / m
+        w2[lo] = _smoothstep_d2(r) / m**2
+        hi = x > 1.0 - m
+        r = np.clip(1.0 - x[hi], 0.0, m) / m
+        w[hi] = _smoothstep(r)
+        w1[hi] = -_smoothstep_d(r) / m
+        w2[hi] = _smoothstep_d2(r) / m**2
+        return w, w1, w2
 
     # -- perturbed map ----------------------------------------------------------
 
@@ -415,8 +386,7 @@ class PerturbedFamily:
         fx = np.where(left, p.u * (1.0 - zp), 1.0 - p.v + p.v * zp)
         if isinstance(t, float) and t == 0.0:  # a scalar zero: skip the taper
             return fx
-        # taper_vec's clips never bind inside (0, 1), so it gives taper's bits
-        return np.where(t == 0.0, fx, fx + t * self.taper_vec(x))
+        return np.where(t == 0.0, fx, fx + t * self._taper_jet(x)[0])
 
     def inverse_rows(self, t, y: np.ndarray, left, tol: float) -> np.ndarray:
         """inverse_branch(t, y, side, tol) per element, with NaN where it returns None.
@@ -451,29 +421,17 @@ class PerturbedFamily:
         return x
 
     def eval_vec(self, t, x: np.ndarray) -> np.ndarray:
-        """Vectorised f_t; t may be a scalar or an array matching x."""
-        x = np.asarray(x, dtype=float)
-        out = self.base.eval_vec(x)
-        t = np.asarray(t, dtype=float)
-        if np.any(t != 0.0):
-            out = out + t * self.taper_vec(x)
-        return out
-
-    def deriv_vec(self, t, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        out = self.base.deriv_vec(x)
-        t = np.asarray(t, dtype=float)
-        if np.any(t != 0.0):
-            out = out + t * self.taper_d_vec(x)
-        return out
+        """f_t on an array, as jet_vec computes it."""
+        return self.jet_vec(t, x)[0]
 
     def jet_vec(self, t, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(f_t, Df_t, D2f_t) on an array in one fused pass.
 
-        ``t`` is a scalar, or one noise value per row of a 2-D ``x``; each
-        row then gets the bits a scalar call with its t gives.  Points at c
-        take the right branch.  Off the taper zones w = 1 and w' = w'' = 0,
-        so where no point lies in a zone only the shift by t is added.
+        ``t`` is a scalar, one noise value per element of ``x``, or one per
+        row of a 2-D ``x``; each element or row then gets the bits a scalar
+        call with its t gives.  Points at c take the right branch.  Off the
+        taper zones w = 1 and w' = w'' = 0, so where no point lies in a zone
+        only the shift by t is added.
         """
         x = np.asarray(x, dtype=float)
         p = self.base
@@ -482,35 +440,28 @@ class PerturbedFamily:
         k2 = ell * (ell - 1.0)
         left = x < c
         z = np.where(left, (c - x) / c, (x - c) / one_c)
-        zl = z ** (ell - 1.0)
-        d1 = np.where(left, u * ell / c * zl, v * ell / one_c * zl)
-        zl2 = z ** (ell - 2.0)
-        d2 = np.where(left, -u * k2 / c**2 * zl2, v * k2 / one_c**2 * zl2)
-        fx = np.where(left, u * (1.0 - z**ell), 1.0 - v + v * z**ell)
+        # each derivative is its branch's coefficient times a power of z, formed in
+        # place: fewer array temporaries alive at once on the tail's ensemble scan
+        d1 = np.where(left, u * ell / c, v * ell / one_c)
+        d1 *= z ** (ell - 1.0)
+        d2 = np.where(left, -u * k2 / c**2, v * k2 / one_c**2)
+        d2 *= z ** (ell - 2.0)
+        z **= ell
+        fx = np.where(left, u * (1.0 - z), 1.0 - v + v * z)
         t = np.asarray(t, dtype=float)
-        if t.ndim:
+        if t.ndim == 1 and x.ndim == 2:  # one t per row
             t = t[:, None]
         shift = t != 0.0
         if not shift.any():
             return fx, d1, d2
         m = self.margin
-        lo = (x < m) & shift
-        hi = (x > 1.0 - m) & shift
-        if not (lo.any() or hi.any()):
+        zone = ((x < m) | (x > 1.0 - m)) & shift
+        if not zone.any():
             return np.where(shift, fx + t, fx), d1, d2
-        w = np.ones_like(x)
-        w1 = np.zeros_like(x)
-        w2 = np.zeros_like(x)
-        r = np.clip(x[lo], 0.0, m) / m
-        w[lo] = _smoothstep(r)
-        w1[lo] = _smoothstep_d(r) / m
-        w2[lo] = _smoothstep_d2(r) / m**2
-        r = np.clip(1.0 - x[hi], 0.0, m) / m
-        w[hi] = _smoothstep(r)
-        w1[hi] = -_smoothstep_d(r) / m
-        w2[hi] = _smoothstep_d2(r) / m**2
+        w, w1, w2 = self._taper_jet(x)
         # a scalar call adds the taper terms only when some point is in a zone
-        zone = (lo | hi).any(axis=-1, keepdims=True) if t.ndim else True
+        if t.shape != x.shape:
+            zone = zone.any(axis=-1, keepdims=True) if t.ndim else True
         return (
             np.where(shift, fx + t * w, fx),
             np.where(zone, d1 + t * w1, d1),

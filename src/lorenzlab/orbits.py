@@ -24,7 +24,7 @@ import numpy as np
 from .errors import CriticalHit
 from .maps import CRITICAL_GUARD, PerturbedFamily
 
-__all__ = ["OrbitRecord", "random_orbit", "log_scan"]
+__all__ = ["OrbitRecord", "random_orbit", "chain_derivatives", "log_scan"]
 
 
 @dataclass
@@ -94,6 +94,21 @@ def random_orbit(family: PerturbedFamily, x0: float, omega, n: int) -> OrbitReco
             hit_index=hit,
         )
     return OrbitRecord(x0=x0, omega=omega, points=points, d1=d1, d2=d2, asum=asum)
+
+
+def chain_derivatives(family: PerturbedFamily, values, g: np.ndarray, m: int):
+    """m-step chain rule on a grid: returns (points, d1, d2) at step m.
+
+    ``values[j]`` is the noise value of step j, or one value per row of a
+    2-D grid.
+    """
+    d1 = np.ones_like(g)
+    d2 = np.zeros_like(g)
+    for j in range(m):
+        g, s1, s2 = family.jet_vec(values[j], g)
+        d2 = s2 * d1 * d1 + s1 * d2
+        d1 = s1 * d1
+    return g, d1, d2
 
 
 def log_scan(family: PerturbedFamily, x: float, noise):

@@ -107,11 +107,10 @@ class TestSubcommands:
         assert header == ["orbit", "step", "x", "noise", "d1", "d2", "asum"]
         assert results["n_orbits"] == 3
 
-    def test_density_zero_noise_is_deterministic_mode(self, tmp_path):
+    def test_density_is_randomized_mode(self, tmp_path):
         cfg = _small_config()
-        cfg.noise.eps = 0.0
         outputs, results = cli.run_density(cfg, str(tmp_path))
-        assert results["mode"] == "deterministic"
+        assert results["mode"] == "randomized"
         header = open(outputs[0]).readline().strip().split(",")
         assert header == ["bin_left", "bin_right", "weight"]
         # density csv integrates to one

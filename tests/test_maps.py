@@ -149,6 +149,12 @@ class TestPerturbedFamily:
         # margin factor keeps the range constraint strict
         assert family.eps_max <= 0.9 * min(1.0 - CANON.u, 1.0 - CANON.v) + 1e-12
 
+    @pytest.mark.parametrize("params, pinned", zip(
+        KERNEL_PARAMS, ("0.08999999999999998", "0.11000000602556873", "0.08999999999999998"),
+    ))
+    def test_eps_max_pinned(self, params, pinned):
+        assert repr(PerturbedFamily(params).eps_max) == pinned
+
     def test_noise_out_of_range(self, family):
         with pytest.raises(NoiseOutOfRange):
             family.eval(family.eps_max * 1.5, 0.25)
@@ -215,19 +221,26 @@ class TestStepKernels:
             assert d1[k] == pytest.approx(rec.d1[n], rel=1e-10)
             assert d2[k] == pytest.approx(rec.d2[n], rel=1e-10)
 
-    def test_row_noise_jet_matches_scalar_calls_bit_for_bit(self, params):
-        family = PerturbedFamily(params)
+    @staticmethod
+    def _noise_rows(family):
+        """Rows on the core only, reaching into either taper zone, and at c, with the generator
+        that drew them, for the noise values."""
         m = family.margin
+        c = family.base.c
         rng = np.random.default_rng(11)
-        # rows on the core only, reaching into either taper zone, and at c
         rows = np.array([
             np.linspace(0.2, 0.8, 16),
             np.linspace(0.2 * m, 0.6, 16),
             np.linspace(0.5, 1.0 - 0.3 * m, 16),
-            np.linspace(params.c - 0.01, params.c, 16),
+            np.linspace(c - 0.01, c, 16),
             rng.uniform(0.0, 1.0, 16),
             rng.uniform(0.0, 1.0, 16),
         ])
+        return rows, rng
+
+    def test_row_noise_jet_matches_scalar_calls_bit_for_bit(self, params):
+        family = PerturbedFamily(params)
+        rows, rng = self._noise_rows(family)
         t = rng.uniform(-family.eps_max, family.eps_max, len(rows))
         t[[1, 4]] = 0.0
         batched = family.jet_vec(t, rows)
@@ -235,6 +248,19 @@ class TestStepKernels:
             scalar = family.jet_vec(float(t[k]), rows[k])
             for got, want in zip(batched, scalar):
                 assert got[k].tobytes() == want.tobytes()
+
+    def test_element_noise_jet_matches_scalar_calls_bit_for_bit(self, params):
+        family = PerturbedFamily(params)
+        rows, rng = self._noise_rows(family)
+        x = rows.ravel()
+        t = rng.uniform(-family.eps_max, family.eps_max, len(x))
+        t[::5] = 0.0
+        batched = family.jet_vec(t, x)
+        assert all(got.shape == x.shape for got in batched)
+        for k in range(len(x)):
+            scalar = family.jet_vec(float(t[k]), x[k:k + 1])
+            for got, want in zip(batched, scalar):
+                assert got[k:k + 1].tobytes() == want.tobytes()
 
     @staticmethod
     def _kernel_points(family, n_random=200):
