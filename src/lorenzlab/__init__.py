@@ -13,7 +13,6 @@ from .errors import (
     DeltaOutOfRange,
     EmptyPullback,
     LorenzLabError,
-    NicenessViolated,
     NoConvergence,
     NoiseOutOfRange,
     NotDiffeomorphic,
@@ -24,7 +23,7 @@ from .errors import (
 )
 from .maps import CANON, MapParams, PerturbedFamily, critical_values, schwarzian, summability_stats
 from .noise import NoiseModel, NoiseStream, kernel_regularity_check
-from .orbits import OrbitRecord, log_scan, random_orbit
+from .orbits import OrbitRecord, log_scan, random_orbit, scan_to_landing
 from .transfer import (
     Density,
     Partition,

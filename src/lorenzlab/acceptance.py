@@ -253,7 +253,7 @@ def criterion_08_kernel_regularity(cfg: ExperimentConfig):
                    t0)
 
 
-def _brute_force_scan(family, model, x, om_values, delta, theta, tau, theta0, horizon):
+def _brute_force_scan(family, x, om_values, delta, theta, tau, theta0, horizon):
     """Naive re-derivation of the stopping times from full re-iterations.
 
     It keeps to eval and derivatives rather than PerturbedFamily.step, so that
@@ -315,13 +315,11 @@ def criterion_09_oracle_equivalence(cfg: ExperimentConfig):
             x0 = float(rng.uniform(0.05, 0.95))
             stream = model.stream(stream_base + k)
             om = stream.prefix(horizon)
-            ev = good_return_time(family, model, x0, stream, delta, theta, horizon)
+            ev = good_return_time(family, x0, stream, delta, theta, horizon=horizon)
             cap = good_return_or_expansion_time(
-                family, model, x0, stream, delta, theta, tau, horizon, theta0=theta0,
+                family, x0, stream, delta, theta, tau, horizon=horizon, theta0=theta0,
             )
-            plain_bf, capped_bf = _brute_force_scan(
-                family, model, x0, om, delta, theta, tau, theta0, horizon
-            )
+            plain_bf, capped_bf = _brute_force_scan(family, x0, om, delta, theta, tau, theta0, horizon)
             got_plain = None if ev is None else ev.time
             got_capped = None if cap is None else (cap.kind, cap.time)
             if got_plain != plain_bf or got_capped != capped_bf:
@@ -497,9 +495,8 @@ def criterion_14_nice_set(cfg: ExperimentConfig):
     n_violations = 0
     for k in range(20):
         ns = build_nice_set(
-            family, model, s.delta0, model.stream(4_000_000 + k),
+            family, s.delta0, model.stream(4_000_000 + k),
             depth=cfg.horizons.nice_depth, verify_horizon=cfg.horizons.verify_horizon,
-            raise_on_violation=False,
         )
         if not ns.containment_ok:
             ok = False
@@ -529,7 +526,7 @@ def criterion_15_inducing_tail(cfg: ExperimentConfig):
         family, model, s.delta0,
         n_members=cfg.ensemble.tail_members,
         horizon=cfg.horizons.tail_horizon,
-        theta=s.theta, theta0=s.theta0,
+        theta=s.theta,
         depth=cfg.horizons.nice_depth,
         grid_points=64,
     )

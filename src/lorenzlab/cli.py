@@ -203,11 +203,11 @@ def run_returns(cfg: ExperimentConfig, out_dir: str):
     for k in range(cfg.ensemble.returns_samples):
         x0 = float(rng.uniform(0.05, 0.95))
         stream = model.stream(STREAM_RETURNS + k)
-        land = landing_time(family, model, x0, stream, s.delta, cfg.horizons.return_horizon)
-        ev = good_return_time(family, model, x0, stream, s.delta, s.theta, cfg.horizons.return_horizon)
+        land = landing_time(family, x0, stream, s.delta, horizon=cfg.horizons.return_horizon)
+        ev = good_return_time(family, x0, stream, s.delta, s.theta, horizon=cfg.horizons.return_horizon)
         cap = good_return_or_expansion_time(
-            family, model, x0, stream, s.delta, s.theta, s.tau,
-            cfg.horizons.return_horizon, theta0=s.theta0,
+            family, x0, stream, s.delta, s.theta, s.tau,
+            horizon=cfg.horizons.return_horizon, theta0=s.theta0,
         )
         rows.append(
             (
@@ -240,9 +240,7 @@ def run_depth(cfg: ExperimentConfig, out_dir: str):
     bad_rows = []
     for k in range(cfg.ensemble.depth_traces):
         x0 = float(rng.uniform(0.05, 0.95))
-        trace = depth_trace(
-            family, model, x0, model.stream(STREAM_DEPTH + k), cfg.noise.eps, cfg.horizons.depth_steps
-        )
+        trace = depth_trace(family, x0, model.stream(STREAM_DEPTH + k), cfg.noise.eps, cfg.horizons.depth_steps)
         for j in range(trace.n + 1):
             rows.append((k, j, trace.points[j], trace.q[j], int(trace.in_nbhd[j]), trace.Q(0, j), trace.visits(0, j)))
         for m in (5, 10, 20):
@@ -315,9 +313,8 @@ def run_nice_set(cfg: ExperimentConfig, out_dir: str):
     verify_summary = []
     for k in range(4):
         ns = build_nice_set(
-            family, model, s.delta0, model.stream(STREAM_NICE + k),
+            family, s.delta0, model.stream(STREAM_NICE + k),
             depth=cfg.horizons.nice_depth, verify_horizon=cfg.horizons.verify_horizon,
-            raise_on_violation=False,
         )
         for n, (lo, hi) in enumerate(ns.intervals):
             rows.append((k, n, lo, hi))
@@ -343,7 +340,7 @@ def run_inducing_tail(cfg: ExperimentConfig, out_dir: str):
         family, model, s.delta0,
         n_members=cfg.ensemble.tail_members,
         horizon=cfg.horizons.tail_horizon,
-        theta=s.theta, theta0=s.theta0,
+        theta=s.theta,
         depth=cfg.horizons.nice_depth,
         grid_points=64,
     )

@@ -51,16 +51,6 @@ class EmptyPullback(LorenzLabError):
     """A preimage component vanished while pulling back a chain."""
 
 
-class NicenessViolated(LorenzLabError):
-    """A boundary orbit of a candidate nice set re-entered the family."""
-
-    def __init__(self, step, side, point):
-        self.step = step
-        self.side = side
-        self.point = point
-        super().__init__(f"boundary orbit ({side}) re-entered nice set at step {step} (x={point!r})")
-
-
 class VerificationFailed(LorenzLabError):
     """A candidate Markov inducing time failed direct verification.
 

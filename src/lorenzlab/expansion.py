@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CriticalHit, NotDiffeomorphic
+from .errors import NotDiffeomorphic
 from .maps import MapParams, PerturbedFamily
 from .noise import NoiseModel
-from .orbits import chain_derivatives, log_scan
+from .orbits import chain_derivatives, scan_to_landing
 from .recurrence import critical_neighborhood, pullback_component
 
 __all__ = [
@@ -115,15 +115,10 @@ def mane_estimate(
             if model is not None
             else np.zeros(horizon)
         )
-        try:
-            for n, y, log_df, _ in log_scan(family, x, noise):
-                # positions 0..n-1 avoid the neighborhood; the endpoint is free
-                ns.append(n)
-                logs.append(log_df)
-                if lo < y < hi:
-                    break
-        except CriticalHit:
-            pass
+        # positions 0..n-1 avoid the neighborhood; the endpoint is free
+        for n, _, log_df, _ in scan_to_landing(family, x, noise, lambda y: lo < y < hi):
+            ns.append(n)
+            logs.append(log_df)
     ns = np.asarray(ns, dtype=float)
     logs = np.asarray(logs, dtype=float)
     if len(ns) == 0:
@@ -169,15 +164,10 @@ def expansion_envelope(
         if not 0.0 < x < 1.0 or nb.contains(x):
             continue
         noise = model.stream(STREAM_ENVELOPE + k).prefix(horizon)
-        try:
-            for s, y, log_df, _ in log_scan(family, x, noise):
-                if nb2.contains(y):
-                    ns1.append(s)
-                    logs1.append(log_df)
-                if nb.contains(y):
-                    break
-        except CriticalHit:
-            pass
+        for s, y, log_df, _ in scan_to_landing(family, x, noise, nb.contains):
+            if nb2.contains(y):
+                ns1.append(s)
+                logs1.append(log_df)
 
     ns2, logs2 = [], []
     for k in range(n_starts):
@@ -185,14 +175,9 @@ def expansion_envelope(
         if nb.contains(x):
             continue
         noise = model.stream(STREAM_ENVELOPE + n_starts + k).prefix(horizon)
-        try:
-            for s, y, log_df, _ in log_scan(family, x, noise):
-                ns2.append(s)
-                logs2.append(log_df)
-                if nb.contains(y):
-                    break
-        except CriticalHit:
-            pass
+        for s, _, log_df, _ in scan_to_landing(family, x, noise, nb.contains):
+            ns2.append(s)
+            logs2.append(log_df)
 
     def envelope(ns, logs):
         ns = np.asarray(ns, dtype=float)
@@ -381,13 +366,9 @@ def total_distortion_trend(
             if nb.contains(x):
                 continue
             noise = model.stream(STREAM_DISTORTION + idx * n_starts + k).prefix(horizon)
-            try:
-                for _, y, log_df, log_a in log_scan(family, x, noise):
-                    if nb.contains(y):
-                        ratios.append(math.exp(log_a + math.log(nb.length) - log_df))
-                        break
-            except CriticalHit:
-                pass
+            for _, y, log_df, log_a in scan_to_landing(family, x, noise, nb.contains):
+                if nb.contains(y):
+                    ratios.append(math.exp(log_a + math.log(nb.length) - log_df))
         ratios = np.asarray(ratios)
         rows.append(
             {

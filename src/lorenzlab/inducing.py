@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyPullback, NicenessViolated, VerificationFailed
+from .errors import EmptyPullback, VerificationFailed
 from .maps import CRITICAL_GUARD, PerturbedFamily
 from .noise import NoiseModel
 from .orbits import _noise_prefix, chain_derivatives
@@ -107,13 +107,11 @@ _BISECT_TOL = 1e-12
 
 def build_nice_set(
     family: PerturbedFamily,
-    model: NoiseModel | None,
     delta: float,
     omega,
     depth: int,
     verify_horizon: int = 0,
     grid_points: int = 2048,
-    raise_on_violation: bool = True,
 ) -> NiceSetApprox:
     """Depth-limited nice-set fiber with optional boundary-orbit verification.
 
@@ -127,9 +125,8 @@ def build_nice_set(
     cannot be followed in double precision (round-off is amplified past the
     neighborhood scale after a few dozen steps), so the boundary is refined
     with adaptive-precision survivor tracking before its orbit is checked
-    against the companion fibers.  Verification failures raise
-    NicenessViolated unless ``raise_on_violation`` is false (then they are
-    reported in meta).
+    against the companion fibers.  Verification failures are reported in
+    ``meta["violations"]``; they never raise.
     """
     params = family.base
     nb = critical_neighborhood(params, delta)
@@ -189,9 +186,6 @@ def build_nice_set(
         )
         result.meta["violations"] = violations
         result.meta["boundary_refinement"] = refine_meta
-        if violations and raise_on_violation:
-            v = violations[0]
-            raise NicenessViolated(v["step"], v["side"], v["point"])
     return result
 
 
@@ -634,7 +628,6 @@ def verify_markov_batch(
 
 def markov_inducing_time(
     family: PerturbedFamily,
-    model: NoiseModel,
     x: float,
     omega,
     nice_set: NiceSetApprox,
@@ -671,7 +664,7 @@ def markov_inducing_time(
         if not (nb.lo < y < nb.hi):
             continue
         target = build_nice_set(
-            family, model, nice_set.delta, values[s:], depth, verify_horizon=0, grid_points=512,
+            family, nice_set.delta, values[s:], depth, verify_horizon=0, grid_points=512,
         ).interval
         if not target[0] < y < target[1]:
             continue
@@ -776,7 +769,7 @@ def estimate_companion_hull(
     los, his = [], []
     for j in range(_HULL_SAMPLES):
         ns = build_nice_set(
-            family, model, delta, model.stream(STREAM_HULL + j), depth,
+            family, delta, model.stream(STREAM_HULL + j), depth,
             verify_horizon=0, grid_points=512,
         )
         los.append(ns.boundary_lo)
@@ -800,7 +793,6 @@ def inducing_tail_stats(
     n_members: int,
     horizon: int,
     theta: float,
-    theta0: float = 0.01,
     depth: int = 48,
     verify_subsample: int = 64,
     grid_points: int = 96,
@@ -906,7 +898,7 @@ def inducing_tail_stats(
     for i in sub:
         m = int(times[i])
         om = model.stream(STREAM_TAIL + int(i)).prefix(m + depth + 1)
-        comp = build_nice_set(family, model, delta, om[m:], depth, verify_horizon=0, grid_points=512)
+        comp = build_nice_set(family, delta, om[m:], depth, verify_horizon=0, grid_points=512)
         checked += 1
         if comp.boundary_lo >= hull[0] and comp.boundary_hi <= hull[1]:
             inside_hull += 1
@@ -933,7 +925,6 @@ def inducing_tail_stats(
             "delta": delta,
             "depth": depth,
             "stream_base": STREAM_TAIL,
-            "theta0": theta0,
             "max_verifications": _MAX_VERIFICATIONS,
             # subsample members whose exact fiber lies inside the hull; the
             # rest cannot count as agreeing whatever their verification gives

@@ -238,24 +238,25 @@ class PerturbedFamily:
 
     def taper_d(self, x: float) -> float:
         m = self.margin
-        if 0.0 < x < m:
+        if 0.0 <= x < m:
             return _smoothstep_d(x / m) / m
-        if 1.0 - m < x < 1.0:
+        if 1.0 - m < x <= 1.0:
             return -_smoothstep_d((1.0 - x) / m) / m
         return 0.0
 
     def taper_d2(self, x: float) -> float:
+        """w'' with the one-sided value 6/m**2 at the fixed endpoints 0 and 1."""
         m = self.margin
-        if 0.0 < x < m:
+        if 0.0 <= x < m:
             return _smoothstep_d2(x / m) / m**2
-        if 1.0 - m < x < 1.0:
+        if 1.0 - m < x <= 1.0:
             return _smoothstep_d2((1.0 - x) / m) / m**2
         return 0.0
 
     def _taper_jet(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(w, w', w'') on an array.
 
-        The clips bind only outside (0, 1), so inside it each element gets the
+        The clips bind only outside [0, 1], so on it each element gets the
         bits of taper, taper_d and taper_d2.
         """
         m = self.margin
@@ -473,11 +474,10 @@ def summability_stats(params: MapParams, v: float, n_steps: int) -> dict:
     """Numerical evidence for the summability and large-derivatives conditions.
 
     Follows the deterministic orbit of a critical value ``v`` for ``n_steps``
-    steps and reports the partial sums of sum(1/Df^n(v)), the running minimum
-    of Df^n(v) over the trailing half of the orbit, and a monotone-growth
-    indicator.  This is measurement, not proof.  Once Df^n underflows to 0.0
-    the sum diverges numerically: the partial sums are inf from there on, the
-    increment trend covers the finite ones, and ``ld_flag`` is set.
+    steps and reports Df^n(v), the sum S_N of 1/Df^n(v), the minimum of
+    Df^n(v) over the trailing half of the orbit, and a growth indicator.
+    This is measurement, not proof.  Once Df^n underflows to 0.0 the sum
+    diverges numerically: S_N is inf and ``ld_flag`` is set.
 
     Raises CriticalHit if the orbit lands on the critical point.
     """
@@ -486,29 +486,20 @@ def summability_stats(params: MapParams, v: float, n_steps: int) -> dict:
     x = v
     dfn = 1.0  # Df^0(v)
     partial = 0.0
-    partial_sums = np.empty(n_steps, dtype=float)
     dfn_values = np.empty(n_steps, dtype=float)
     for n in range(n_steps):
         dfn_values[n] = dfn
         partial += 1.0 / dfn if dfn > 0.0 else np.inf
-        partial_sums[n] = partial
         if abs(x - params.c) < CRITICAL_GUARD:
             raise CriticalHit(n, x)
         dfn *= params.deriv(x)
         x = params.eval(x)
     tail_start = n_steps // 2
     tail = dfn_values[tail_start:]
-    increments = np.diff(partial_sums[np.isfinite(partial_sums)])
     return {
-        "partial_sums": partial_sums,
         "dfn": dfn_values,
         "S_N": float(partial),
         "tail_min_dfn": float(tail.min()),
-        "tail_start": tail_start,
         "growing": bool(np.median(tail) > np.median(dfn_values[: max(1, tail_start)])),
-        "increment_trend_decreasing": bool(
-            increments.size < 2 or np.median(increments[increments.size // 2 :])
-            <= np.median(increments[: increments.size // 2])
-        ),
         "ld_flag": bool(tail.min() < 1.0),
     }

@@ -12,6 +12,8 @@ point falls inside the machine guard around c.
 ``log_scan`` walks the same orbit in log space, one step per noise value,
 for the stopping-time and expansion scans: it yields log Df and log A, so
 nothing overflows at long horizons, and raises CriticalHit at the guard.
+``scan_to_landing`` cuts that walk at the first landing in a set and ends
+quietly at the guard.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 from .errors import CriticalHit
 from .maps import CRITICAL_GUARD, PerturbedFamily
 
-__all__ = ["OrbitRecord", "random_orbit", "chain_derivatives", "log_scan"]
+__all__ = ["OrbitRecord", "random_orbit", "chain_derivatives", "log_scan", "scan_to_landing"]
 
 
 @dataclass
@@ -133,6 +135,20 @@ def log_scan(family: PerturbedFamily, x: float, noise):
         log_a = _logaddexp(log_a, log_df - math.log(d))
         log_df += math.log(df)
         yield s, y, log_df, log_a
+
+
+def scan_to_landing(family: PerturbedFamily, x: float, noise, inside):
+    """``log_scan``'s steps up to and including the first whose point satisfies ``inside``.
+
+    A critical hit ends the walk like the end of the noise does, without raising.
+    """
+    try:
+        for step in log_scan(family, x, noise):
+            yield step
+            if inside(step[1]):
+                return
+    except CriticalHit:
+        return
 
 
 _LOG2 = math.log(2.0)

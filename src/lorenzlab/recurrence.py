@@ -140,10 +140,10 @@ class ReturnEvent:
 
 def landing_time(
     family: PerturbedFamily,
-    model,
     x: float,
     omega,
     delta: float,
+    *,
     horizon: int,
 ) -> int | None:
     """First s >= 0 with f_omega^s(x) in B(delta), or None within the horizon."""
@@ -158,11 +158,11 @@ def landing_time(
 
 def good_return_time(
     family: PerturbedFamily,
-    model,
     x: float,
     omega,
     delta: float,
     theta: float,
+    *,
     horizon: int,
 ) -> ReturnEvent | None:
     """First s >= 1 returning to B(delta) with distortion controlled by theta.
@@ -191,12 +191,12 @@ def default_scale_grid(params: MapParams, delta: float):
 
 def good_return_or_expansion_time(
     family: PerturbedFamily,
-    model,
     x: float,
     omega,
     delta: float,
     theta: float,
     tau: float,
+    *,
     horizon: int,
     theta0: float = 0.01,
     scale_grid=None,
@@ -290,7 +290,6 @@ def depth_value(family: PerturbedFamily, eps: float, t: float, x: float) -> int:
 
 def depth_trace(
     family: PerturbedFamily,
-    model,
     x: float,
     omega,
     eps: float,
@@ -330,7 +329,6 @@ class BindingPeriodRecord:
     asum: float  # distortion sum of the deterministic orbit over M steps
     df_after: float  # derivative of the (M+1)-step composition at v
     delta_prime: float
-    min_cv_clearance: float  # min over j < M of d_*(f^j(v), c) relative to L*delta
 
     def verify(self, params: MapParams) -> bool:
         """Re-check the three defining inequalities from scratch."""
@@ -404,10 +402,6 @@ def binding_period(params: MapParams, v: float, delta: float, horizon: int) -> B
         dprime = max(d_star(params, xM), delta)
         df_after = dfns[M] * params.deriv(xM)
         if df_after >= (dprime / delta) ** (1.0 - zeta):
-            clearance = min(
-                abs(orbit[j] - params.c) / max(nbL.left_radius, nbL.right_radius)
-                for j in range(M)
-            )
             return BindingPeriodRecord(
                 v=v,
                 delta=delta,
@@ -418,7 +412,6 @@ def binding_period(params: MapParams, v: float, delta: float, horizon: int) -> B
                 asum=asums[M],
                 df_after=df_after,
                 delta_prime=dprime,
-                min_cv_clearance=clearance,
             )
     return None
 

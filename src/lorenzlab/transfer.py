@@ -366,7 +366,6 @@ def stability_sweep(
                     "residual": info["residual"],
                     "iterations": info["iterations"],
                     "error": "",
-                    "density": zeta_eps,
                 }
             )
         except NoConvergence as exc:
@@ -378,7 +377,6 @@ def stability_sweep(
                     "residual": exc.residual,
                     "iterations": exc.iterations,
                     "error": "no convergence",
-                    "density": None,
                 }
             )
     return rows, zeta0, det_info

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import pathlib
@@ -20,12 +21,60 @@ def test_every_export_resolves(name):
     assert missing == []
 
 
-def test_benchmark_tracer_installs():
-    """The benchmark's tracer wraps library names; each must still exist."""
+def _load_benchmark_tracer():
     path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_benchmark_tracer_installs():
+    """The benchmark's tracer wraps library names; each must still exist."""
+    tracer = _load_benchmark_tracer()
     before = dict(vars(lorenzlab.maps.PerturbedFamily))
     tracer.Tracer("test").install().uninstall()
     assert dict(vars(lorenzlab.maps.PerturbedFamily)) == before
+
+
+def test_benchmark_tracer_counts_scan_steps():
+    """The tracer reads ``horizon`` of a stopping scan that runs out by keyword."""
+    tracer = _load_benchmark_tracer().Tracer("test").install()
+    try:
+        family = lorenzlab.maps.PerturbedFamily(lorenzlab.maps.CANON)
+        stream = lorenzlab.noise.NoiseModel(eps=0.005, seed=7).stream(3)
+        rec = lorenzlab.recurrence
+        rec.landing_time(family, 0.25, stream, 0.009, horizon=3)
+        rec.good_return_time(family, 0.25, stream, 0.009, 2.0, horizon=3)
+        rec.good_return_or_expansion_time(family, 0.25, stream, 0.009, 2.0, 1.0, horizon=3)
+    finally:
+        tracer.uninstall()
+    assert tracer.counters["recurrence.scan.calls"] == 3
+    assert tracer.counters["recurrence.scan.steps"] > 0
+
+
+def _unread_parameters(path):
+    """(line, function, parameter) for each parameter its function never reads."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = node.args
+        params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg) if p is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {
+            n.id for stmt in body for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        for name in params:
+            if name not in ("self", "cls") and name not in read:
+                yield node.lineno, getattr(node, "name", "<lambda>"), name
+
+
+def test_no_unread_parameters():
+    """Every function and lambda in the package reads each of its parameters."""
+    unread = [
+        f"{path.name}:{line} {func}({name})"
+        for path in sorted(pathlib.Path(lorenzlab.__file__).parent.glob("*.py"))
+        for line, func, name in _unread_parameters(path)
+    ]
+    assert unread == []

@@ -34,7 +34,7 @@ def nice(nmodel):
     from lorenzlab.maps import PerturbedFamily
 
     family = PerturbedFamily(CANON)
-    return build_nice_set(family, nmodel, DELTA0, nmodel.stream(4_000_000), depth=48)
+    return build_nice_set(family, DELTA0, nmodel.stream(4_000_000), depth=48)
 
 
 class TestNiceSet:
@@ -67,8 +67,7 @@ class TestNiceSet:
 
     def test_short_verification_horizon_passes(self, family, nmodel):
         ns = build_nice_set(
-            family, nmodel, DELTA0, nmodel.stream(4_000_123), depth=48,
-            verify_horizon=60, raise_on_violation=True,
+            family, DELTA0, nmodel.stream(4_000_123), depth=48, verify_horizon=60,
         )
         assert ns.meta["violations"] == []
         ref = ns.meta["boundary_refinement"]
@@ -127,8 +126,7 @@ def _refinements(monkeypatch, family, model, stream, depth, horizon):
 
     def build():
         return build_nice_set(
-            family, model, DELTA0, model.stream(stream), depth=depth,
-            verify_horizon=horizon, raise_on_violation=False,
+            family, DELTA0, model.stream(stream), depth=depth, verify_horizon=horizon,
         )
 
     triples = _scans_beside_oracles(monkeypatch)
@@ -169,7 +167,7 @@ class TestBoundaryScan:
     def test_scan_steps_count_every_scan(self, monkeypatch, family, nmodel):
         triples = _scans_beside_oracles(monkeypatch)
         ns = build_nice_set(
-            family, nmodel, DELTA0, nmodel.stream(4_000_001), depth=48, verify_horizon=60,
+            family, DELTA0, nmodel.stream(4_000_001), depth=48, verify_horizon=60,
         )
         ref = ns.meta["boundary_refinement"]
         assert len(triples) == ref["lo"]["orbits_used"] + ref["hi"]["orbits_used"]
@@ -216,7 +214,7 @@ class TestBoundaryScan:
         family = PerturbedFamily(MapParams(c=0.55, ell=2.5, u=0.9, v=0.88))
         model = NoiseModel(eps=0.001, seed=42)
         ns = build_nice_set(
-            family, model, 5e-4, model.stream(4_000_000), depth=24, verify_horizon=60,
+            family, 5e-4, model.stream(4_000_000), depth=24, verify_horizon=60,
         )
         assert len(calls) == 2  # one per side
         assert ns.meta["violations"] == []
@@ -233,7 +231,7 @@ class TestMarkovInducing:
 
     def test_returned_time_carries_passing_report(self, family, nmodel, nice):
         res = markov_inducing_time(
-            family, nmodel, 0.51, nmodel.stream(4_000_000), nice, theta=0.001, horizon=2000
+            family, 0.51, nmodel.stream(4_000_000), nice, theta=0.001, horizon=2000
         )
         assert res is not None
         m, report = res
@@ -245,13 +243,13 @@ class TestMarkovInducing:
     def test_theta_above_cap_rejected(self, family, nmodel, nice):
         with pytest.raises(ValueError):
             markov_inducing_time(
-                family, nmodel, 0.51, nmodel.stream(0), nice, theta=0.5, horizon=100
+                family, 0.51, nmodel.stream(0), nice, theta=0.5, horizon=100
             )
 
     def test_point_outside_fiber_rejected(self, family, nmodel, nice):
         with pytest.raises(ValueError):
             markov_inducing_time(
-                family, nmodel, 0.2, nmodel.stream(0), nice, theta=0.001, horizon=100
+                family, 0.2, nmodel.stream(0), nice, theta=0.001, horizon=100
             )
 
     def test_never_exceeds_good_return_time(self, family, nmodel, nice):
@@ -263,8 +261,8 @@ class TestMarkovInducing:
             x = 0.5 + 0.012 * (1 + (k % 3))
             if not nice.contains(x):
                 continue
-            res = markov_inducing_time(family, nmodel, x, stream, nice, theta=theta, horizon=1500)
-            ev = good_return_time(family, nmodel, x, stream, DELTA0, theta, 1500)
+            res = markov_inducing_time(family, x, stream, nice, theta=theta, horizon=1500)
+            ev = good_return_time(family, x, stream, DELTA0, theta, horizon=1500)
             checked += 1
             if res is not None and ev is not None:
                 both += 1
@@ -273,7 +271,7 @@ class TestMarkovInducing:
 
     def test_nonlinearity_grid_convergence(self, family, nmodel, nice):
         res = markov_inducing_time(
-            family, nmodel, 0.51, nmodel.stream(4_000_000), nice, theta=0.001,
+            family, 0.51, nmodel.stream(4_000_000), nice, theta=0.001,
             horizon=2000, grid_points=128,
         )
         m, coarse = res

@@ -203,6 +203,14 @@ class TestStepKernels:
                 expected = (family.eval(t, x), params.deriv(x) + t * family.taper_d(x))
                 assert family.step(t, x) == expected
 
+    def test_jet_matches_scalar_calls_at_fixed_endpoints(self, params):
+        family = PerturbedFamily(params)
+        for t in (0.0, family.eps_max / 2.0, -family.eps_max):
+            for x in (0.0, 1.0):
+                scalar = np.array([family.eval(t, x), *family.derivatives(t, x)])
+                jet = np.concatenate(family.jet_vec(t, np.array([x])))
+                assert scalar.tobytes() == jet.tobytes()
+
     def test_chained_jet_matches_random_orbit(self, params):
         family = PerturbedFamily(params)
         m = family.margin

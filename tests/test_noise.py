@@ -3,7 +3,7 @@ import pytest
 from scipy import stats as sps
 
 from lorenzlab.maps import CANON
-from lorenzlab.noise import NoiseModel, exact_uniform_kernel_mass, kernel_regularity_check
+from lorenzlab.noise import NoiseModel, kernel_regularity_check
 
 
 class TestSampling:
@@ -126,22 +126,6 @@ class TestStreamWindow:
 
 
 class TestKernel:
-    def test_core_kernel_exact_formula(self, family):
-        m = NoiseModel(eps=0.01, seed=3)
-        x = 0.3
-        fx = CANON.eval(x)
-        a, b = fx - 0.004, fx + 0.002
-        exact = exact_uniform_kernel_mass(family, m, x, a, b)
-        assert exact == pytest.approx(0.006 / 0.02, rel=1e-12)
-        draws = m.stream(0).prefix(200_000)
-        emp = np.mean((family.eval_vec(draws, np.full(len(draws), x)) > a)
-                      & (family.eval_vec(draws, np.full(len(draws), x)) < b))
-        assert emp == pytest.approx(exact, abs=5e-3)
-
-    def test_kernel_mass_is_one(self, family):
-        m = NoiseModel(eps=0.01, seed=3)
-        assert exact_uniform_kernel_mass(family, m, 0.3, 0.0, 1.0) == pytest.approx(1.0)
-
     def test_wide_sets_trivially_bounded(self):
         # |A| >= 2 eps makes the regularity bound at least 1 >= any probability
         L = 2.0

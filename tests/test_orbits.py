@@ -141,11 +141,11 @@ def test_stopping_times_match_brute_force(params):
     for k in range(20):
         x = float(rng.uniform(0.05, 0.95))
         om = model.stream(7_300_000 + k).prefix(horizon)
-        ev = good_return_time(family, model, x, om, delta, theta, horizon)
+        ev = good_return_time(family, x, om, delta, theta, horizon=horizon)
         cap = good_return_or_expansion_time(
-            family, model, x, om, delta, theta, tau, horizon, theta0=theta0,
+            family, x, om, delta, theta, tau, horizon=horizon, theta0=theta0,
         )
-        plain, capped = _brute_force_scan(family, model, x, om, delta, theta, tau, theta0, horizon)
+        plain, capped = _brute_force_scan(family, x, om, delta, theta, tau, theta0, horizon)
         assert (None if ev is None else ev.time) == plain
         assert (None if cap is None else (cap.kind, cap.time)) == capped
         kinds.add(None if cap is None else cap.kind)

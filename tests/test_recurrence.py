@@ -86,11 +86,11 @@ class TestCriticalNeighborhood:
 
 class TestStoppingTimes:
     def test_landing_inside_is_zero(self, family, model):
-        assert landing_time(family, model, 0.46, model.stream(3), 0.009, 50) == 0
+        assert landing_time(family, 0.46, model.stream(3), 0.009, horizon=50) == 0
 
     def test_landing_matches_naive_scan(self, family, model):
         stream = model.stream(3)
-        got = landing_time(family, model, 0.25, stream, 0.009, 500)
+        got = landing_time(family, 0.25, stream, 0.009, horizon=500)
         nb = critical_neighborhood(CANON, 0.009)
         y = 0.25
         om = stream.prefix(500)
@@ -103,10 +103,10 @@ class TestStoppingTimes:
         assert got == naive
 
     def test_horizon_exceeded_returns_none(self, family, model):
-        assert landing_time(family, model, 0.25, model.stream(3), 0.009, 3) is None
+        assert landing_time(family, 0.25, model.stream(3), 0.009, horizon=3) is None
 
     def test_good_return_event_contract(self, family, model):
-        ev = good_return_time(family, model, 0.25, model.stream(3), 0.009, 2.0, 500)
+        ev = good_return_time(family, 0.25, model.stream(3), 0.009, 2.0, horizon=500)
         assert ev is not None
         assert ev.inequality_holds()
         nb = critical_neighborhood(CANON, 0.009)
@@ -115,7 +115,7 @@ class TestStoppingTimes:
     def test_event_witnesses_match_orbit_record(self, family, model):
         from lorenzlab.orbits import random_orbit
 
-        ev = good_return_time(family, model, 0.25, model.stream(3), 0.009, 2.0, 500)
+        ev = good_return_time(family, 0.25, model.stream(3), 0.009, 2.0, horizon=500)
         rec = random_orbit(family, 0.25, model.stream(3), ev.time)
         assert math.log(rec.d1[ev.time]) == pytest.approx(ev.log_df, rel=1e-10)
         assert math.log(rec.asum[ev.time]) == pytest.approx(ev.log_asum, rel=1e-10)
@@ -129,15 +129,15 @@ class TestStoppingTimes:
             nb = critical_neighborhood(CANON, 0.009)
             if nb.contains(x):
                 continue
-            land = landing_time(family, model, x, stream, 0.009, 400)
-            ev = good_return_time(family, model, x, stream, 0.009, 1000.0, 400)
+            land = landing_time(family, x, stream, 0.009, horizon=400)
+            ev = good_return_time(family, x, stream, 0.009, 1000.0, horizon=400)
             got = None if ev is None else ev.time
             assert got == land
 
     def test_capped_time_tau_scale_kind(self, family, model):
         # enormous tau makes the expansion clause unreachable; tiny tau trips it
         ev = good_return_or_expansion_time(
-            family, model, 0.25, model.stream(3), 0.009, 2.0, 1e-9, 500
+            family, 0.25, model.stream(3), 0.009, 2.0, 1e-9, horizon=500
         )
         assert ev is not None and ev.kind == "tau_scale"
         assert ev.inequality_holds(theta0=0.01)
@@ -148,10 +148,10 @@ class TestStoppingTimes:
         for k in range(20):
             stream = model.stream(300 + k)
             a = good_return_or_expansion_time(
-                family, model, 0.25, stream, 0.009, 2.0, 1.0, 400, scale_grid=coarse
+                family, 0.25, stream, 0.009, 2.0, 1.0, horizon=400, scale_grid=coarse
             )
             b = good_return_or_expansion_time(
-                family, model, 0.25, stream, 0.009, 2.0, 1.0, 400, scale_grid=fine
+                family, 0.25, stream, 0.009, 2.0, 1.0, horizon=400, scale_grid=fine
             )
             ta = math.inf if a is None else a.time
             tb = math.inf if b is None else b.time
@@ -186,7 +186,7 @@ class TestDepthTrace:
             assert lhs >= rhs * (1.0 - 1e-9)
 
     def test_visit_counter_matches_recount(self, family, model):
-        trace = depth_trace(family, model, 0.31, model.stream(5), 0.01, 300)
+        trace = depth_trace(family, 0.31, model.stream(5), 0.01, 300)
         nb = critical_neighborhood(CANON, 0.01)
         recount = sum(1 for x in trace.points if nb.contains(float(x)))
         assert trace.visits(0, trace.n) == recount
@@ -194,12 +194,12 @@ class TestDepthTrace:
     @settings(max_examples=30, deadline=None)
     @given(k=st.integers(min_value=0, max_value=199))
     def test_additivity_of_counters(self, family, model, k):
-        trace = depth_trace(family, model, 0.31, model.stream(5), 0.01, 200)
+        trace = depth_trace(family, 0.31, model.stream(5), 0.01, 200)
         assert trace.Q(0, 200) == trace.Q(0, k) + trace.Q(k + 1, 200)
         assert trace.visits(0, 200) == trace.visits(0, k) + trace.visits(k + 1, 200)
 
     def test_bad_membership_flags_approximation(self, family, model):
-        trace = depth_trace(family, model, 0.31, model.stream(5), 0.01, 200)
+        trace = depth_trace(family, 0.31, model.stream(5), 0.01, 200)
         report = trace.bad_membership(5, 3.0)
         assert report["approximate"] is True
         assert report["horizon"] == 200
