@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -194,6 +195,22 @@ def run_stability_sweep(cfg: ExperimentConfig, out_dir: str):
     return [p1, p2], results
 
 
+def _good_and_capped_returns(family, x0, stream, delta, theta, tau, theta0, horizon):
+    """(good_return_time, good_return_or_expansion_time) of one sample, in one walk where it settles both."""
+    cap = good_return_or_expansion_time(
+        family, x0, stream, delta, theta, tau, horizon=horizon, theta0=theta0,
+    )
+    # The capped scan's first rung is delta itself, tested with good_return_time's neighbourhood, log
+    # length and walk values, so it stops at or before the theta-good return at delta.  When it runs
+    # out, or stops theta-good at delta, that is the return; only a stop at a coarser scale or a
+    # tau-scale stop leaves the return to a walk of its own.
+    if cap is None:
+        return None, None
+    if cap.kind == "theta_good" and cap.delta == delta:
+        return dataclasses.replace(cap, tau=None), cap
+    return good_return_time(family, x0, stream, delta, theta, horizon=horizon), cap
+
+
 def run_returns(cfg: ExperimentConfig, out_dir: str):
     family = cfg.perturbed_family()
     model = cfg.noise_model(cfg.noise.eps)
@@ -204,10 +221,8 @@ def run_returns(cfg: ExperimentConfig, out_dir: str):
         x0 = float(rng.uniform(0.05, 0.95))
         stream = model.stream(STREAM_RETURNS + k)
         land = landing_time(family, x0, stream, s.delta, horizon=cfg.horizons.return_horizon)
-        ev = good_return_time(family, x0, stream, s.delta, s.theta, horizon=cfg.horizons.return_horizon)
-        cap = good_return_or_expansion_time(
-            family, x0, stream, s.delta, s.theta, s.tau,
-            horizon=cfg.horizons.return_horizon, theta0=s.theta0,
+        ev, cap = _good_and_capped_returns(
+            family, x0, stream, s.delta, s.theta, s.tau, s.theta0, cfg.horizons.return_horizon
         )
         rows.append(
             (

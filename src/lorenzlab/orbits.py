@@ -113,27 +113,68 @@ def chain_derivatives(family: PerturbedFamily, values, g: np.ndarray, m: int):
     return g, d1, d2
 
 
+_LOG2 = math.log(2.0)
+
+
 def log_scan(family: PerturbedFamily, x: float, noise):
-    """Walk the random orbit of x in log space, one step per noise value.
+    """Walk the random orbit of x in log space, one step per value of the 1-D float sequence noise.
 
     Yields ``(s, y, log_df, log_a)`` after step s = 1, 2, ..., where
     y = f_omega^s(x), log_df = log Df_omega^s(x) and log_a = log A(x, omega, s).
     Raises ``CriticalHit(s - 1, y)`` when the point about to be mapped is
-    within CRITICAL_GUARD of c.  Scalar on purpose: numpy's array log and power
+    within CRITICAL_GUARD of c, and NoiseOutOfRange at a noise value beyond
+    ``family.eps_max``.  Scalar on purpose: numpy's array log and power
     differ from libm in the last bit for some inputs, so a member-vectorised
     scan would change the saved ``log_df`` and ``log_asum`` values.
     """
-    c = family.base.c
-    step = family.step
+    p = family.base
+    c, ell, u, v = p.c, p.ell, p.u, p.v
+    one_c = 1.0 - c
+    one_v = 1.0 - v
+    ell1 = ell - 1.0
+    # step evaluates u * ell / c and v * ell / (1 - c) left to right before the power
+    k_left = u * ell / c
+    k_right = v * ell / one_c
+    m = family.margin
+    core_hi = 1.0 - m
+    taper, taper_d = family.taper, family.taper_d
+    t_max = family.eps_max + 1e-15
     guard = CRITICAL_GUARD
+    log, log1p, exp = math.log, math.log1p, math.exp
     y, log_df, log_a = x, 0.0, -math.inf
-    for s, t in enumerate(noise, 1):
-        d = abs(y - c)
+    # Each step is family.step(t, y) and np.logaddexp's formula written out with their exact
+    # expressions: about 650 ns a step, against 1000 for the same loop calling family.step and a
+    # logaddexp function (x86-64, CPython 3.11; tests/test_orbits.py keeps that loop as the bit-exact
+    # oracle).  Noise is read as Python floats through a memoryview of the prefix.
+    for s, t in enumerate(memoryview(np.asarray(noise, dtype=float)), 1):
+        d = c - y if y < c else y - c  # abs(y - c): c - y is exactly -(y - c)
         if d < guard:
             raise CriticalHit(s - 1, y)
-        y, df = step(float(t), y)
-        log_a = _logaddexp(log_a, log_df - math.log(d))
-        log_df += math.log(df)
+        if t > t_max or t < -t_max:
+            family._check_noise(t)
+        if y < c:
+            z = d / c
+            fy = u * (1.0 - z**ell)
+            df = k_left * z**ell1
+        else:
+            z = d / one_c
+            fy = one_v + v * z**ell
+            df = k_right * z**ell1
+        if t != 0.0:
+            if m <= y <= core_hi:  # taper core: w = 1 and w' = 0
+                fy += t
+            else:
+                fy += t * taper(y)
+                df += t * taper_d(y)
+        b = log_df - log(d)
+        if log_a == b:
+            log_a += _LOG2
+        elif log_a > b:
+            log_a += log1p(exp(b - log_a))
+        else:
+            log_a = b + log1p(exp(log_a - b))
+        log_df += log(df)
+        y = fy
         yield s, y, log_df, log_a
 
 
@@ -149,18 +190,6 @@ def scan_to_landing(family: PerturbedFamily, x: float, noise, inside):
                 return
     except CriticalHit:
         return
-
-
-_LOG2 = math.log(2.0)
-
-
-def _logaddexp(a: float, b: float) -> float:
-    """log(e^a + e^b) by np.logaddexp's formula, without numpy's per-call cost on scalars."""
-    if a == b:
-        return a + _LOG2
-    if a > b:
-        return a + math.log1p(math.exp(b - a))
-    return b + math.log1p(math.exp(a - b))
 
 
 def _noise_prefix(omega, n: int) -> np.ndarray:

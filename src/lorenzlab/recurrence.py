@@ -57,6 +57,13 @@ class CriticalNeighborhood:
     delta: float
     left_radius: float
     right_radius: float
+    #: the open ends c - left_radius and c + right_radius, fixed at construction
+    lo: float = field(init=False, compare=False)
+    hi: float = field(init=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "lo", self.params.c - self.left_radius)
+        object.__setattr__(self, "hi", self.params.c + self.right_radius)
 
     @property
     def length(self) -> float:
@@ -66,14 +73,6 @@ class CriticalNeighborhood:
     def expansion_scale(self) -> float:
         """delta / |B(delta)|, comparable to delta**(1 - 1/ell)."""
         return self.delta / self.length
-
-    @property
-    def lo(self) -> float:
-        return self.params.c - self.left_radius
-
-    @property
-    def hi(self) -> float:
-        return self.params.c + self.right_radius
 
     def contains(self, x: float) -> bool:
         return self.lo < x < self.hi and x != self.params.c
@@ -150,8 +149,9 @@ def landing_time(
     nb = critical_neighborhood(family.base, delta)
     if nb.contains(x):
         return 0
+    lo, hi, c = nb.lo, nb.hi, family.base.c
     for s, y, _, _ in log_scan(family, x, _noise_prefix(omega, horizon)):
-        if nb.contains(y):
+        if lo < y < hi and y != c:
             return s
     return None
 
@@ -172,8 +172,9 @@ def good_return_time(
     """
     nb = critical_neighborhood(family.base, delta)
     log_theta, log_len = math.log(theta), math.log(nb.length)
+    lo, hi, c = nb.lo, nb.hi, family.base.c
     for s, y, log_df, log_a in log_scan(family, x, _noise_prefix(omega, horizon)):
-        if nb.contains(y) and log_theta + log_df >= log_a + log_len:
+        if lo < y < hi and y != c and log_theta + log_df >= log_a + log_len:
             return ReturnEvent("theta_good", s, delta, theta, None, log_df, log_a, nb.length)
     return None
 
@@ -212,13 +213,14 @@ def good_return_or_expansion_time(
     if scale_grid is None:
         scale_grid = default_scale_grid(params, delta)
     nbs = [critical_neighborhood(params, d) for d in scale_grid]
-    log_lens = [math.log(nb.length) for nb in nbs]
+    rungs = [(nb.lo, nb.hi, math.log(nb.length), nb) for nb in nbs]
+    c = params.c
     log_theta = math.log(theta)
     log_tau_rhs = 1.0 + math.log(tau)  # log(e * tau)
     log_theta0 = math.log(theta0)
     for s, y, log_df, log_a in log_scan(family, x, _noise_prefix(omega, horizon)):
-        for nb, log_len in zip(nbs, log_lens):
-            if nb.contains(y) and log_theta + log_df >= log_a + log_len:
+        for lo, hi, log_len, nb in rungs:
+            if lo < y < hi and y != c and log_theta + log_df >= log_a + log_len:
                 return ReturnEvent("theta_good", s, nb.delta, theta, tau, log_df, log_a, nb.length)
         if log_theta0 + log_df >= log_tau_rhs + log_a:
             return ReturnEvent("tau_scale", s, None, theta, tau, log_df, log_a, None)

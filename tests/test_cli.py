@@ -9,6 +9,9 @@ import pytest
 from lorenzlab import cli
 from lorenzlab.config import ExperimentConfig, config_hash, load_config
 from lorenzlab.errors import ConfigInvalid
+from lorenzlab.maps import CANON, MapParams, PerturbedFamily
+from lorenzlab.noise import NoiseModel
+from lorenzlab.recurrence import good_return_or_expansion_time, good_return_time, landing_time
 
 
 def _small_config(tmp_path=None):
@@ -27,6 +30,75 @@ def _small_config(tmp_path=None):
     cfg.horizons.envelope_horizon = 200
     cfg.horizons.mane_horizon = 50
     return cfg
+
+
+def _capped_outcome(cap, delta):
+    if cap is None:
+        return "none"
+    if cap.kind == "tau_scale":
+        return "tau_scale"
+    return "theta_good_at_delta" if cap.delta == delta else "theta_good_coarser"
+
+
+class TestReturnsFromOneWalk:
+    def test_good_return_equals_its_own_scan(self):
+        """The theta-good return read off the capped scan equals good_return_time's event."""
+        rng = np.random.default_rng(15)
+        families = [PerturbedFamily(p) for p in (CANON, MapParams(c=0.4, ell=3.0, u=0.85, v=0.8))]
+        model = NoiseModel(eps=0.005, seed=3)
+        outcomes = {}
+        for k in range(600):
+            family = families[k % 2]
+            x = float(rng.uniform(0.05, 0.95))
+            stream = model.stream(k)
+            theta = float(rng.choice([0.5, 2.0, 1e3, 1e6]))
+            tau = float(rng.choice([0.05, 1.0, 20.0, 1e3]))
+            theta0 = float(rng.choice([0.01, 0.1, 0.5]))
+            delta = float(rng.choice([0.001, 0.004, 0.009, 0.02]))
+            horizon = int(rng.choice([20, 200, 1000]))
+            got = cli._good_and_capped_returns(family, x, stream, delta, theta, tau, theta0, horizon)
+            ev = good_return_time(family, x, stream, delta, theta, horizon=horizon)
+            cap = good_return_or_expansion_time(
+                family, x, stream, delta, theta, tau, horizon=horizon, theta0=theta0,
+            )
+            assert got == (ev, cap)
+            outcome = _capped_outcome(got[1], delta)
+            outcomes[outcome] = outcomes.get(outcome, 0) + 1
+        assert set(outcomes) == {"none", "theta_good_at_delta", "theta_good_coarser", "tau_scale"}, outcomes
+
+    @pytest.mark.parametrize("scales", [{}, {"tau": 0.05, "theta0": 0.5, "theta": 2.0}])
+    def test_returns_csv_matches_three_scans(self, tmp_path, scales):
+        """run_returns writes the bytes of one landing, one theta-good and one capped scan per sample."""
+        cfg = _small_config()
+        cfg.ensemble.returns_samples = 30
+        for name, value in scales.items():
+            setattr(cfg.scales, name, value)
+        (path,), _ = cli.run_returns(cfg, str(tmp_path))
+        family = cfg.perturbed_family()
+        model = cfg.noise_model(cfg.noise.eps)
+        s, horizon = cfg.scales, cfg.horizons.return_horizon
+        rng = np.random.default_rng(cfg.noise.seed)
+        rows = []
+        for k in range(cfg.ensemble.returns_samples):
+            x0 = float(rng.uniform(0.05, 0.95))
+            stream = model.stream(cli.STREAM_RETURNS + k)
+            land = landing_time(family, x0, stream, s.delta, horizon=horizon)
+            ev = good_return_time(family, x0, stream, s.delta, s.theta, horizon=horizon)
+            cap = good_return_or_expansion_time(
+                family, x0, stream, s.delta, s.theta, s.tau, horizon=horizon, theta0=s.theta0,
+            )
+            rows.append((
+                k, x0, -1 if land is None else land,
+                -1 if ev is None else ev.time, "" if ev is None else ev.kind,
+                -1 if cap is None else cap.time, "" if cap is None else cap.kind,
+                float("nan") if cap is None else cap.log_df, float("nan") if cap is None else cap.log_asum,
+            ))
+        ref = cli._write_csv(
+            str(tmp_path / "reference.csv"),
+            ["sample", "x0", "landing", "good_time", "good_kind", "capped_time", "capped_kind", "log_df", "log_asum"],
+            rows,
+        )
+        assert open(path, "rb").read() == open(ref, "rb").read()
 
 
 class TestConfig:

@@ -53,6 +53,20 @@ def test_benchmark_tracer_counts_scan_steps():
     assert tracer.counters["recurrence.scan.steps"] > 0
 
 
+def test_benchmark_tracer_counts_returns_scans(tmp_path):
+    """``lorenzlab returns`` runs at least two traced stopping scans per sample, and they take steps."""
+    cfg = lorenzlab.config.ExperimentConfig()
+    cfg.ensemble.returns_samples = 3
+    cfg.horizons.return_horizon = 300
+    tracer = _load_benchmark_tracer().Tracer("test").install()
+    try:
+        lorenzlab.cli.run_returns(cfg, str(tmp_path))
+    finally:
+        tracer.uninstall()
+    assert tracer.counters["recurrence.scan.calls"] >= 2 * 3
+    assert tracer.counters["recurrence.scan.steps"] > 0
+
+
 def _unread_parameters(path):
     """(line, function, parameter) for each parameter its function never reads."""
     for node in ast.walk(ast.parse(path.read_text())):

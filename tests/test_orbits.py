@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lorenzlab.acceptance import _brute_force_scan
-from lorenzlab.errors import CriticalHit
-from lorenzlab.maps import CANON, MapParams, PerturbedFamily
+from lorenzlab.errors import CriticalHit, NoiseOutOfRange
+from lorenzlab.maps import CANON, CRITICAL_GUARD, MapParams, PerturbedFamily
 from lorenzlab.noise import NoiseModel
-from lorenzlab.orbits import _logaddexp, log_scan, random_orbit
+from lorenzlab.orbits import log_scan, random_orbit
 from lorenzlab.recurrence import good_return_or_expansion_time, good_return_time
 
 OTHER_PARAMS = [
@@ -79,6 +79,43 @@ class TestRandomOrbit:
         assert np.array_equal(full.points[n:], tail.points)
 
 
+_LOG2 = math.log(2.0)
+
+
+def _logaddexp(a: float, b: float) -> float:
+    """log(e^a + e^b) by np.logaddexp's formula."""
+    if a == b:
+        return a + _LOG2
+    if a > b:
+        return a + math.log1p(math.exp(b - a))
+    return b + math.log1p(math.exp(a - b))
+
+
+def _reference_log_scan(family, x, noise):
+    """log_scan's walk through family.step and _logaddexp: the oracle of its inline step."""
+    c = family.base.c
+    y, log_df, log_a = x, 0.0, -math.inf
+    for s, t in enumerate(noise, 1):
+        d = abs(y - c)
+        if d < CRITICAL_GUARD:
+            raise CriticalHit(s - 1, y)
+        y, df = family.step(float(t), y)
+        log_a = _logaddexp(log_a, log_df - math.log(d))
+        log_df += math.log(df)
+        yield s, y, log_df, log_a
+
+
+def _walk(scan):
+    """(rows with every float as its hex bits, the raised error as (type, step, message) or None)."""
+    rows = []
+    try:
+        for s, y, log_df, log_a in scan:
+            rows.append((s, y.hex(), log_df.hex(), log_a.hex()))
+    except (CriticalHit, NoiseOutOfRange) as exc:
+        return rows, (type(exc), getattr(exc, "step", None), str(exc))
+    return rows, None
+
+
 class TestLogScan:
     @pytest.fixture(params=[CANON, *OTHER_PARAMS], ids=["canon", "c04_ell3", "c055_ell25"])
     def scan_family(self, request):
@@ -114,6 +151,61 @@ class TestLogScan:
         assert err.value.step == 1
         assert err.value.point == rows[0][1]
         assert random_orbit(scan_family, x, np.zeros(5), 5).hit_index == 1
+
+    def test_inline_step_matches_family_step_bit_for_bit(self, scan_family):
+        """Every yielded (s, y, log_df, log_a) equals the family.step walk's bits."""
+        family = scan_family
+        m, eps_max = family.margin, family.eps_max
+        rng = np.random.default_rng(2026)
+        stream_model = NoiseModel(eps=0.005, seed=11)
+        for k in range(500):
+            n = int(rng.integers(1, 80))
+            if k % 4 == 0:  # starts in the taper zones, endpoints included
+                x = float(rng.choice([0.0, 1.0, rng.uniform(0.0, m), rng.uniform(1.0 - m, 1.0)]))
+            else:
+                x = float(rng.uniform(0.0, 1.0))
+            kind = k % 5
+            if kind == 0:
+                noise = np.zeros(n)
+            elif kind == 1:
+                noise = rng.uniform(-eps_max, eps_max, n).tolist()  # a Python list near the bound
+            elif kind == 2:
+                noise = stream_model.stream(k).prefix(n)
+                assert not noise.flags.writeable
+            elif kind == 3:
+                noise = rng.uniform(-eps_max, eps_max, n)
+                noise[rng.random(n) < 0.3] = 0.0
+                noise[rng.random(n) < 0.1] = -0.0
+            else:
+                noise = rng.uniform(-eps_max, eps_max, 2 * n)[::2]  # a strided view
+            assert _walk(log_scan(family, x, noise)) == _walk(_reference_log_scan(family, x, noise))
+
+    def test_errors_raise_at_the_reference_step(self, scan_family):
+        """CriticalHit and NoiseOutOfRange come at the same step, with the same step index and message."""
+        family = scan_family
+        c, eps_max = family.base.c, family.eps_max
+        onto_c = family.inverse_branch(0.0, c, "left")  # maps to within the guard of c in one step
+        bad = 2.0 * eps_max
+        rng = np.random.default_rng(7)
+        cases = [
+            (c + 1e-15, np.zeros(5)),  # starts within the guard
+            (onto_c, np.zeros(5)),  # hits at step 1
+            (onto_c, [0.0, bad, 0.0]),  # hits before the bad noise value is read
+            (0.3, [0.0, 0.0, bad, 0.0]),  # bad noise at step 3
+            (0.3, [-bad]),
+            (0.3, [eps_max + 2e-15]),
+            (0.3, [eps_max + 1e-15]),  # at the tolerance: accepted
+        ]
+        for j in range(40):
+            noise = rng.uniform(-eps_max, eps_max, 30)
+            noise[int(rng.integers(0, 30))] = float(rng.choice([bad, -bad]))
+            cases.append((float(rng.uniform(0.05, 0.95)), noise))
+        errors = set()
+        for x, noise in cases:
+            got = _walk(log_scan(family, x, noise))
+            assert got == _walk(_reference_log_scan(family, x, noise))
+            errors.add(None if got[1] is None else got[1][0])
+        assert errors == {None, CriticalHit, NoiseOutOfRange}
 
     def test_logaddexp_matches_numpy_bit_for_bit(self):
         rng = np.random.default_rng(2024)

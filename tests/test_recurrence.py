@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+from lorenzlab.config import ExperimentConfig
 from lorenzlab.errors import DeltaOutOfRange, EmptyPullback
 from lorenzlab.maps import CANON, MapParams, PerturbedFamily
 from lorenzlab.recurrence import (
+    DELTA_STAR,
     backward_contraction_check,
     binding_constants,
     binding_period,
@@ -59,6 +61,28 @@ class TestCriticalNeighborhood:
         big = critical_neighborhood(CANON, 0.01)
         small = critical_neighborhood(CANON, 0.004)
         assert big.lo < small.lo < small.hi < big.hi
+
+    @pytest.mark.parametrize("params", [CANON, MapParams(c=0.4, ell=3.0, u=0.85, v=0.8)], ids=["canon", "c04_ell3"])
+    def test_stored_ends_are_the_computed_floats(self, params):
+        """lo and hi, fixed at construction, are c - left_radius and c + right_radius over the CLI's scales."""
+        cfg = ExperimentConfig()
+        s = cfg.scales
+        _, L, _ = binding_constants(params)
+        deltas = [
+            *default_scale_grid(params, s.delta),  # returns
+            *default_scale_grid(params, s.delta0),
+            s.delta0, 2.0 * s.delta0,  # nice set and inducing
+            *cfg.noise.eps_ladder, *(2.0 * e for e in cfg.noise.eps_ladder),  # expansion and depth
+            0.01, 0.005, 0.0025,  # bc-check
+            *(L * d for d in s.binding_delta_ladder),  # binding
+            DELTA_STAR,
+        ]
+        for delta in deltas:
+            nb = critical_neighborhood(params, delta)
+            assert nb.lo.hex() == (params.c - nb.left_radius).hex()
+            assert nb.hi.hex() == (params.c + nb.right_radius).hex()
+            assert nb.interval() == (nb.lo, nb.hi)
+            assert nb == critical_neighborhood(params, delta)
 
     def test_delta_out_of_range(self):
         with pytest.raises(DeltaOutOfRange):
