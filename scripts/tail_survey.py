@@ -17,7 +17,7 @@ if __name__ == "__main__":
         model = NoiseModel(eps=delta0 / 2.0, seed=20240901)
         stats = inducing_tail_stats(
             family, model, delta0, n_members=10_000, horizon=4096,
-            theta=0.001, grid_points=64,
+            theta=0.001,
         )
         fit = stats.loglog_slope()
         finite = stats.times[stats.times > 0]

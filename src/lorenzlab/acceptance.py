@@ -528,7 +528,6 @@ def criterion_15_inducing_tail(cfg: ExperimentConfig):
         horizon=cfg.horizons.tail_horizon,
         theta=s.theta,
         depth=cfg.horizons.nice_depth,
-        grid_points=64,
     )
     ms, surv = stats.survival()
     nonincreasing = bool(np.all(np.diff(surv) <= 1e-12))

@@ -357,7 +357,6 @@ def run_inducing_tail(cfg: ExperimentConfig, out_dir: str):
         horizon=cfg.horizons.tail_horizon,
         theta=s.theta,
         depth=cfg.horizons.nice_depth,
-        grid_points=64,
     )
     ms, surv = stats.survival()
     path = _write_csv(

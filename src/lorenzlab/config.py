@@ -10,13 +10,13 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigInvalid, CriticalHit
 from .maps import MapParams, PerturbedFamily, summability_stats
 from .noise import NoiseModel
-from .recurrence import DELTA_STAR
+from .inducing import markov_theta_cap
+from .recurrence import DELTA_STAR, scale_cap
 
 __all__ = ["ExperimentConfig", "load_config", "config_hash"]
 
@@ -152,10 +152,10 @@ class ExperimentConfig:
             problems.append("partition.n_bins: must be at least 16")
         s = self.scales
         if params is not None:
-            scale_cap = min(params.u - (1.0 - params.v), params.u, params.v)
+            cap = scale_cap(params)
             for name, val in (("delta", s.delta), ("delta0", s.delta0)):
-                if not 0.0 < val < scale_cap:
-                    problems.append(f"scales.{name}: {val} outside (0, {scale_cap:.4g})")
+                if not 0.0 < val < cap:
+                    problems.append(f"scales.{name}: {val} outside (0, {cap:.4g})")
             for label, v in (("c1-", params.c1_minus), ("c1+", params.c1_plus)):
                 try:
                     summable = not summability_stats(params, v, 400)["ld_flag"]
@@ -167,8 +167,7 @@ class ExperimentConfig:
                         "(its 400-step orbit hits c, or Df^n drops below 1 on the orbit's second half)"
                     )
         if self.map.ell > 1.0:
-            kappa = 2.0 ** (1.0 / self.map.ell)
-            cap = min(s.theta0 / (4.0 * kappa), 1.0 / (kappa**2 * math.e**3))
+            cap = markov_theta_cap(self.map.ell, s.theta0)
             if not 0.0 < s.theta < cap:
                 problems.append(f"scales.theta: {s.theta} outside the inducing cap (0, {cap:.4g})")
         for rung in s.binding_delta_ladder:

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import EmptyPullback, VerificationFailed
 from .maps import CRITICAL_GUARD, PerturbedFamily
 from .noise import NoiseModel
-from .orbits import _noise_prefix, chain_derivatives
+from .orbits import _noise_prefix, chain_derivatives, scan_to_landing
 from .recurrence import (
     PULLBACK_TOL,
     CriticalNeighborhood,
@@ -91,14 +91,12 @@ def _first_hit_times(family, nb: CriticalNeighborhood, points: np.ndarray, noise
 
 def _point_escapes(family, nb, x: float, noise: np.ndarray, depth: int) -> bool:
     """True when the orbit of x stays out of the hat neighborhood for depth steps."""
-    y = x
-    for i in range(depth):
-        if abs(y - family.base.c) < CRITICAL_GUARD:
+    lo, hi = nb.lo, nb.hi
+    steps = 0
+    for steps, y, _, _ in scan_to_landing(family, x, noise[:depth], lambda y: lo < y < hi):
+        if lo < y < hi:
             return False
-        y = family.eval(float(noise[i]), y)
-        if nb.lo < y < nb.hi:
-            return False
-    return True
+    return steps == depth  # a shorter walk came within the critical guard
 
 
 # width at which the bisection for a fiber boundary stops
@@ -417,9 +415,9 @@ def _verify_niceness_mp(family, nb, nb2, nice, noise, companion_depth, horizon):
     return violations, refine_meta
 
 
-def markov_theta_cap(family: PerturbedFamily, theta0: float) -> float:
-    """Distortion cap under which a good return yields a Markov inducing time."""
-    kappa = 2.0 ** (1.0 / family.base.ell)
+def markov_theta_cap(ell: float, theta0: float) -> float:
+    """Distortion cap under which a good return yields a Markov inducing time, for critical order ell."""
+    kappa = 2.0 ** (1.0 / ell)
     return min(theta0 / (4.0 * kappa), 1.0 / (kappa**2 * math.e**3))
 
 
@@ -646,7 +644,7 @@ def markov_inducing_time(
     returned time is at most it.  ``theta`` must respect the cap tied to
     the window constant theta0.
     """
-    cap = markov_theta_cap(family, theta0)
+    cap = markov_theta_cap(family.base.ell, theta0)
     if not 0.0 < theta < cap:
         raise ValueError(f"theta={theta} outside (0, {cap:.4g})")
     if not nice_set.contains(x):
@@ -695,7 +693,6 @@ class TailStats:
     theta: float
     theta_good_times: np.ndarray
     hull: tuple[float, float]
-    base_length: float
     verified_subsample: dict
     meta: dict = field(default_factory=dict)
 
@@ -785,6 +782,9 @@ _TAIL_BLOCK = 64
 # verification attempts per tail member
 _MAX_VERIFICATIONS = 16
 
+# grid points of each tail verification's nonlinearity and floor checks
+_TAIL_GRID = 64
+
 
 def inducing_tail_stats(
     family: PerturbedFamily,
@@ -795,7 +795,6 @@ def inducing_tail_stats(
     theta: float,
     depth: int = 48,
     verify_subsample: int = 64,
-    grid_points: int = 96,
 ) -> TailStats:
     """Verified inducing-time tail over an ensemble started in B(delta).
 
@@ -818,10 +817,12 @@ def inducing_tail_stats(
     params = family.base
     nb = critical_neighborhood(params, delta)
     hull = estimate_companion_hull(family, model, delta, depth)
-    hull_len = hull[1] - hull[0]
     c = params.c
     log_theta = math.log(theta)
     log_len = math.log(nb.length)
+    # x0 lies in the pullback window, so Df at x0 bounds inf Df from
+    # above: candidates below the derivative floor must fail.
+    log_floor = 2.0 + math.log((hull[1] - hull[0]) / nb.length)
     guard = CRITICAL_GUARD
 
     # STREAM_TAIL is also member 0's noise stream: x0[k] and omega_0[k] are one uniform draw
@@ -830,59 +831,55 @@ def inducing_tail_stats(
 
     times = np.full(n_members, -1, dtype=np.int64)
     h_times = np.full(n_members, -1, dtype=np.int64)
-    n_attempts = np.zeros(n_members, dtype=np.int64)
     failures = np.zeros(len(VERIFY_REASONS), dtype=np.int64)
     critical_hits = 0
 
+    # row k of every state array belongs to member alive[k]; hist holds its draws so far
+    alive = np.arange(n_members)
     x = x0.copy()
     log_df = np.zeros(n_members)
     log_a = np.full(n_members, -np.inf)
-    alive = np.arange(n_members)
-    hist = np.empty((n_members, 0))  # row k: the draws so far of member alive[k]
+    attempts = np.zeros(n_members, dtype=np.int64)
+    hist = np.empty((n_members, 0))
 
     s = 0
     while s < horizon and len(alive):
         block = min(_TAIL_BLOCK, horizon - s)
-        fresh = np.empty((len(alive), block))
+        # widen in one copy: a name left on the narrow array would hold it past every compaction
+        hist = np.pad(hist, ((0, 0), (0, block)))
         for row, i in enumerate(alive):
-            fresh[row] = model.stream(STREAM_TAIL + i).shift(s).prefix(block)
-        hist = np.concatenate([hist, fresh], axis=1)
+            hist[row, s:] = model.stream(STREAM_TAIL + i).shift(s).prefix(block)
         for b in range(block):
             s_cur = s + b + 1
-            xa = x[alive]
-            d = np.abs(xa - c)
-            dead = d < guard
-            if dead.any():
-                critical_hits += int(dead.sum())
-            xn, df, _ = family.jet_vec(hist[:, s + b], xa)  # one noise value per member
-            log_a[alive] = np.logaddexp(log_a[alive], log_df[alive] - np.log(np.maximum(d, guard)))
-            log_df[alive] += np.log(np.maximum(df, 1e-300))
-            x[alive] = xn
-            inside = (xn > nb.lo) & (xn < nb.hi)
+            d = np.abs(x - c)
+            leave = d < guard  # rows that leave at this step: critical hits, then acceptances
+            critical_hits += int(np.count_nonzero(leave))
+            x, df, _ = family.jet_vec(hist[:, s + b], x)  # one noise value per member
+            log_a = np.logaddexp(log_a, log_df - np.log(np.maximum(d, guard)))
+            log_df += np.log(np.maximum(df, 1e-300))
+            inside = (x > nb.lo) & (x < nb.hi)
             # theta-good return bookkeeping (first occurrence)
-            goodmask = inside & (log_theta + log_df[alive] >= log_a[alive] + log_len)
-            fresh = goodmask & (h_times[alive] < 0)
-            h_times[alive[fresh]] = s_cur
-            verified = np.zeros(len(alive), dtype=bool)
-            # x0 lies in the pullback window, so Df at x0 bounds inf Df from
-            # above: candidates below the derivative floor must fail.
-            floor_ok = log_df[alive] >= 2.0 + math.log(hull_len / nb.length)
-            cand_rows = np.nonzero(inside & ~dead & floor_ok)[0]
-            cand_rows = cand_rows[n_attempts[alive[cand_rows]] < _MAX_VERIFICATIONS]
-            if len(cand_rows):
-                members = alive[cand_rows]
-                n_attempts[members] += 1
+            good = inside & (log_theta + log_df >= log_a + log_len)
+            if good.any():
+                members = alive[good]
+                h_times[members[h_times[members] < 0]] = s_cur
+            cand = np.nonzero(inside & ~leave & (log_df >= log_floor))[0]
+            cand = cand[attempts[cand] < _MAX_VERIFICATIONS]
+            if len(cand):
+                attempts[cand] += 1
                 codes = verify_markov_batch(
-                    family, hist[cand_rows, :s_cur], x0[members], hull, nb.length,
-                    grid_points=grid_points,
+                    family, hist[cand, :s_cur], x0[alive[cand]], hull, nb.length,
+                    grid_points=_TAIL_GRID,
                 )
                 ok = codes < 0
-                times[members[ok]] = s_cur
-                verified[cand_rows[ok]] = True
+                times[alive[cand[ok]]] = s_cur
+                leave[cand[ok]] = True
                 failures += np.bincount(codes[~ok], minlength=len(VERIFY_REASONS))
-            keep = ~(verified | dead)
-            alive = alive[keep]
-            hist = hist[keep]
+            if leave.any():
+                keep = ~leave
+                alive, x, log_df, log_a, attempts, hist = (
+                    a[keep] for a in (alive, x, log_df, log_a, attempts, hist)
+                )
         s += block
 
     censored = int(np.sum(times < 0))
@@ -905,7 +902,7 @@ def inducing_tail_stats(
             try:
                 verify_markov_time(
                     family, om, float(x0[int(i)]), m, comp.interval, nb.length,
-                    grid_points=grid_points,
+                    grid_points=_TAIL_GRID,
                 )
                 agree += 1
             except VerificationFailed:
@@ -919,19 +916,15 @@ def inducing_tail_stats(
         theta=theta,
         theta_good_times=h_times,
         hull=hull,
-        base_length=nb.length,
         verified_subsample={"checked": checked, "agree": agree},
         meta={
-            "delta": delta,
-            "depth": depth,
-            "stream_base": STREAM_TAIL,
-            "max_verifications": _MAX_VERIFICATIONS,
             # subsample members whose exact fiber lies inside the hull; the
             # rest cannot count as agreeing whatever their verification gives
             "inside_hull": inside_hull,
             "verify": {
-                "attempts": int(n_attempts.sum()),
-                "accepted": int(np.sum(times > 0)),
+                # every attempt is accepted once or fails with one reason
+                "attempts": len(accepted) + int(failures.sum()),
+                "accepted": len(accepted),
                 "failures": dict(zip(VERIFY_REASONS, failures.tolist())),
             },
         },

@@ -22,6 +22,7 @@ from .maps import CRITICAL_GUARD, MapParams, PerturbedFamily, summability_stats
 from .orbits import _noise_prefix, log_scan
 
 __all__ = [
+    "scale_cap",
     "CriticalNeighborhood",
     "critical_neighborhood",
     "d_star",
@@ -82,14 +83,18 @@ class CriticalNeighborhood:
         return self.lo, self.hi
 
 
+def scale_cap(params: MapParams) -> float:
+    """min(u - (1 - v), u, v): below it the two defining bands of B(delta) stay inside the branch images."""
+    return min(params.u - (1.0 - params.v), params.u, params.v)
+
+
 def critical_neighborhood(params: MapParams, delta: float) -> CriticalNeighborhood:
     """Closed-form critical neighborhood at scale delta.
 
     Radii are c*(delta/u)**(1/ell) on the left and (1-c)*(delta/v)**(1/ell)
-    on the right.  Scales must satisfy 0 < delta < min(u - (1 - v), u, v) so
-    the two defining bands stay inside the branch images.
+    on the right.  Scales must satisfy 0 < delta < scale_cap(params).
     """
-    cap = min(params.u - (1.0 - params.v), params.u, params.v)
+    cap = scale_cap(params)
     if not 0.0 < delta < cap:
         raise DeltaOutOfRange(f"delta={delta} outside (0, {cap})")
     inv_ell = 1.0 / params.ell
@@ -119,14 +124,6 @@ class ReturnEvent:
     log_df: float
     log_asum: float
     nbhd_length: float | None
-
-    @property
-    def df(self) -> float:
-        return math.exp(self.log_df)
-
-    @property
-    def asum(self) -> float:
-        return math.exp(self.log_asum)
 
     def inequality_holds(self, theta0: float | None = None) -> bool:
         """Re-evaluate the defining inequality from the stored witnesses."""
@@ -181,7 +178,7 @@ def good_return_time(
 
 def default_scale_grid(params: MapParams, delta: float):
     """Geometric grid {delta * e^k} up to DELTA_STAR (capped at admissible scales)."""
-    cap = min(DELTA_STAR, 0.999 * min(params.u - (1.0 - params.v), params.u, params.v))
+    cap = min(DELTA_STAR, 0.999 * scale_cap(params))
     grid = []
     d = delta
     while d <= cap * (1.0 + 1e-12):
@@ -281,13 +278,17 @@ class DepthTrace:
         }
 
 
-def depth_value(family: PerturbedFamily, eps: float, t: float, x: float) -> int:
-    """Depth q of a single skew-product state (x with next noise t)."""
-    _, df = family.step(t, x)
-    prod = df * abs(x - family.base.c)
+def _depth(eps: float, df: float, d: float) -> int:
+    """Smallest q >= 0 with df * d >= e^{-q} * eps."""
+    prod = df * d
     if prod >= eps:
         return 0
     return max(0, math.ceil(math.log(eps / prod)))
+
+
+def depth_value(family: PerturbedFamily, eps: float, t: float, x: float) -> int:
+    """Depth q of a single skew-product state (x with next noise t)."""
+    return _depth(eps, family.step(t, x)[1], abs(x - family.base.c))
 
 
 def depth_trace(
@@ -311,10 +312,10 @@ def depth_trace(
         if abs(y - c) < CRITICAL_GUARD:
             raise CriticalHit(j, y)
         points[j] = y
-        q[j] = depth_value(family, eps, float(values[j]), y)
         flags[j] = nb.contains(y)
-        if j < n:
-            y = family.eval(float(values[j]), y)
+        y_next, df = family.step(float(values[j]), y)  # the bits of family.eval(t, y)
+        q[j] = _depth(eps, df, abs(y - c))
+        y = y_next
     return DepthTrace(eps=eps, points=points, q=q, in_nbhd=flags)
 
 

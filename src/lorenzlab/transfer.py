@@ -144,8 +144,6 @@ class UlamMatrix:
     partition: Partition
     matrix: np.ndarray
     mode: str  # "deterministic" | "randomized" | "custom"
-    eps: float | None = None
-    quad_nodes: int | None = None
 
     def __post_init__(self):
         P = np.asarray(self.matrix, dtype=float)
@@ -216,7 +214,7 @@ def build_ulam(
         D *= w
         P += D
     P /= P.sum(axis=1, keepdims=True)
-    return UlamMatrix(partition, P, mode="randomized", eps=model.eps, quad_nodes=quad_nodes)
+    return UlamMatrix(partition, P, mode="randomized")
 
 
 def stationary_density(

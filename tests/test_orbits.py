@@ -116,6 +116,38 @@ def _walk(scan):
     return rows, None
 
 
+def _tied_start(family):
+    """(x, t) whose first two distortion terms, log(1/d0) and log(Df_t(x)/d1), are one double.
+
+    For t on a grid, bisects x on CANON's left branch for the sign change of the
+    terms' difference, then steps through the neighbouring doubles until they are equal.
+    log A + log 2 lies above 2, where doubles are four ulps of log 2 apart, so many ties
+    round it to the same double whether log 2 or its next double is added: the search
+    skips those, and the walk pins the constant's last bit.
+    """
+    c = family.base.c
+
+    def terms(x, t):
+        y, df = family.step(t, x)
+        return 0.0 - math.log(abs(x - c)), math.log(df) - math.log(abs(y - c))
+
+    for k in range(40):
+        t = k * family.eps_max / 40
+        lo, hi = 0.17, 0.49  # the difference falls from +inf where f_t(x) = c to -inf at x = c
+        while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+            b1, b2 = terms(mid, t)
+            lo, hi = (mid, hi) if b2 > b1 else (lo, mid)
+        x = lo
+        for _ in range(8):
+            x = math.nextafter(x, 0.0)
+        for _ in range(17):
+            b1, b2 = terms(x, t)
+            if b1 == b2 and b1 + _LOG2 != b1 + math.nextafter(_LOG2, math.inf):
+                return x, t
+            x = math.nextafter(x, 1.0)
+    raise AssertionError("no start with equal distortion terms on the grid")
+
+
 class TestLogScan:
     @pytest.fixture(params=[CANON, *OTHER_PARAMS], ids=["canon", "c04_ell3", "c055_ell25"])
     def scan_family(self, request):
@@ -206,6 +238,15 @@ class TestLogScan:
             assert got == _walk(_reference_log_scan(family, x, noise))
             errors.add(None if got[1] is None else got[1][0])
         assert errors == {None, CriticalHit, NoiseOutOfRange}
+
+    def test_equal_distortion_terms_add_log2(self, family):
+        """When the new distortion term equals log A, the walk takes the log A + log 2 branch."""
+        x, t = _tied_start(family)
+        noise = [t, 0.0]
+        rows, err = _walk(log_scan(family, x, noise))
+        assert (rows, err) == _walk(_reference_log_scan(family, x, noise))
+        log_a1, log_a2 = (float.fromhex(r[3]) for r in rows)
+        assert log_a2 == log_a1 + _LOG2
 
     def test_logaddexp_matches_numpy_bit_for_bit(self):
         rng = np.random.default_rng(2024)
