@@ -9,6 +9,9 @@
 #
 # Prints one line per check and exits 0 only when every check passes.  Logs,
 # bytecode and Hypothesis' example database go under .perfbench-work/check/.
+# Two closing "info" lines give the net lines the working tree changes in src/
+# and tests/ against HEAD (staged new files count, untracked ones do not); they
+# never fail the run.
 set -u
 root="$(cd "$(dirname "$0")/.." && pwd)"
 work="$root/.perfbench-work/check"
@@ -44,5 +47,10 @@ for seed in 20240901 17; do
         tail -n 1 "$log.out" | grep -q '"correct": true'
         report $? "$workload at seed $seed" "$log.err"
     done
+done
+for dir in src tests; do
+    if numstat=$(git diff --numstat HEAD -- "$dir" 2>/dev/null); then
+        echo "info  $dir/ lines against HEAD: $(echo "$numstat" | awk '{a += $1; d += $2} END {printf "+%d -%d, net %+d", a, d, a - d}')"
+    fi
 done
 exit "$failed"

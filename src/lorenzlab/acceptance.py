@@ -21,6 +21,7 @@ from .maps import MapParams, schwarzian
 from .noise import NoiseModel, kernel_regularity_check
 from .orbits import chain_derivatives, random_orbit
 from .recurrence import (
+    BC_R,
     backward_contraction_check,
     binding_period,
     critical_neighborhood,
@@ -231,10 +232,7 @@ def criterion_07_stability_trend(cfg: ExperimentConfig):
     t0 = time.time()
     family = cfg.perturbed_family()
     part = partition_for(family, cfg.partition.n_bins)
-    rows, _, _ = stability_sweep(
-        family, cfg.noise.eps_ladder, part,
-        noise_kind=cfg.noise.kind, seed=cfg.noise.seed,
-    )
+    rows, _, _ = stability_sweep(family, cfg.noise.eps_ladder, part, noise_kind=cfg.noise.kind)
     dists = [r["l1"] for r in rows]
     ok = all(np.isfinite(dists)) and all(b <= a * 1.1 for a, b in zip(dists, dists[1:]))
     pretty = ", ".join(f"{r['eps']:g}:{r['l1']:.4f}" for r in rows)
@@ -440,18 +438,18 @@ def criterion_13_backward_contraction(cfg: ExperimentConfig):
     s_max = 60
     reps = [
         backward_contraction_check(
-            params, r=2.0, delta_ladder=[delta], s_max=s_max,
+            params, delta_ladder=[delta], s_max=s_max,
             sample_budget=cfg.ensemble.bc_budget // 8, seed=cfg.noise.seed,
         )
         for delta in ladder
     ]
     fired = backward_contraction_check(
-        NONLD, r=2.0, delta_ladder=[0.01], s_max=10, sample_budget=400, seed=cfg.noise.seed,
+        NONLD, delta_ladder=[0.01], s_max=10, sample_budget=400, seed=cfg.noise.seed,
     )
     per_rung = {f"{d:.2e}": len(rep["violations"]) for d, rep in zip(ladder, reps) if rep["violations"]}
     unverified = 0
     for delta, rep in zip(ladder, reps):
-        target = critical_neighborhood(params, 2.0 * delta).interval()
+        target = critical_neighborhood(params, BC_R * delta).interval()
         for v in rep["violations"]:
             unverified += not _maps_onto_target(params, v, target, tol=1e-6 * delta)
     # every violation lies above the onset by construction

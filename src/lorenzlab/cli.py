@@ -177,7 +177,6 @@ def run_stability_sweep(cfg: ExperimentConfig, out_dir: str):
         cfg.noise.eps_ladder,
         part,
         noise_kind=cfg.noise.kind,
-        seed=cfg.noise.seed,
     )
     p1 = _write_csv(
         os.path.join(out_dir, "stability_sweep.csv"),
@@ -303,7 +302,7 @@ def run_bc_check(cfg: ExperimentConfig, out_dir: str):
     params = cfg.map_params()
     ladder = [0.01, 0.005, 0.0025]
     rep = backward_contraction_check(
-        params, r=2.0, delta_ladder=ladder, s_max=cfg.horizons.bc_smax,
+        params, delta_ladder=ladder, s_max=cfg.horizons.bc_smax,
         sample_budget=cfg.ensemble.bc_budget, seed=cfg.noise.seed,
     )
     path = _write_csv(
@@ -481,8 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON config file", default=None)
     parser.add_argument("--seed", type=int, default=None, help="override noise.seed")
     parser.add_argument("--out", default=None, help="output directory (default from config)")
-    parser.add_argument("--eps", type=float, default=None, help="override noise.eps")
-    parser.add_argument("--bins", type=int, default=None, help="override partition.n_bins")
     parser.add_argument(
         "--set",
         action="append",
@@ -504,10 +501,6 @@ def main(argv=None) -> int:
         overrides[key] = value
     if args.seed is not None:
         overrides["noise.seed"] = args.seed
-    if args.eps is not None:
-        overrides["noise.eps"] = args.eps
-    if args.bins is not None:
-        overrides["partition.n_bins"] = args.bins
     if args.out is not None:
         overrides["output.out_dir"] = args.out
     try:

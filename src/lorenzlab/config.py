@@ -179,6 +179,13 @@ class ExperimentConfig:
             problems.append("scales.tau: must be positive")
         if not 0.0 < s.theta0 < 1.0:
             problems.append("scales.theta0: must lie in (0, 1)")
+        # every size and horizon is a count of at least one; burn_in and verify_horizon may be 0 (none)
+        for section in ("ensemble", "horizons"):
+            values = getattr(self, section)
+            for f in dataclasses.fields(values):
+                floor = 0 if f.name in ("burn_in", "verify_horizon") else 1
+                if getattr(values, f.name) < floor:
+                    problems.append(f"{section}.{f.name}: must be at least {floor}")
         e = self.ensemble
         if e.burn_in >= e.birkhoff_steps:
             problems.append("ensemble.burn_in: must be smaller than birkhoff_steps")

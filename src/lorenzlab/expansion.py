@@ -11,7 +11,7 @@ at desk horizons are intrinsically noisy and are reported, never asserted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,8 +41,14 @@ _ENVELOPE_RATES = 33
 #: Koebe grid size; the bounds are checked on it and on twice as many points
 _KOEBE_GRID = 256
 
+#: Koebe space constant: J is the pullback of the target shrunk by 1/(1 + 2 tau)
+_KOEBE_TAU = 1.0
+
 #: largest pullback depth of a random Koebe branch
 _KOEBE_S_MAX = 15
+
+#: reference window length of the Mañé envelope fit
+_MANE_N_REF = 20
 
 
 @dataclass
@@ -61,7 +67,6 @@ class ExpansionReport:
     rate: float  # log lambda (deterministic) or eta (random)
     log_intercept: float
     n_ref: int
-    meta: dict = field(default_factory=dict)
 
     @property
     def lam(self) -> float:
@@ -93,7 +98,6 @@ def mane_estimate(
     exclude: tuple[float, float],
     n_starts: int = 400,
     horizon: int = 200,
-    n_ref: int = 20,
     seed: int = 0,
 ) -> ExpansionReport:
     """Uniform-expansion fit for orbit segments avoiding a neighborhood of c.
@@ -123,7 +127,7 @@ def mane_estimate(
     logs = np.asarray(logs, dtype=float)
     if len(ns) == 0:
         raise ValueError("no avoiding segments collected; neighborhood too large")
-    rate, intercept, n_eff = _fit_envelope(ns, logs, n_ref)
+    rate, intercept, n_eff = _fit_envelope(ns, logs, _MANE_N_REF)
     return ExpansionReport(
         mode="random" if model is not None else "deterministic",
         samples_n=ns,
@@ -131,7 +135,6 @@ def mane_estimate(
         rate=rate,
         log_intercept=intercept,
         n_ref=n_eff,
-        meta={"exclude": exclude, "n_starts": n_starts, "horizon": horizon},
     )
 
 
@@ -217,30 +220,27 @@ def koebe_check(
     family: PerturbedFamily,
     target: tuple[float, float],
     s: int,
-    tau: float = 1.0,
-    guide_orbit=None,
-    branch_path=None,
-    inner: tuple[float, float] | None = None,
+    guide_orbit,
 ) -> dict:
     """Grid verification of the Koebe distortion bounds on one pullback branch.
 
-    Builds the diffeomorphic pullback T of ``target`` (raising
-    NotDiffeomorphic when the chain clips the critical point), takes J as
-    the pullback of the concentric (1/(1+2 tau))-scaled target, and checks
-    the two-sided bounds (tau/(1+tau))**2 <= Df^s(x)/Df^s(y) <= ((1+tau)/tau)**2
-    on a grid, the one-sided variant against the right endpoint, and the
-    macroscopic containment with tau' = tau^2/(1+2 tau).  Returns
-    ``applicable=False`` (not a failure) when the inner interval is not
-    tau-well inside the branch image.
+    Builds the diffeomorphic pullback T of ``target`` along ``guide_orbit``
+    (raising NotDiffeomorphic when the chain clips the critical point), takes
+    J as the pullback of the concentric (1/(1+2 tau))-scaled target, and
+    checks the two-sided bounds (tau/(1+tau))**2 <= Df^s(x)/Df^s(y) <=
+    ((1+tau)/tau)**2 on a grid, the one-sided variant against the right
+    endpoint, and the macroscopic containment with tau' = tau^2/(1+2 tau),
+    all at tau = 1.  Returns ``applicable=False`` (not a failure) when the
+    inner interval is not tau-well inside the branch image.
     """
     params = family.base
-    chain_T = pullback_component(family, target, s, branch_path=branch_path, guide_orbit=guide_orbit)
+    tau = _KOEBE_TAU
+    chain_T = pullback_component(family, target, s, guide_orbit)
     if chain_T.order > 0:
         raise NotDiffeomorphic(f"chain has order {chain_T.order}")
     a, b = target
-    if inner is None:
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        inner = (mid - half / (1.0 + 2.0 * tau), mid + half / (1.0 + 2.0 * tau))
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    inner = (mid - half / (1.0 + 2.0 * tau), mid + half / (1.0 + 2.0 * tau))
     image = chain_image_interval(params, chain_T, s)
     if not (image[0] <= inner[0] + 1e-15 and inner[1] <= image[1] + 1e-15):
         return {"applicable": False, "reason": "inner interval not inside branch image"}
@@ -249,11 +249,7 @@ def koebe_check(
     need_hi = inner[1] + tau * (inner[1] - inner[0])
     if need_lo < image[0] - 1e-12 or need_hi > image[1] + 1e-12:
         return {"applicable": False, "reason": "image not tau-well inside"}
-    chain_J = pullback_component(
-        family, inner, s,
-        branch_path=branch_path,
-        guide_orbit=guide_orbit,
-    )
+    chain_J = pullback_component(family, inner, s, guide_orbit)
     if chain_J.order > 0:
         raise NotDiffeomorphic("inner chain clips the critical point")
 
@@ -293,9 +289,6 @@ def koebe_check(
             "one_sided_ok": one_sided_ok,
             "macroscopic_ok": macro_ok,
             "worst_ratio": worst_ratio,
-            "hi_bound": hi_bound,
-            "tau": tau,
-            "s": s,
         }
     )
     return result
@@ -325,7 +318,7 @@ def random_koebe_branch(family: PerturbedFamily, rng) -> dict | None:
     for _ in range(14):
         target = (max(0.0, orbit[s] - rho), min(1.0, orbit[s] + rho))
         try:
-            return koebe_check(family, target, s, guide_orbit=orbit[:s])
+            return koebe_check(family, target, s, orbit[:s])
         except NotDiffeomorphic:
             rho /= 2.0
     return None

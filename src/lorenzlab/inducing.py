@@ -176,7 +176,6 @@ def build_nice_set(
         boundary_lo=sides["lo"][1],
         boundary_hi=sides["hi"][1],
         containment_ok=containment_ok,
-        meta={"grid_points": grid_points, "verify_horizon": verify_horizon},
     )
     if verify_horizon > 0:
         violations, refine_meta = _verify_niceness_mp(

@@ -474,8 +474,8 @@ def summability_stats(params: MapParams, v: float, n_steps: int) -> dict:
     """Numerical evidence for the summability and large-derivatives conditions.
 
     Follows the deterministic orbit of a critical value ``v`` for ``n_steps``
-    steps and reports Df^n(v), the sum S_N of 1/Df^n(v), the minimum of
-    Df^n(v) over the trailing half of the orbit, and a growth indicator.
+    steps and reports Df^n(v), the sum S_N of 1/Df^n(v) and the minimum of
+    Df^n(v) over the trailing half of the orbit.
     This is measurement, not proof.  Once Df^n underflows to 0.0 the sum
     diverges numerically: S_N is inf and ``ld_flag`` is set.
 
@@ -494,12 +494,10 @@ def summability_stats(params: MapParams, v: float, n_steps: int) -> dict:
             raise CriticalHit(n, x)
         dfn *= params.deriv(x)
         x = params.eval(x)
-    tail_start = n_steps // 2
-    tail = dfn_values[tail_start:]
+    tail = dfn_values[n_steps // 2 :]
     return {
         "dfn": dfn_values,
         "S_N": float(partial),
         "tail_min_dfn": float(tail.min()),
-        "growing": bool(np.median(tail) > np.median(dfn_values[: max(1, tail_start)])),
         "ld_flag": bool(tail.min() < 1.0),
     }

@@ -1,11 +1,12 @@
 """Noise distributions, reproducible noise streams and the transition kernel.
 
 A NoiseModel fixes the amplitude eps, the distribution of a single noise
-value (uniform on [-eps, eps] by default, or truncated-triangular), the
-regularity constant L used by kernel checks, and a master seed.  Noise value
-i of stream stream_id is draw i of the generator seeded by (seed, stream_id):
-the address (seed, stream_id, i) fixes it, so any member of any ensemble can
-be replayed exactly, and a shifted stream reads the shifted sequence.
+value (uniform on [-eps, eps] by default, or truncated-triangular) and a
+master seed.  Noise value i of stream stream_id is draw i of the generator
+seeded by (seed, stream_id): the address (seed, stream_id, i) fixes it, so
+any member of any ensemble can be replayed exactly, and a shifted stream
+reads the shifted sequence.  The kernel checks use the regularity constant
+KERNEL_L.
 """
 
 from __future__ import annotations
@@ -27,6 +28,9 @@ STREAM_KERNEL = 901
 
 #: normal quantile of the one-sided 99.5% lower confidence bound on p_eps(x, A)
 _Z_CONF = 2.576
+
+#: regularity constant L > 1 of the kernel bound p_eps(x, A) <= L (|A| / (2 eps))**(1/L)
+KERNEL_L = 2.0
 
 
 @dataclass(frozen=True)
@@ -66,11 +70,10 @@ class NoiseStream:
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """i.i.d. noise supported in [-eps, eps] plus bookkeeping for checks."""
+    """i.i.d. noise supported in [-eps, eps], addressed by a master seed."""
 
     eps: float
     kind: str = "uniform"
-    L: float = 2.0
     seed: int = 0
 
     def __post_init__(self):
@@ -78,8 +81,6 @@ class NoiseModel:
             raise ValueError(f"eps={self.eps} must be positive")
         if self.kind not in ("uniform", "triangular"):
             raise ValueError(f"kind must be 'uniform' or 'triangular', got {self.kind!r}")
-        if not self.L > 1.0:
-            raise ValueError(f"L={self.L} must exceed 1")
 
     def _draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         if self.kind == "uniform":
@@ -129,13 +130,13 @@ def kernel_regularity_check(
 
     Samples points x in the trapping core and random intervals A with
     |A| <= 2*eps, estimates p_eps(x, A) = nu_eps{t : f_t(x) in A} and compares
-    it with L * (|A| / (2 eps))**(1/L).  A violation is *confirmed* only when
-    the lower confidence bound of the estimate exceeds the bound.  Points in
-    the taper zones can legitimately exceed the bound, which is why the check
-    restricts itself to the core.
+    it with L * (|A| / (2 eps))**(1/L), L = KERNEL_L.  A violation is
+    *confirmed* only when the lower confidence bound of the estimate exceeds
+    the bound.  Points in the taper zones can legitimately exceed the bound,
+    which is why the check restricts itself to the core.
     """
     rng = model.generator(STREAM_KERNEL)
-    eps, L = model.eps, model.L
+    eps, L = model.eps, KERNEL_L
     core_lo, core_hi = model.core_interval(family)
     core_lo = max(core_lo, family.margin)
     core_hi = min(core_hi, 1.0 - family.margin)
@@ -168,5 +169,4 @@ def kernel_regularity_check(
         "worst_ratio": worst,
         "confirmed_violations": confirmed,
         "n_pairs": n_checked,
-        "n_draws": n_draws,
     }

@@ -49,6 +49,9 @@ THETA1 = 0.0919
 #: root-finding tolerance of every pullback step, scalar or batched
 PULLBACK_TOL = 1e-12
 
+#: backward-contraction constant r of BC(r): W pulls back from B(r delta)
+BC_R = 2.0
+
 
 @dataclass(frozen=True)
 class CriticalNeighborhood:
@@ -273,8 +276,6 @@ class DepthTrace:
             "is_bad": clause1 and clause2,
             "clause1": clause1,
             "clause2_at_horizon": clause2,
-            "approximate": True,
-            "horizon": self.n,
         }
 
 
@@ -466,32 +467,24 @@ def pullback_component(
     family: PerturbedFamily,
     target: tuple[float, float],
     s: int,
-    branch_path=None,
-    guide_orbit=None,
+    guide_orbit,
     omega=None,
 ) -> PullbackChain:
     """Backward chain of component preimages of a target interval.
 
-    The branch at each step comes either from an explicit ``branch_path``
-    (sides ordered G_0 -> G_{s-1}) or from a ``guide_orbit`` of points whose
-    sides select the components containing them.  ``omega`` supplies noise
-    values for perturbed pullbacks and defaults to the zero sequence.
+    The branch at each step is the side of c of the matching point of
+    ``guide_orbit``, which must hold at least s points.  ``omega`` supplies
+    noise values for perturbed pullbacks and defaults to the zero sequence.
     """
     if s < 0:
         raise ValueError("s must be >= 0")
     if s == 0:
         return PullbackChain([tuple(target)], 0)
+    if len(guide_orbit) < s:
+        raise ValueError("guide_orbit must hold at least s points")
     values = _noise_prefix(omega, s) if omega is not None else np.zeros(s)
-    if branch_path is not None:
-        sides = list(branch_path)
-        if len(sides) != s:
-            raise ValueError("branch_path length must equal s")
-        sides = ["left" if str(side).lower().startswith("l") else "right" for side in sides]
-    else:
-        if guide_orbit is None or len(guide_orbit) < s:
-            raise ValueError("provide branch_path or a guide_orbit with >= s points")
-        c = family.base.c
-        sides = ["left" if guide_orbit[j] < c else "right" for j in range(s)]
+    c = family.base.c
+    sides = ["left" if guide_orbit[j] < c else "right" for j in range(s)]
     intervals = [None] * (s + 1)
     intervals[s] = tuple(target)
     order = 0
@@ -514,13 +507,12 @@ def _interval_cv_distance(params: MapParams, interval) -> float:
 
 def backward_contraction_check(
     params: MapParams,
-    r: float,
     delta_ladder,
     s_max: int,
     sample_budget: int = 2000,
     seed: int = 0,
 ) -> dict:
-    """Search for violations of backward contraction with constant r.
+    """Search for violations of backward contraction with constant r = BC_R.
 
     For each delta in the ladder, enumerates components W of the s-step
     preimages of B(r*delta) near the critical values (single-step components
@@ -538,7 +530,7 @@ def backward_contraction_check(
     cvs = (params.c1_plus, params.c1_minus)
     per_start = max(1, sample_budget // (2 * max(1, len(list(delta_ladder)))))
     for delta in delta_ladder:
-        nb_target = critical_neighborhood(params, r * delta)
+        nb_target = critical_neighborhood(params, BC_R * delta)
         target = nb_target.interval()
 
         def record(chain, s, delta=delta):
@@ -601,6 +593,4 @@ def backward_contraction_check(
         "rows": rows,
         "violations": violations,
         "components_visited": len(rows),
-        "r": r,
-        "s_max": s_max,
     }

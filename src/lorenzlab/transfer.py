@@ -158,15 +158,16 @@ class UlamMatrix:
         self.matrix = P
 
 
-def _deterministic_matrix(family: PerturbedFamily, t: float, partition: Partition, P: np.ndarray) -> np.ndarray:
-    """Fill P with P[i, j] = |bin_i ∩ f_t^{-1}(bin_j)| / |bin_i|, one branch's row block at a time.
+def _add_matrix(family: PerturbedFamily, t: float, w: float, partition: Partition, P: np.ndarray):
+    """Add w * |bin_i ∩ f_t^{-1}(bin_j)| / |bin_i| into P[i, j], one branch's row block at a time.
 
-    Each block is filled _ROW_CHUNK rows at a time, so the one temporary stays
-    that many rows long whatever the bin count.
+    Each block is built _ROW_CHUNK rows at a time in one scratch buffer, so
+    the temporaries stay that many rows long whatever the bin count.
     """
     edges = partition.edges
     n = partition.n_bins
     c_idx = int(np.argmin(np.abs(edges - family.base.c)))
+    scratch = np.empty((min(_ROW_CHUNK, n), n))
     for side, start, stop in (("left", 0, c_idx), ("right", c_idx, n)):
         # preimages of the edges, clamped to the branch domain outside the branch range
         dom_lo, dom_hi = family.branch_domain(side)
@@ -178,12 +179,13 @@ def _deterministic_matrix(family: PerturbedFamily, t: float, partition: Partitio
             hi = min(lo + _ROW_CHUNK, stop)
             a = edges[lo:hi, None]
             b = edges[lo + 1 : hi + 1, None]
-            block = P[lo:hi]
+            block = scratch[: hi - lo]
             np.minimum(pre[1:], b, out=block)
             block -= np.maximum(pre[:-1], a)
             np.maximum(block, 0.0, out=block)
             block /= b - a
-    return P
+            block *= w
+            P[lo:hi] += block
 
 
 def build_ulam(
@@ -194,27 +196,25 @@ def build_ulam(
 ) -> UlamMatrix:
     """Assemble the (noise-averaged) Ulam matrix on the given partition.
 
+    Without a model the average runs over the single node t = 0 of weight 1.
     Requires an edge exactly at the critical point so no bin straddles c;
     use :func:`partition_for` to build suitable partitions.
     """
     if not partition.has_edge_at(family.base.c):
         raise PartitionTooCoarse(f"no partition edge at the critical point c={family.base.c}")
-    n = partition.n_bins
     if model is None:
-        P = _deterministic_matrix(family, 0.0, partition, np.empty((n, n)))
-        P /= P.sum(axis=1, keepdims=True)
-        return UlamMatrix(partition, P, mode="deterministic")
-    if model.eps > family.eps_max:
-        raise ValueError(f"model.eps={model.eps} exceeds family eps_max={family.eps_max}")
-    nodes, weights = model.quadrature(quad_nodes)
+        nodes, weights, mode = (0.0,), (1.0,), "deterministic"
+    else:
+        if model.eps > family.eps_max:
+            raise ValueError(f"model.eps={model.eps} exceeds family eps_max={family.eps_max}")
+        nodes, weights = model.quadrature(quad_nodes)
+        mode = "randomized"
+    n = partition.n_bins
     P = np.zeros((n, n))
-    D = np.empty((n, n))  # reused by every node: a fresh matrix per node raises the peak RSS
     for t, w in zip(nodes, weights):
-        _deterministic_matrix(family, float(t), partition, D)
-        D *= w
-        P += D
+        _add_matrix(family, float(t), w, partition, P)
     P /= P.sum(axis=1, keepdims=True)
-    return UlamMatrix(partition, P, mode="randomized")
+    return UlamMatrix(partition, P, mode=mode)
 
 
 def stationary_density(
@@ -333,7 +333,6 @@ def stability_sweep(
     eps_ladder,
     partition: Partition,
     noise_kind: str = "uniform",
-    seed: int = 0,
     quad_nodes: int = 32,
 ) -> tuple[list[dict], Density, dict]:
     """Distance of the stationary density to the zero-noise density per rung.
@@ -352,7 +351,7 @@ def stability_sweep(
     zeta0, det_info = stationary_density(det_matrix)
     rows = []
     for eps in ladder:
-        model = NoiseModel(eps=eps, kind=noise_kind, seed=seed)
+        model = NoiseModel(eps=eps, kind=noise_kind)  # assembly reads the quadrature, no draws
         matrix = build_ulam(family, model, partition, quad_nodes=quad_nodes)
         try:
             zeta_eps, info = stationary_density(matrix)

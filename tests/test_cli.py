@@ -165,6 +165,9 @@ class TestConfig:
         with pytest.raises(ConfigInvalid, match="unknown config field"):
             load_config(None, {field: "1.0"})
 
+    def test_zero_burn_in_and_verify_horizon_accepted(self):
+        load_config(None, {"ensemble.burn_in": "0", "horizons.verify_horizon": "0"}).validate()
+
     def test_hash_changes_with_config(self):
         a, b = ExperimentConfig(), ExperimentConfig()
         b.noise.seed = 999
@@ -250,6 +253,21 @@ class TestSubcommands:
         monkeypatch.chdir(tmp_path)
         assert cli.main(["simulate", "--config", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("sub, sets, field", [
+        ("inducing-tail", ["ensemble.tail_members=0", "horizons.tail_horizon=10"], "ensemble.tail_members"),
+        ("depth", ["horizons.depth_steps=0"], "horizons.depth_steps"),
+        ("simulate", ["horizons.orbit_steps=-1"], "horizons.orbit_steps"),
+        ("returns", ["horizons.return_horizon=-5"], "horizons.return_horizon"),
+        ("expansion", ["ensemble.expansion_starts=0"], "ensemble.expansion_starts"),
+    ])
+    def test_main_rejects_sizes_below_one(self, sub, sets, field, tmp_path, capsys):
+        argv = [sub, "--out", str(tmp_path)]
+        for item in sets:
+            argv += ["--set", item]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{field}: must be at least 1" in err
 
     def test_main_rejects_unreadable_config_file(self, tmp_path, monkeypatch, capsys):
         bad = tmp_path / "bad.json"

@@ -23,7 +23,7 @@ class TestMane:
 
     def test_single_step_reduces_to_min_derivative(self, family):
         nb = critical_neighborhood(CANON, 0.009)
-        rep = mane_estimate(family, None, nb.interval(), n_starts=400, horizon=1, n_ref=20)
+        rep = mane_estimate(family, None, nb.interval(), n_starts=400, horizon=1)
         assert rep.n_ref == 1
         # with only length-1 segments the bound collapses to min Df outside U
         min_logdf = rep.samples_logdf.min()
@@ -74,7 +74,7 @@ class TestEnvelope:
 
 class TestKoebe:
     def test_zero_steps_trivial(self, family):
-        res = koebe_check(family, (0.3, 0.4), 0, tau=1.0, branch_path="")
+        res = koebe_check(family, (0.3, 0.4), 0, [])
         assert res["applicable"]
         assert res["passed"]
         assert res["worst_ratio"] == pytest.approx(1.0, abs=1e-9)
@@ -94,12 +94,18 @@ class TestKoebe:
 
     def test_clipped_chain_raises(self, family):
         with pytest.raises(NotDiffeomorphic):
-            koebe_check(family, (0.85, 0.95), 1, tau=1.0, branch_path="l")
+            koebe_check(family, (0.85, 0.95), 1, [0.25])  # a left-branch guide
 
     def test_violated_precondition_is_not_applicable(self, family):
-        # forcing J = T: the image is not tau-well-inside, gated not failed
-        res = koebe_check(family, (0.6, 0.7), 1, tau=1.0, branch_path="l", inner=(0.6, 0.7))
-        assert res["applicable"] is False
+        # draw 86 of random_koebe_branch at rng 20240901 (rho = 0.05, s = 14): the
+        # pullback's root-finding leaves the branch image 1.4e-12 short of the target at
+        # each end, past the 1e-12 slack of the tau-well-inside test, so it is gated, not failed
+        orbit = [0.08413978436165426]
+        for _ in range(14):
+            orbit.append(CANON.eval(orbit[-1]))
+        target = (orbit[14] - 0.05, orbit[14] + 0.05)
+        res = koebe_check(family, target, 14, orbit[:14])
+        assert res == {"applicable": False, "reason": "image not tau-well inside"}
 
 
 class TestDistortionTrend:

@@ -92,3 +92,21 @@ def test_no_unread_parameters():
         for line, func, name in _unread_parameters(path)
     ]
     assert unread == []
+
+
+def test_benchmark_tracer_counts_pullback_steps():
+    """The tracer reads ``s`` of ``pullback_component`` as its third positional argument."""
+    family = lorenzlab.maps.PerturbedFamily(lorenzlab.maps.CANON)
+    orbit = [0.27]
+    for _ in range(6):
+        orbit.append(lorenzlab.maps.CANON.eval(orbit[-1]))
+    target = (orbit[6] - 0.01, orbit[6] + 0.01)
+    tracer = _load_benchmark_tracer().Tracer("test").install()
+    try:
+        lorenzlab.recurrence.pullback_component(family, target, 6, guide_orbit=orbit[:6])
+        res = lorenzlab.expansion.koebe_check(family, target, 6, guide_orbit=orbit[:6])
+    finally:
+        tracer.uninstall()
+    assert res["applicable"]  # so koebe_check pulled back both T and its inner J
+    assert tracer.calls["recurrence.pullback"] == 3
+    assert tracer.counters["recurrence.pullback.steps"] == 3 * 6

@@ -351,7 +351,6 @@ class TestSummability:
         assert stats["S_N"] == pytest.approx(2.4876655113854342, rel=1e-12)
         assert stats["tail_min_dfn"] > 1e30
         assert not stats["ld_flag"]
-        assert stats["growing"]
 
     def test_underflowed_derivative_reports_divergence(self):
         # on this near-critical map Df^n(c1-) underflows to 0.0 at n = 233

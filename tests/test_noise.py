@@ -3,7 +3,7 @@ import pytest
 from scipy import stats as sps
 
 from lorenzlab.maps import CANON
-from lorenzlab.noise import NoiseModel, kernel_regularity_check
+from lorenzlab.noise import KERNEL_L, NoiseModel, kernel_regularity_check
 
 
 class TestSampling:
@@ -128,12 +128,12 @@ class TestStreamWindow:
 class TestKernel:
     def test_wide_sets_trivially_bounded(self):
         # |A| >= 2 eps makes the regularity bound at least 1 >= any probability
-        L = 2.0
+        L = KERNEL_L
         for ratio in (1.0, 1.5, 4.0):
             assert L * ratio ** (1.0 / L) >= 1.0
 
     def test_regularity_report_clean_on_core(self, family):
-        m = NoiseModel(eps=0.01, L=2.0, seed=5)
+        m = NoiseModel(eps=0.01, seed=5)
         rep = kernel_regularity_check(family, m, n_pairs=200, n_draws=2000)
         assert rep["confirmed_violations"] == 0
         assert rep["worst_ratio"] < 1.0

@@ -10,6 +10,7 @@ from lorenzlab.config import ExperimentConfig
 from lorenzlab.errors import DeltaOutOfRange, EmptyPullback
 from lorenzlab.maps import CANON, MapParams, PerturbedFamily
 from lorenzlab.recurrence import (
+    BC_R,
     DELTA_STAR,
     backward_contraction_check,
     binding_constants,
@@ -225,8 +226,8 @@ class TestDepthTrace:
     def test_bad_membership_flags_approximation(self, family, model):
         trace = depth_trace(family, 0.31, model.stream(5), 0.01, 200)
         report = trace.bad_membership(5, 3.0)
-        assert report["approximate"] is True
-        assert report["horizon"] == 200
+        # clause 2 is an infinite-time limit, read off at the horizon
+        assert report["clause2_at_horizon"] == (trace.Q(0, 200) >= 5)
 
 
 class TestBindingPeriod:
@@ -267,12 +268,12 @@ class TestBindingPeriod:
 
 class TestPullback:
     def test_zero_steps(self, family):
-        chain = pullback_component(family, (0.4, 0.6), 0)
+        chain = pullback_component(family, (0.4, 0.6), 0, [])
         assert chain.intervals == [(0.4, 0.6)]
         assert chain.order == 0
 
     def test_single_step_closed_form(self, family):
-        chain = pullback_component(family, (0.6, 0.7), 1, branch_path="l")
+        chain = pullback_component(family, (0.6, 0.7), 1, [0.25])  # a left-branch guide
         lo, hi = chain.component
         assert CANON.eval(lo) == pytest.approx(0.6, abs=1e-11)
         assert CANON.eval(hi) == pytest.approx(0.7, abs=1e-11)
@@ -280,13 +281,17 @@ class TestPullback:
 
     def test_order_increments_at_critical_value(self, family):
         # a target reaching beyond the left critical value clips at c
-        chain = pullback_component(family, (0.85, 0.95), 1, branch_path="l")
+        chain = pullback_component(family, (0.85, 0.95), 1, [0.25])
         assert chain.order == 1
         assert chain.component[1] == CANON.c
 
     def test_empty_pullback(self, family):
         with pytest.raises(EmptyPullback):
-            pullback_component(family, (0.02, 0.05), 1, branch_path="r")
+            pullback_component(family, (0.02, 0.05), 1, [0.75])
+
+    def test_short_guide_orbit_rejected(self, family):
+        with pytest.raises(ValueError, match="at least s points"):
+            pullback_component(family, (0.6, 0.7), 2, [0.25])
 
     def test_chain_consistency_on_guided_orbit(self, family, model):
         om = model.stream(21).prefix(12)
@@ -323,7 +328,7 @@ class TestPullback:
 
 class TestBackwardContraction:
     def test_single_step_components_closed_form(self):
-        rep = backward_contraction_check(CANON, 2.0, [0.0025], 1, sample_budget=10, seed=0)
+        rep = backward_contraction_check(CANON, [0.0025], 1, sample_budget=10, seed=0)
         singles = [r for r in rep["rows"] if r["s"] == 1]
         assert len(singles) >= 1
         nb = critical_neighborhood(CANON, 0.005)
@@ -332,12 +337,12 @@ class TestBackwardContraction:
             assert nb.lo < CANON.eval(mid) < nb.hi
 
     def test_vacuous_pass_above_ladder(self):
-        rep = backward_contraction_check(CANON, 2.0, [0.0025], 2, sample_budget=10, seed=0)
+        rep = backward_contraction_check(CANON, [0.0025], 2, sample_budget=10, seed=0)
         assert isinstance(rep["violations"], list)
 
     def test_detector_fires_on_non_ld_map(self):
         assert NONLD.eval(NONLD.c1_minus) == pytest.approx(0.5008, abs=1e-12)
-        rep = backward_contraction_check(NONLD, 2.0, [0.01], 10, sample_budget=200, seed=1)
+        rep = backward_contraction_check(NONLD, [0.01], 10, sample_budget=200, seed=1)
         assert len(rep["violations"]) > 0
         v = rep["violations"][0]
         assert v["dist_cv"] < 0.01 and v["length"] >= 0.01
@@ -346,9 +351,9 @@ class TestBackwardContraction:
         # BC(2) fails at delta = 0.01 for the canonical map: each reported W is
         # carried by f^s, never straddling c, onto the endpoints of B(2 delta)
         delta = 0.01
-        rep = backward_contraction_check(CANON, 2.0, [delta], 10, sample_budget=400, seed=0)
+        rep = backward_contraction_check(CANON, [delta], 10, sample_budget=400, seed=0)
         assert len(rep["violations"]) > 0
-        lo_t, hi_t = critical_neighborhood(CANON, 2.0 * delta).interval()
+        lo_t, hi_t = critical_neighborhood(CANON, BC_R * delta).interval()
         for v in rep["violations"]:
             assert v["dist_cv"] < delta and v["w_hi"] - v["w_lo"] >= delta
             lo, hi = v["w_lo"], v["w_hi"]
@@ -359,6 +364,6 @@ class TestBackwardContraction:
             assert hi == pytest.approx(hi_t, abs=1e-12)
 
     def test_clean_at_fine_scale_for_canonical_map(self):
-        rep = backward_contraction_check(CANON, 2.0, [0.0025], 30, sample_budget=800, seed=2)
+        rep = backward_contraction_check(CANON, [0.0025], 30, sample_budget=800, seed=2)
         assert len(rep["violations"]) == 0
         assert rep["components_visited"] > 100
