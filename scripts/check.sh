@@ -10,8 +10,11 @@
 # Prints one line per check and exits 0 only when every check passes.  Logs,
 # bytecode and Hypothesis' example database go under .perfbench-work/check/.
 # Two closing "info" lines give the net lines the working tree changes in src/
-# and tests/ against HEAD (staged new files count, untracked ones do not); they
-# never fail the run.
+# and tests/ against HEAD (staged new files count, untracked ones do not).  A
+# third counts the settable values of src/lorenzlab at HEAD and in the working
+# tree: function parameters (self and cls not counted), parameters with a
+# default, dataclass fields with a default and command-line options.  The info
+# lines never fail the run.
 set -u
 root="$(cd "$(dirname "$0")/.." && pwd)"
 work="$root/.perfbench-work/check"
@@ -53,4 +56,46 @@ for dir in src tests; do
         echo "info  $dir/ lines against HEAD: $(echo "$numstat" | awk '{a += $1; d += $2} END {printf "+%d -%d, net %+d", a, d, a - d}')"
     fi
 done
+python3 - <<'EOF'
+import ast
+import pathlib
+import subprocess
+
+
+def settable(sources):
+    """(parameters, defaulted parameters, dataclass fields with defaults, CLI options) of the sources."""
+    params = defaulted = fields = options = 0
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = node.args
+                names = [x.arg for x in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if x]
+                params += sum(name not in ("self", "cls") for name in names)
+                defaulted += len(a.defaults) + sum(d is not None for d in a.kw_defaults)
+            elif isinstance(node, ast.ClassDef) and any(
+                "dataclass" in (getattr(d, "id", None), getattr(getattr(d, "func", None), "id", None))
+                for d in node.decorator_list
+            ):
+                fields += sum(isinstance(s, ast.AnnAssign) and s.value is not None for s in node.body)
+            elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_argument":
+                first = node.args[0] if node.args else None
+                options += isinstance(first, ast.Constant) and str(first.value).startswith("--")
+    return params, defaulted, fields, options
+
+
+def git(*args):
+    return subprocess.run(["git", *args], capture_output=True, text=True, check=True).stdout
+
+
+try:
+    tracked = git("ls-tree", "-r", "--name-only", "HEAD", "--", "src/lorenzlab").split()
+    head = settable(git("show", f"HEAD:{path}") for path in tracked if path.endswith(".py"))
+except (OSError, subprocess.CalledProcessError):
+    pass
+else:
+    tree = settable(path.read_text() for path in sorted(pathlib.Path("src/lorenzlab").rglob("*.py")))
+    labels = ("parameters", "defaulted parameters", "dataclass fields with defaults", "CLI options")
+    print("info  settable values against HEAD: "
+          + ", ".join(f"{label} {a} -> {b}" for label, a, b in zip(labels, head, tree)))
+EOF
 exit "$failed"

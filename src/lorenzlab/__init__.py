@@ -21,7 +21,7 @@ from .errors import (
     PartitionTooCoarse,
     VerificationFailed,
 )
-from .maps import CANON, MapParams, PerturbedFamily, critical_values, schwarzian, summability_stats
+from .maps import CANON, MapParams, PerturbedFamily, schwarzian, summability_stats
 from .noise import NoiseModel, NoiseStream, kernel_regularity_check
 from .orbits import OrbitRecord, log_scan, random_orbit, scan_to_landing
 from .transfer import (

@@ -38,6 +38,7 @@ from .transfer import (
     birkhoff_density,
     build_ulam,
     l1_distance,
+    nonincreasing_within_slack,
     partition_for,
     stability_sweep,
     stationary_density,
@@ -184,12 +185,11 @@ def run_stability_sweep(cfg: ExperimentConfig, out_dir: str):
         [(r["eps"], r["l1"], r["tv"], r["residual"], r["iterations"], r["error"]) for r in rows],
     )
     p2 = _write_csv(os.path.join(out_dir, "zeta0.csv"), ["bin_left", "bin_right", "weight"], _density_rows(zeta0))
+    distances = [r["l1"] for r in rows]
     results = {
-        "distances": [r["l1"] for r in rows],
+        "distances": distances,
         "det_residual": det_info["residual"],
-        "nonincreasing_within_slack": all(
-            b <= a * 1.1 for a, b in zip([r["l1"] for r in rows], [r["l1"] for r in rows][1:])
-        ),
+        "nonincreasing_within_slack": nonincreasing_within_slack(distances),
     }
     return [p1, p2], results
 

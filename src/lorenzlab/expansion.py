@@ -242,8 +242,6 @@ def koebe_check(
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     inner = (mid - half / (1.0 + 2.0 * tau), mid + half / (1.0 + 2.0 * tau))
     image = chain_image_interval(params, chain_T, s)
-    if not (image[0] <= inner[0] + 1e-15 and inner[1] <= image[1] + 1e-15):
-        return {"applicable": False, "reason": "inner interval not inside branch image"}
     # tau-well-inside precondition on the images, checked geometrically
     need_lo = inner[0] - tau * (inner[1] - inner[0])
     need_hi = inner[1] + tau * (inner[1] - inner[0])

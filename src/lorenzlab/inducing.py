@@ -562,21 +562,25 @@ def _pullback_rows(family: PerturbedFamily, omega, sides_left, target, code):
     return lo, hi, clipped
 
 
+# grid points of each tail verification's nonlinearity and floor checks
+_TAIL_GRID = 64
+
+
 def verify_markov_batch(
     family: PerturbedFamily,
     omega: np.ndarray,
     x: np.ndarray,
     target: tuple[float, float],
     base_length: float,
-    grid_points: int = 128,
 ) -> np.ndarray:
     """verify_markov_time for many candidates at one time m, in one pass.
 
     Row i verifies the start ``x[i]`` under the noise row ``omega[i]`` at
     m = omega.shape[1] against the common target.  The stages, their order
-    and their arithmetic are those of the scalar verifier, which stays the
-    oracle.  Returns one code per row: -1 when the time is verified, else
-    the index in VERIFY_REASONS of the first check that fails.
+    and their arithmetic are those of the scalar verifier at
+    grid_points=_TAIL_GRID, which stays the oracle.  Returns one code per
+    row: -1 when the time is verified, else the index in VERIFY_REASONS of
+    the first check that fails.
     """
     c = family.base.c
     omega = np.asarray(omega, dtype=float)
@@ -606,7 +610,7 @@ def verify_markov_batch(
     r = np.nonzero(code < 0)[0]
     if not len(r):
         return code
-    g = np.linspace(lo[r], hi[r], grid_points, axis=1)
+    g = np.linspace(lo[r], hi[r], _TAIL_GRID, axis=1)
     g[:, 0] += 1e-15
     g[:, -1] -= 1e-15
     _, d1, d2 = chain_derivatives(family, omega[r].T, g, m)
@@ -781,9 +785,6 @@ _TAIL_BLOCK = 64
 # verification attempts per tail member
 _MAX_VERIFICATIONS = 16
 
-# grid points of each tail verification's nonlinearity and floor checks
-_TAIL_GRID = 64
-
 
 def inducing_tail_stats(
     family: PerturbedFamily,
@@ -866,10 +867,7 @@ def inducing_tail_stats(
             cand = cand[attempts[cand] < _MAX_VERIFICATIONS]
             if len(cand):
                 attempts[cand] += 1
-                codes = verify_markov_batch(
-                    family, hist[cand, :s_cur], x0[alive[cand]], hull, nb.length,
-                    grid_points=_TAIL_GRID,
-                )
+                codes = verify_markov_batch(family, hist[cand, :s_cur], x0[alive[cand]], hull, nb.length)
                 ok = codes < 0
                 times[alive[cand[ok]]] = s_cur
                 leave[cand[ok]] = True

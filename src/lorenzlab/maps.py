@@ -16,6 +16,7 @@ critical point fixed for every noise value t.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +28,6 @@ __all__ = [
     "MapParams",
     "PerturbedFamily",
     "CANON",
-    "critical_values",
     "schwarzian",
 ]
 
@@ -113,21 +113,38 @@ class MapParams:
         z = (x - self.c) / (1.0 - self.c)
         return self.v * k / (1.0 - self.c) ** 2 * z ** (self.ell - 2.0)
 
-    def inverse(self, y: float, side: str) -> float | None:
-        """Preimage of y on the requested branch of the base map, or None."""
+    def inverse(self, y: float, left: bool) -> float | None:
+        """Preimage of y on the left (``left``) or right branch of the base map, or None."""
         if not 0.0 <= y <= 1.0:
             raise OutOfBranchRange(f"y={y!r} outside [0, 1]")
-        if side == "left":
+        if left:
             if y > self.u:
                 return None
             z = ((self.u - y) / self.u) ** (1.0 / self.ell)
             return self.c * (1.0 - z)
-        if side == "right":
-            if y < 1.0 - self.v:
-                return None
-            z = ((y - 1.0 + self.v) / self.v) ** (1.0 / self.ell)
-            return self.c + (1.0 - self.c) * z
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+        if y < 1.0 - self.v:
+            return None
+        z = ((y - 1.0 + self.v) / self.v) ** (1.0 / self.ell)
+        return self.c + (1.0 - self.c) * z
+
+    def walk(self, x: float):
+        """Yield (j, x_j, Df^j(x), A_j) for j = 0, 1, ... along the orbit of x.
+
+        A_j = sum over i < j of Df^i(x) / |x_i - c| is the distortion sum.
+        Stepping past x_j raises CriticalHit(j, x_j) when x_j lies within
+        CRITICAL_GUARD of c, so a caller that stops after yield j never
+        guard-checks x_j.
+        """
+        c = self.c
+        dfn = 1.0
+        asum = 0.0
+        for j in itertools.count():
+            yield j, x, dfn, asum
+            if abs(x - c) < CRITICAL_GUARD:
+                raise CriticalHit(j, x)
+            asum += dfn / abs(x - c)
+            dfn *= self.deriv(x)
+            x = self.eval(x)
 
     def non_flatness_constants(self) -> tuple[float, float]:
         """(O1, O2) with O1*d^(ell-1) <= Df(x) <= O2*d^(ell-1), d = |x - c|.
@@ -143,11 +160,6 @@ class MapParams:
 
 #: canonical parameter set used throughout the test-suite and default configs
 CANON = MapParams(c=0.5, ell=2.0, u=0.9, v=0.9)
-
-
-def critical_values(params: MapParams) -> tuple[float, float]:
-    """(c1_plus, c1_minus) = (1 - v, u)."""
-    return params.c1_plus, params.c1_minus
 
 
 def schwarzian(params: MapParams, x: float) -> float:
@@ -290,20 +302,9 @@ class PerturbedFamily:
         return base + t * self.taper(x)
 
     def step(self, t: float, x: float) -> tuple[float, float]:
-        """(f_t(x), Df_t(x)) in one pass, with the arithmetic of eval and deriv."""
+        """(f_t(x), Df_t(x)): the base map's eval and deriv plus the taper terms."""
         self._check_noise(t)
-        p = self.base
-        c = p.c
-        if abs(x - c) < CRITICAL_GUARD:
-            raise CriticalPointEval(f"x={x!r} is within the critical guard of c={c}")
-        if x < c:
-            z = (c - x) / c
-            fx = p.u * (1.0 - z**p.ell)
-            df = p.u * p.ell / c * z ** (p.ell - 1.0)
-        else:
-            z = (x - c) / (1.0 - c)
-            fx = 1.0 - p.v + p.v * z**p.ell
-            df = p.v * p.ell / (1.0 - c) * z ** (p.ell - 1.0)
+        fx, df = self.base.eval(x), self.base.deriv(x)
         if t == 0.0:
             return fx, df
         m = self.margin
@@ -321,28 +322,16 @@ class PerturbedFamily:
             d2 += t * self.taper_d2(x)
         return d1, d2
 
-    def critical_values(self, t: float = 0.0) -> tuple[float, float]:
-        """(c1_plus, c1_minus) of f_t; the taper equals 1 at c."""
-        self._check_noise(t)
-        return self.base.c1_plus + t, self.base.c1_minus + t
+    def branch_domain(self, left: bool) -> tuple[float, float]:
+        """The left (``left``) or right branch's domain."""
+        return (0.0, self.base.c) if left else (self.base.c, 1.0)
 
-    def branch_domain(self, side: str) -> tuple[float, float]:
-        if side == "left":
-            return 0.0, self.base.c
-        if side == "right":
-            return self.base.c, 1.0
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-
-    def branch_range(self, t: float, side: str) -> tuple[float, float]:
+    def branch_range(self, t: float, left: bool) -> tuple[float, float]:
         """Closure of f_t(branch domain)."""
-        if side == "left":
-            return 0.0, self.base.c1_minus + t
-        if side == "right":
-            return self.base.c1_plus + t, 1.0
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+        return (0.0, self.base.c1_minus + t) if left else (self.base.c1_plus + t, 1.0)
 
-    def inverse_branch(self, t: float, y: float, side: str, tol: float = 1e-13) -> float | None:
-        """Unique preimage of y on the requested branch of f_t, or None.
+    def inverse_branch(self, t: float, y: float, left: bool, tol: float = 1e-13) -> float | None:
+        """Unique preimage of y on the left (``left``) or right branch of f_t, or None.
 
         Closed form shifted by t wherever the candidate lands on the taper
         core; bracketed root finding inside the taper zones.  Raises
@@ -352,23 +341,23 @@ class PerturbedFamily:
         self._check_noise(t)
         if not 0.0 <= y <= 1.0:
             raise OutOfBranchRange(f"y={y!r} outside [0, 1]")
-        lo, hi = self.branch_range(t, side)
+        lo, hi = self.branch_range(t, left)
         if y < lo - 1e-15 or y > hi + 1e-15:
             return None
         y = min(max(y, lo), hi)
         if t == 0.0:
-            return self.base.inverse(y, side)
+            return self.base.inverse(y, left)
         # On [margin, 1 - margin] the taper is identically 1, so the preimage
         # is the base inverse of y - t whenever that candidate lands there.
         m = self.margin
-        candidate = self.base.inverse(min(max(y - t, 0.0), 1.0), side)
+        candidate = self.base.inverse(min(max(y - t, 0.0), 1.0), left)
         if candidate is not None and m <= candidate <= 1.0 - m:
             # within the critical guard, y is this side's critical value of f_t and c its preimage
             if abs(candidate - self.base.c) < CRITICAL_GUARD or abs(self.eval(t, candidate) - y) < tol:
                 return candidate
         # Otherwise the preimage sits in the taper zone of this branch, which
         # is bounded away from the critical point.
-        a, b = (0.0, m) if side == "left" else (1.0 - m, 1.0)
+        a, b = (0.0, m) if left else (1.0 - m, 1.0)
         fa = self.eval(t, a) - y
         fb = self.eval(t, b) - y
         if fa > 0.0 or fb < 0.0:
@@ -390,7 +379,7 @@ class PerturbedFamily:
         return np.where(t == 0.0, fx, fx + t * self._taper_jet(x)[0])
 
     def inverse_rows(self, t, y: np.ndarray, left, tol: float) -> np.ndarray:
-        """inverse_branch(t, y, side, tol) per element, with NaN where it returns None.
+        """inverse_branch(t, y, left, tol) per element, with NaN where it returns None.
 
         ``t`` and ``left`` (True for the left branch) are scalars or one value per
         element.  The closed form answers where inverse_branch's does; every other
@@ -417,7 +406,7 @@ class PerturbedFamily:
         if len(todo):
             t, left = np.broadcast_to(t, y.shape), np.broadcast_to(left, y.shape)
         for k in todo:
-            root = self.inverse_branch(float(t[k]), float(y[k]), "left" if left[k] else "right", tol)
+            root = self.inverse_branch(float(t[k]), float(y[k]), bool(left[k]), tol)
             x[k] = np.nan if root is None else root
         return x
 
@@ -483,17 +472,14 @@ def summability_stats(params: MapParams, v: float, n_steps: int) -> dict:
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    x = v
-    dfn = 1.0  # Df^0(v)
     partial = 0.0
     dfn_values = np.empty(n_steps, dtype=float)
-    for n in range(n_steps):
+    # the break at n = n_steps comes after the walk has guard-checked every recorded point
+    for n, _, dfn, _ in params.walk(v):
+        if n == n_steps:
+            break
         dfn_values[n] = dfn
         partial += 1.0 / dfn if dfn > 0.0 else np.inf
-        if abs(x - params.c) < CRITICAL_GUARD:
-            raise CriticalHit(n, x)
-        dfn *= params.deriv(x)
-        x = params.eval(x)
     tail = dfn_values[n_steps // 2 :]
     return {
         "dfn": dfn_values,

@@ -337,15 +337,11 @@ class BindingPeriodRecord:
     def verify(self, params: MapParams) -> bool:
         """Re-check the three defining inequalities from scratch."""
         nbL = critical_neighborhood(params, self.L * self.delta)
-        x = self.v
-        asum = 0.0
-        dfn = 1.0
-        for j in range(self.M):
+        for j, x, dfn, asum in params.walk(self.v):
+            if j == self.M:
+                break
             if nbL.contains(x):
                 return False
-            asum += dfn / abs(x - params.c)
-            dfn *= params.deriv(x)
-            x = params.eval(x)
         if asum > self.theta / self.delta * (1.0 + 1e-12):
             return False
         dprime = max(d_star(params, x), self.delta)
@@ -376,29 +372,21 @@ def binding_period(params: MapParams, v: float, delta: float, horizon: int) -> B
     theta, L, zeta = binding_constants(params)
     nbL = critical_neighborhood(params, L * delta)
     budget = theta / delta
-    x = v
-    asum = 0.0
-    dfn = 1.0
-    orbit = [x]
-    asums = [0.0]
-    dfns = [1.0]
-    outside = []
-    for j in range(horizon + 1):
-        if abs(x - params.c) < CRITICAL_GUARD:
-            raise CriticalHit(j, x)
-        outside.append(not nbL.contains(x))
-        asum += dfn / abs(x - params.c)
-        if asum > budget:
+    orbit = []
+    asums = []
+    dfns = []
+    # the step to horizon + 1 guard-checks x_horizon, whose derivative a candidate M = horizon reads
+    for j, x, dfn, asum in params.walk(v):
+        if j > horizon or asum > budget:
             break
-        dfn *= params.deriv(x)
-        x = params.eval(x)
         orbit.append(x)
         asums.append(asum)
         dfns.append(dfn)
     n_max = len(asums) - 1  # A(v, f, n_max) <= theta/delta
     if n_max < 1:
         return None
-    clear_prefix = np.cumprod(outside[: n_max + 1]).astype(bool)
+    outside = [not nbL.contains(x) for x in orbit]
+    clear_prefix = np.cumprod(outside).astype(bool)
     for M in range(n_max, 0, -1):
         if not clear_prefix[M - 1]:
             continue
@@ -437,29 +425,29 @@ class PullbackChain:
         return hi - lo
 
 
-def _pull_once(family: PerturbedFamily, t: float, side: str, interval):
-    """Preimage component of an interval through one branch of f_t."""
+def _pull_once(family: PerturbedFamily, t: float, left: bool, interval):
+    """Preimage component of an interval through the left (``left``) or right branch of f_t."""
     a, b = interval
-    rng_lo, rng_hi = family.branch_range(t, side)
+    rng_lo, rng_hi = family.branch_range(t, left)
     lo_y, hi_y = max(a, rng_lo), min(b, rng_hi)
     if hi_y <= lo_y:
-        raise EmptyPullback(f"interval ({a}, {b}) misses the {side} branch image")
+        raise EmptyPullback(f"interval ({a}, {b}) misses the {'left' if left else 'right'} branch image")
     c = family.base.c
     at_c = False
-    if side == "left":
-        x_lo = 0.0 if lo_y <= rng_lo else family.inverse_branch(t, lo_y, side, tol=PULLBACK_TOL)
+    if left:
+        x_lo = 0.0 if lo_y <= rng_lo else family.inverse_branch(t, lo_y, left, tol=PULLBACK_TOL)
         if hi_y >= rng_hi:
             x_hi, at_c = c, True
         else:
-            x_hi = family.inverse_branch(t, hi_y, side, tol=PULLBACK_TOL)
+            x_hi = family.inverse_branch(t, hi_y, left, tol=PULLBACK_TOL)
     else:
         if lo_y <= rng_lo:
             x_lo, at_c = c, True
         else:
-            x_lo = family.inverse_branch(t, lo_y, side, tol=PULLBACK_TOL)
-        x_hi = 1.0 if hi_y >= rng_hi else family.inverse_branch(t, hi_y, side, tol=PULLBACK_TOL)
+            x_lo = family.inverse_branch(t, lo_y, left, tol=PULLBACK_TOL)
+        x_hi = 1.0 if hi_y >= rng_hi else family.inverse_branch(t, hi_y, left, tol=PULLBACK_TOL)
     if x_lo is None or x_hi is None or x_hi <= x_lo:
-        raise EmptyPullback(f"degenerate preimage of ({a}, {b}) on the {side} branch")
+        raise EmptyPullback(f"degenerate preimage of ({a}, {b}) on the {'left' if left else 'right'} branch")
     return (x_lo, x_hi), at_c
 
 
@@ -484,12 +472,11 @@ def pullback_component(
         raise ValueError("guide_orbit must hold at least s points")
     values = _noise_prefix(omega, s) if omega is not None else np.zeros(s)
     c = family.base.c
-    sides = ["left" if guide_orbit[j] < c else "right" for j in range(s)]
     intervals = [None] * (s + 1)
     intervals[s] = tuple(target)
     order = 0
     for j in range(s - 1, -1, -1):
-        intervals[j], at_c = _pull_once(family, float(values[j]), sides[j], intervals[j + 1])
+        intervals[j], at_c = _pull_once(family, float(values[j]), guide_orbit[j] < c, intervals[j + 1])
         if at_c:
             order += 1
     return PullbackChain(intervals, order)
@@ -558,9 +545,9 @@ def backward_contraction_check(
                 violations.append(rows[-1])
 
         # single-step components in closed form, both branches
-        for side in ("left", "right"):
+        for left in (True, False):
             try:
-                interval, at_c = _pull_once(family, 0.0, side, target)
+                interval, at_c = _pull_once(family, 0.0, left, target)
             except EmptyPullback:
                 continue
             record(PullbackChain([interval, target], 1 if at_c else 0), 1)

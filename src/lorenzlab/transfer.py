@@ -34,6 +34,7 @@ __all__ = [
     "l1_distance",
     "tv_distance",
     "stability_sweep",
+    "nonincreasing_within_slack",
 ]
 
 _EDGE_TOL = 1e-12
@@ -168,13 +169,13 @@ def _add_matrix(family: PerturbedFamily, t: float, w: float, partition: Partitio
     n = partition.n_bins
     c_idx = int(np.argmin(np.abs(edges - family.base.c)))
     scratch = np.empty((min(_ROW_CHUNK, n), n))
-    for side, start, stop in (("left", 0, c_idx), ("right", c_idx, n)):
+    for left, start, stop in ((True, 0, c_idx), (False, c_idx, n)):
         # preimages of the edges, clamped to the branch domain outside the branch range
-        dom_lo, dom_hi = family.branch_domain(side)
-        rng_lo, rng_hi = family.branch_range(t, side)
+        dom_lo, dom_hi = family.branch_domain(left)
+        rng_lo, rng_hi = family.branch_range(t, left)
         pre = np.where(edges <= rng_lo, dom_lo, dom_hi)
         inner = (rng_lo < edges) & (edges < rng_hi)
-        pre[inner] = family.inverse_rows(t, edges[inner], side == "left", 1e-13)
+        pre[inner] = family.inverse_rows(t, edges[inner], left, 1e-13)
         for lo in range(start, stop, _ROW_CHUNK):
             hi = min(lo + _ROW_CHUNK, stop)
             a = edges[lo:hi, None]
@@ -377,3 +378,8 @@ def stability_sweep(
                 }
             )
     return rows, zeta0, det_info
+
+
+def nonincreasing_within_slack(distances) -> bool:
+    """Whether each distance of a stability sweep is at most 1.1 times the previous one."""
+    return all(b <= a * 1.1 for a, b in zip(distances, distances[1:]))

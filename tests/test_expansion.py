@@ -113,7 +113,7 @@ class TestDistortionTrend:
         # a start mapping into B(eps) in one step has ratio |B| / (Df(x) d(x,c))
         eps = 0.01
         nb = critical_neighborhood(CANON, eps)
-        x = family.inverse_branch(0.0, CANON.c, "left") + 1e-4  # lands near c next step
+        x = family.inverse_branch(0.0, CANON.c, True) + 1e-4  # lands near c next step
         y = CANON.eval(x)
         assert nb.contains(y)
         ratio = nb.length / (CANON.deriv(x) * abs(x - CANON.c))

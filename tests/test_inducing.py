@@ -355,7 +355,7 @@ def _oracle_rows(family, delta, seed, members=60, horizon=600, eps=0.001):
                     break
     om = rng.uniform(-eps, eps, 5)
     rows.append((p.c + 5e-15, om))
-    rows.append((family.inverse_branch(float(om[0]), p.c, "left"), om))
+    rows.append((family.inverse_branch(float(om[0]), p.c, True), om))
     for x0, om in rows[:: 3]:
         orbit = [x0]
         for t in om:
@@ -373,7 +373,7 @@ def _oracle_rows(family, delta, seed, members=60, horizon=600, eps=0.001):
 
 def _scalar_code(family, om, x0, target, base_length):
     try:
-        verify_markov_time(family, om, x0, len(om), target, base_length, grid_points=64)
+        verify_markov_time(family, om, x0, len(om), target, base_length, grid_points=inducing._TAIL_GRID)
     except VerificationFailed as exc:
         return VERIFY_REASONS.index(exc.reason)
     return -1
@@ -410,7 +410,7 @@ def oracle():
         for m, group in by_m.items():
             codes = verify_markov_batch(
                 family, np.array([om for _, om in group]), np.array([x0 for x0, _ in group]),
-                target, base_length, grid_points=64,
+                target, base_length,
             )
             for (x0, om), code in zip(group, codes):
                 table.append((

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -6,17 +7,24 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lorenzlab.errors import CriticalPointEval, NoiseOutOfRange, OutOfBranchRange
+from lorenzlab.config import ExperimentConfig
+from lorenzlab.errors import CriticalHit, CriticalPointEval, NoiseOutOfRange, OutOfBranchRange
 from lorenzlab.maps import (
     CANON,
     CRITICAL_GUARD,
     MapParams,
     PerturbedFamily,
-    critical_values,
     schwarzian,
     summability_stats,
 )
 from lorenzlab.orbits import random_orbit
+from lorenzlab.recurrence import (
+    BindingPeriodRecord,
+    binding_constants,
+    binding_period,
+    critical_neighborhood,
+    d_star,
+)
 
 KERNEL_PARAMS = [
     CANON,
@@ -68,11 +76,11 @@ class TestMapParams:
         assert CANON.deriv(0.5 - 1e-8) < 1e-7
 
     def test_critical_values_canon(self):
-        assert critical_values(CANON) == pytest.approx((0.1, 0.9))
+        assert (CANON.c1_plus, CANON.c1_minus) == pytest.approx((0.1, 0.9))
 
     def test_critical_values_other(self):
         params = MapParams(c=0.4, ell=3.0, u=0.8, v=0.7)
-        assert critical_values(params) == pytest.approx((0.3, 0.8))
+        assert (params.c1_plus, params.c1_minus) == pytest.approx((0.3, 0.8))
 
     def test_trivial_map_rejected(self):
         with pytest.raises(ValueError):
@@ -95,50 +103,50 @@ class TestMapParams:
 
 class TestInverseBranch:
     def test_inverts_eval_example(self, family):
-        assert family.inverse_branch(0.0, 0.675, "left") == pytest.approx(0.25, abs=1e-13)
+        assert family.inverse_branch(0.0, 0.675, True) == pytest.approx(0.25, abs=1e-13)
 
     def test_critical_value_pulls_back_to_c(self, family):
-        assert family.inverse_branch(0.0, 0.9, "left") == pytest.approx(0.5, abs=1e-13)
+        assert family.inverse_branch(0.0, 0.9, True) == pytest.approx(0.5, abs=1e-13)
 
     def test_below_right_image_has_no_preimage(self, family):
-        assert family.inverse_branch(0.0, 0.05, "right") is None
+        assert family.inverse_branch(0.0, 0.05, False) is None
 
     def test_outside_unit_interval_raises(self, family):
         with pytest.raises(OutOfBranchRange):
-            family.inverse_branch(0.0, 1.5, "left")
+            family.inverse_branch(0.0, 1.5, True)
 
     @settings(max_examples=60, deadline=None)
     @given(
         y=st.floats(min_value=1e-6, max_value=1.0 - 1e-6),
         t=st.floats(min_value=-0.05, max_value=0.05),
-        side=st.sampled_from(["left", "right"]),
+        left=st.booleans(),
     )
-    @example(y=0.9, t=0.0, side="left")
-    @example(y=0.1, t=0.0, side="right")
-    @example(y=0.9, t=1.945380332785617e-199, side="left")  # y - t rounds to u: the preimage is c
-    def test_round_trip(self, family, y, t, side):
-        x = family.inverse_branch(t, y, side)
+    @example(y=0.9, t=0.0, left=True)
+    @example(y=0.1, t=0.0, left=False)
+    @example(y=0.9, t=1.945380332785617e-199, left=True)  # y - t rounds to u: the preimage is c
+    def test_round_trip(self, family, y, t, left):
+        x = family.inverse_branch(t, y, left)
         if x is None:
             return
         if abs(x - family.base.c) < CRITICAL_GUARD:
-            # the preimage is c itself: y is this side's critical value
-            c1_plus, c1_minus = family.critical_values(t)
-            assert y == pytest.approx(c1_minus if side == "left" else c1_plus, abs=1e-11)
+            # the preimage is c itself: y is this side's critical value, the branch range's end at c
+            lo, hi = family.branch_range(t, left)
+            assert y == pytest.approx(hi if left else lo, abs=1e-11)
         else:
             assert family.eval(t, x) == pytest.approx(y, abs=1e-11)
 
     def test_round_trip_dense(self, family, rng):
-        for side in ("left", "right"):
-            lo, hi = family.branch_range(0.0, side)
+        for left in (True, False):
+            lo, hi = family.branch_range(0.0, left)
             ys = rng.uniform(lo + 1e-9, hi - 1e-9, 10_000)
-            xs = np.array([family.inverse_branch(0.0, float(y), side) for y in ys])
+            xs = np.array([family.inverse_branch(0.0, float(y), left) for y in ys])
             back = family.eval_vec(0.0, xs)
             assert np.max(np.abs(back - ys)) <= 1e-11
 
     def test_round_trip_with_noise_in_taper_zone(self, family):
         t = 0.05
         for y in (0.01, 0.05, 0.12):
-            x = family.inverse_branch(t, y, "left")
+            x = family.inverse_branch(t, y, True)
             assert x is not None
             assert family.eval(t, x) == pytest.approx(y, abs=1e-11)
 
@@ -166,7 +174,8 @@ class TestPerturbedFamily:
     def test_critical_point_fixed_for_all_t(self, family):
         # taper slope vanishes around c, so branch limits shift rigidly
         for t in (-0.02, 0.0, 0.02):
-            cp, cm = family.critical_values(t)
+            cm = family.branch_range(t, True)[1]
+            cp = family.branch_range(t, False)[0]
             assert cm == pytest.approx(0.9 + t, abs=1e-15)
             assert cp == pytest.approx(0.1 + t, abs=1e-15)
 
@@ -179,8 +188,8 @@ class TestPerturbedFamily:
 
     def test_branch_monotonicity_under_noise(self, family):
         for t in (-family.eps_max, family.eps_max):
-            for side in ("left", "right"):
-                lo, hi = family.branch_domain(side)
+            for left in (True, False):
+                lo, hi = family.branch_domain(left)
                 grid = np.linspace(lo + 1e-12, hi - 1e-12, 10_000)
                 assert np.all(np.diff(family.eval_vec(t, grid)) > 0.0)
 
@@ -298,20 +307,20 @@ class TestStepKernels:
         grid = np.linspace(0.0, 1.0, 129)
         cases = []
         for t in (0.0, 0.5 * family.eps_max, -0.5 * family.eps_max):
-            for side in ("left", "right"):
-                lo, hi = family.branch_range(t, side)
+            for left in (True, False):
+                lo, hi = family.branch_range(t, left)
                 # images of taper-zone, core-edge and near-critical points, the range ends
                 # and just past them (no preimage: NaN), and a grid over [0, 1]
                 ys = np.concatenate([
                     family.eval_rows(t, xs), [lo, hi, lo - 1e-3, hi + 1e-3, lo + 1e-16], grid,
                 ])
                 ys = ys[(0.0 <= ys) & (ys <= 1.0)]
-                want = [family.inverse_branch(t, float(y), side, 1e-12) for y in ys]
+                want = [family.inverse_branch(t, float(y), left, 1e-12) for y in ys]
                 want = np.array([np.nan if r is None else r for r in want])
                 assert np.isnan(want).any() and not np.isnan(want).all()
-                got = family.inverse_rows(t, ys, side == "left", 1e-12)
-                assert got.tobytes() == want.tobytes(), (t, side)
-                cases.append((np.full(len(ys), t), ys, np.full(len(ys), side == "left"), want))
+                got = family.inverse_rows(t, ys, left, 1e-12)
+                assert got.tobytes() == want.tobytes(), (t, left)
+                cases.append((np.full(len(ys), t), ys, np.full(len(ys), left), want))
         # one noise value and one branch per element, in one call
         ts, ys, left, want = (np.concatenate(col) for col in zip(*cases))
         assert family.inverse_rows(ts, ys, left, 1e-12).tobytes() == want.tobytes()
@@ -367,3 +376,154 @@ class TestSummability:
         stats = summability_stats(trivial, trivial.c1_minus, 300)
         assert stats["tail_min_dfn"] < 1.0
         assert stats["ld_flag"]
+
+
+# -- the per-function loops that MapParams.walk replaced, kept as its bit-exact oracle --------
+
+
+def _reference_summability(params, v, n_steps):
+    """summability_stats' own loop: (Df^n(v) for n < n_steps, S_N)."""
+    x = v
+    dfn = 1.0
+    partial = 0.0
+    dfn_values = np.empty(n_steps, dtype=float)
+    for n in range(n_steps):
+        dfn_values[n] = dfn
+        partial += 1.0 / dfn if dfn > 0.0 else np.inf
+        if abs(x - params.c) < CRITICAL_GUARD:
+            raise CriticalHit(n, x)
+        dfn *= params.deriv(x)
+        x = params.eval(x)
+    return dfn_values, partial
+
+
+def _reference_binding_period(params, v, delta, horizon):
+    """binding_period's own loop (it ran to x_{horizon + 1}; at horizon 2000 the budget stops first)."""
+    theta, L, zeta = binding_constants(params)
+    nbL = critical_neighborhood(params, L * delta)
+    budget = theta / delta
+    x = v
+    asum = 0.0
+    dfn = 1.0
+    orbit = [x]
+    asums = [0.0]
+    dfns = [1.0]
+    outside = []
+    for j in range(horizon + 1):
+        if abs(x - params.c) < CRITICAL_GUARD:
+            raise CriticalHit(j, x)
+        outside.append(not nbL.contains(x))
+        asum += dfn / abs(x - params.c)
+        if asum > budget:
+            break
+        dfn *= params.deriv(x)
+        x = params.eval(x)
+        orbit.append(x)
+        asums.append(asum)
+        dfns.append(dfn)
+    n_max = len(asums) - 1
+    if n_max < 1:
+        return None
+    clear_prefix = np.cumprod(outside[: n_max + 1]).astype(bool)
+    for M in range(n_max, 0, -1):
+        if not clear_prefix[M - 1]:
+            continue
+        xM = orbit[M]
+        dprime = max(d_star(params, xM), delta)
+        df_after = dfns[M] * params.deriv(xM)
+        if df_after >= (dprime / delta) ** (1.0 - zeta):
+            return BindingPeriodRecord(v, delta, M, theta, L, zeta, asums[M], df_after, dprime)
+    return None
+
+
+def _reference_verify(rec, params):
+    """BindingPeriodRecord.verify's own loop."""
+    nbL = critical_neighborhood(params, rec.L * rec.delta)
+    x = rec.v
+    asum = 0.0
+    dfn = 1.0
+    for _ in range(rec.M):
+        if nbL.contains(x):
+            return False
+        asum += dfn / abs(x - params.c)
+        dfn *= params.deriv(x)
+        x = params.eval(x)
+    if asum > rec.theta / rec.delta * (1.0 + 1e-12):
+        return False
+    dprime = max(d_star(params, x), rec.delta)
+    df_after = dfn * params.deriv(x)
+    return df_after >= (dprime / rec.delta) ** (1.0 - rec.zeta) * (1.0 - 1e-12)
+
+
+def _bits(rec):
+    return None if rec is None else [v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(rec)]
+
+
+def _bits_or_hit(fn, *args):
+    """_bits of the record fn returns, or (step, point) of the CriticalHit it raises."""
+    try:
+        return _bits(fn(*args))
+    except CriticalHit as err:
+        return err.step, err.point
+
+
+BINDING_LADDER = ExperimentConfig().scales.binding_delta_ladder
+
+
+@pytest.mark.parametrize("params", KERNEL_PARAMS, ids=["canon", "ell3", "ell2.5"])
+class TestWalk:
+    def test_yields_the_start_before_any_guard_check(self, params):
+        walk = params.walk(params.c)
+        assert next(walk) == (0, params.c, 1.0, 0.0)
+        with pytest.raises(CriticalHit) as err:
+            next(walk)
+        assert (err.value.step, err.value.point) == (0, params.c)
+
+    def test_summability_matches_reference_bit_for_bit(self, params):
+        for v in (params.c1_minus, params.c1_plus):
+            for n_steps in (1, 2, 400, 1000):
+                stats = summability_stats(params, v, n_steps)
+                dfn, partial = _reference_summability(params, v, n_steps)
+                assert stats["dfn"].tobytes() == dfn.tobytes()
+                assert stats["S_N"].hex() == partial.hex()
+
+    def test_binding_and_verify_match_reference_bit_for_bit(self, params):
+        _, L, zeta = binding_constants(params)
+        verdicts = set()
+        for v in (params.c1_minus, params.c1_plus):
+            for delta in BINDING_LADDER:
+                rec = binding_period(params, v, delta, 2000)
+                assert _bits(rec) == _bits(_reference_binding_period(params, v, delta, 2000))
+                # CANON's records, and records at CANON's budget on the other maps, re-verified
+                # at their own and at longer binding periods
+                base = rec or BindingPeriodRecord(v, delta, 40, 0.008, L, zeta, 0.0, 0.0, 0.0)
+                for M in (base.M, base.M + 1, base.M + 20, 3 * base.M):
+                    probe = dataclasses.replace(base, M=M)
+                    verdict = probe.verify(params)
+                    assert verdict is _reference_verify(probe, params)
+                    verdicts.add(verdict)
+        assert verdicts == ({True, False} if params == CANON else {False})  # only CANON's orbits bind here
+
+    def test_critical_start_raises_at_the_reference_step(self, params):
+        x0 = PerturbedFamily(params).inverse_branch(0.0, params.c, True)  # within the guard of c in one step
+        x1 = params.eval(x0)
+        assert abs(x1 - params.c) < CRITICAL_GUARD
+        with pytest.raises(CriticalHit) as want:
+            _reference_summability(params, x0, 5)
+        with pytest.raises(CriticalHit) as got:
+            summability_stats(params, x0, 5)
+        assert (got.value.step, got.value.point) == (want.value.step, want.value.point) == (1, x1)
+        for delta in BINDING_LADDER:
+            args = (params, x0, delta, 2000)
+            assert _bits_or_hit(binding_period, *args) == _bits_or_hit(_reference_binding_period, *args)
+        theta, L, zeta = binding_constants(params)
+        rec = BindingPeriodRecord(x0, BINDING_LADDER[0], 3, theta, L, zeta, 0.0, 0.0, 0.0)
+        if x1 != params.c:
+            assert rec.verify(params) is _reference_verify(rec, params) is False  # x1 lies in B(L delta)
+        else:
+            # c itself is outside B(L delta): the reference divided by |x1 - c| = 0, the walk's guard raises
+            with pytest.raises(ZeroDivisionError):
+                _reference_verify(rec, params)
+            with pytest.raises(CriticalHit) as err:
+                rec.verify(params)
+            assert (err.value.step, err.value.point) == (1, x1)

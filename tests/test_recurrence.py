@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -240,6 +241,17 @@ class TestBindingPeriod:
         rec = binding_period(CANON, CANON.c1_minus, 3.125e-12, 2000)
         assert rec is not None
         assert rec.verify(CANON)
+
+    def test_period_within_horizon(self):
+        # M never exceeds the horizon; from horizon 71 on, the full search's record comes back
+        full = binding_period(CANON, 0.9, 3.125e-12, 2000)
+        assert (full.M, full.asum.hex()) == (71, "0x1.95151817ce79ep+28")
+        for horizon in range(68, 74):
+            rec = binding_period(CANON, 0.9, 3.125e-12, horizon)
+            if horizon < full.M:
+                assert rec is None or rec.M <= horizon
+            else:
+                assert dataclasses.astuple(rec) == dataclasses.astuple(full)
 
     def test_none_at_coarse_scales(self):
         assert binding_period(CANON, CANON.c1_minus, 0.002, 2000) is None

@@ -66,11 +66,11 @@ def _scalar_ulam(family, model, part):
 
     def deterministic(t):
         D = np.zeros((n, n))
-        for side, rows in (("left", range(c_idx)), ("right", range(c_idx, n))):
-            dom_lo, dom_hi = family.branch_domain(side)
-            rng_lo, rng_hi = family.branch_range(t, side)
+        for left, rows in ((True, range(c_idx)), (False, range(c_idx, n))):
+            dom_lo, dom_hi = family.branch_domain(left)
+            rng_lo, rng_hi = family.branch_range(t, left)
             pre = np.array([
-                dom_lo if y <= rng_lo else dom_hi if y >= rng_hi else family.inverse_branch(t, y, side)
+                dom_lo if y <= rng_lo else dom_hi if y >= rng_hi else family.inverse_branch(t, y, left)
                 for y in edges.tolist()
             ])
             for i in rows:
@@ -120,8 +120,8 @@ class TestUlamMatrix:
         i = part64.bin_of(0.25)
         a, b = part64.edges[i], part64.edges[i + 1]
         j = part64.bin_of(CANON.eval(0.5 * (a + b)))
-        lo = max(CANON.inverse(part64.edges[j], "left"), a)
-        hi = min(CANON.inverse(part64.edges[j + 1], "left"), b)
+        lo = max(CANON.inverse(part64.edges[j], True), a)
+        hi = min(CANON.inverse(part64.edges[j + 1], True), b)
         assert det.matrix[i, j] == pytest.approx((hi - lo) / (b - a), abs=1e-12)
 
 
