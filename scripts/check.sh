@@ -13,8 +13,8 @@
 # and tests/ against HEAD (staged new files count, untracked ones do not).  A
 # third counts the settable values of src/lorenzlab at HEAD and in the working
 # tree: function parameters (self and cls not counted), parameters with a
-# default, dataclass fields with a default and command-line options.  The info
-# lines never fail the run.
+# default, dataclass fields, dataclass fields with a default and command-line
+# options.  The info lines never fail the run.
 set -u
 root="$(cd "$(dirname "$0")/.." && pwd)"
 work="$root/.perfbench-work/check"
@@ -63,8 +63,8 @@ import subprocess
 
 
 def settable(sources):
-    """(parameters, defaulted parameters, dataclass fields with defaults, CLI options) of the sources."""
-    params = defaulted = fields = options = 0
+    """(parameters, defaulted parameters, dataclass fields, those with defaults, CLI options) of the sources."""
+    params = defaulted = fields = field_defaults = options = 0
     for source in sources:
         for node in ast.walk(ast.parse(source)):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -76,11 +76,13 @@ def settable(sources):
                 "dataclass" in (getattr(d, "id", None), getattr(getattr(d, "func", None), "id", None))
                 for d in node.decorator_list
             ):
-                fields += sum(isinstance(s, ast.AnnAssign) and s.value is not None for s in node.body)
+                annotated = [s for s in node.body if isinstance(s, ast.AnnAssign)]
+                fields += len(annotated)
+                field_defaults += sum(s.value is not None for s in annotated)
             elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_argument":
                 first = node.args[0] if node.args else None
                 options += isinstance(first, ast.Constant) and str(first.value).startswith("--")
-    return params, defaulted, fields, options
+    return params, defaulted, fields, field_defaults, options
 
 
 def git(*args):
@@ -94,7 +96,8 @@ except (OSError, subprocess.CalledProcessError):
     pass
 else:
     tree = settable(path.read_text() for path in sorted(pathlib.Path("src/lorenzlab").rglob("*.py")))
-    labels = ("parameters", "defaulted parameters", "dataclass fields with defaults", "CLI options")
+    labels = ("parameters", "defaulted parameters", "dataclass fields", "dataclass fields with defaults",
+              "CLI options")
     print("info  settable values against HEAD: "
           + ", ".join(f"{label} {a} -> {b}" for label, a, b in zip(labels, head, tree)))
 EOF

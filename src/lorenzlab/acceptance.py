@@ -16,7 +16,7 @@ import numpy as np
 from .config import ExperimentConfig
 from .errors import CriticalPointEval
 from .expansion import random_koebe_branch
-from .inducing import build_nice_set, inducing_tail_stats
+from .inducing import STREAM_NICE, build_nice_set, inducing_tail_stats
 from .maps import MapParams, schwarzian
 from .noise import NoiseModel, kernel_regularity_check
 from .orbits import chain_derivatives, random_orbit
@@ -233,7 +233,7 @@ def criterion_07_stability_trend(cfg: ExperimentConfig):
     t0 = time.time()
     family = cfg.perturbed_family()
     part = partition_for(family, cfg.partition.n_bins)
-    rows, _, _ = stability_sweep(family, cfg.noise.eps_ladder, part, noise_kind=cfg.noise.kind)
+    rows, _, _ = stability_sweep(family, cfg.ladder_models(), part)
     dists = [r["l1"] for r in rows]
     ok = all(np.isfinite(dists)) and nonincreasing_within_slack(dists)
     pretty = ", ".join(f"{r['eps']:g}:{r['l1']:.4f}" for r in rows)
@@ -255,8 +255,8 @@ def criterion_08_kernel_regularity(cfg: ExperimentConfig):
 def _brute_force_scan(family, x, om_values, delta, theta, tau, theta0, horizon):
     """Naive re-derivation of the stopping times from full re-iterations.
 
-    It keeps to eval and derivatives rather than PerturbedFamily.step, so that
-    it stays an oracle independent of the kernel the scans use.
+    It steps through PerturbedFamily.jet rather than the scans' inline kernel,
+    so that it stays an oracle independent of it.
     """
     params = family.base
     grid = default_scale_grid(params, delta)
@@ -269,9 +269,8 @@ def _brute_force_scan(family, x, om_values, delta, theta, tau, theta0, horizon):
         y = x
         for i in range(s):
             a += df / abs(y - params.c)
-            d1, _ = family.derivatives(float(om_values[i]), y)
+            y, d1, _ = family.jet(float(om_values[i]), y)
             df *= d1
-            y = family.eval(float(om_values[i]), y)
         return y, df, a
 
     plain = capped = None
@@ -494,7 +493,7 @@ def criterion_14_nice_set(cfg: ExperimentConfig):
     n_violations = 0
     for k in range(20):
         ns = build_nice_set(
-            family, s.delta0, model.stream(4_000_000 + k),
+            family, s.delta0, model.stream(STREAM_NICE + k),
             depth=cfg.horizons.nice_depth, verify_horizon=cfg.horizons.verify_horizon,
         )
         if not ns.containment_ok:

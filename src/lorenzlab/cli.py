@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import os
 import subprocess
@@ -23,7 +22,7 @@ from . import acceptance
 from .config import ExperimentConfig, config_hash, load_config
 from .errors import ConfigInvalid, NoConvergence
 from .expansion import expansion_envelope, mane_estimate, random_koebe_branch, total_distortion_trend
-from .inducing import build_nice_set, inducing_tail_stats
+from .inducing import STREAM_NICE, build_nice_set, inducing_tail_stats
 from .orbits import random_orbit
 from .recurrence import (
     backward_contraction_check,
@@ -48,7 +47,6 @@ from .transfer import (
 STREAM_SIMULATE = 1_000_000
 STREAM_RETURNS = 2_000_000
 STREAM_DEPTH = 3_000_000
-STREAM_NICE = 4_000_000
 STREAM_BIRKHOFF = 6_000_000
 
 
@@ -173,12 +171,7 @@ def run_density(cfg: ExperimentConfig, out_dir: str):
 def run_stability_sweep(cfg: ExperimentConfig, out_dir: str):
     family = cfg.perturbed_family()
     part = partition_for(family, cfg.partition.n_bins)
-    rows, zeta0, det_info = stability_sweep(
-        family,
-        cfg.noise.eps_ladder,
-        part,
-        noise_kind=cfg.noise.kind,
-    )
+    rows, zeta0, det_info = stability_sweep(family, cfg.ladder_models(), part)
     p1 = _write_csv(
         os.path.join(out_dir, "stability_sweep.csv"),
         ["eps", "l1", "tv", "residual", "iterations", "error"],
@@ -206,7 +199,7 @@ def _good_and_capped_returns(family, x0, stream, delta, theta, tau, theta0, hori
     if cap is None:
         return None, None
     if cap.kind == "theta_good" and cap.delta == delta:
-        return dataclasses.replace(cap, tau=None), cap
+        return cap, cap
     return good_return_time(family, x0, stream, delta, theta, horizon=horizon), cap
 
 
@@ -388,17 +381,14 @@ def run_expansion(cfg: ExperimentConfig, out_dir: str):
                              horizon=cfg.horizons.mane_horizon, seed=cfg.noise.seed)
     mane_rnd = mane_estimate(family, model, nb.interval(), n_starts=cfg.ensemble.expansion_starts,
                              horizon=cfg.horizons.mane_horizon, seed=cfg.noise.seed)
+    models = cfg.ladder_models()
     env_rows = []
-    for eps in cfg.noise.eps_ladder:
-        if eps > family.eps_max:
-            continue
-        env_model = cfg.noise_model(float(eps))
-        env = expansion_envelope(family, env_model, float(eps),
-                                 n_starts=cfg.ensemble.expansion_starts,
+    for env_model in models:
+        env = expansion_envelope(family, env_model, n_starts=cfg.ensemble.expansion_starts,
                                  horizon=cfg.horizons.envelope_horizon)
         env_rows.append(
             (
-                eps,
+                env_model.eps,
                 env.get("lambda_hat", float("nan")),
                 env.get("prefactor_hat", float("nan")),
                 env.get("alpha_hat_case1", float("nan")),
@@ -406,9 +396,7 @@ def run_expansion(cfg: ExperimentConfig, out_dir: str):
             )
         )
     dist_rows = total_distortion_trend(
-        family, cfg.noise.seed, cfg.noise.eps_ladder,
-        n_starts=cfg.ensemble.expansion_starts * 3, horizon=cfg.horizons.envelope_horizon,
-        noise_kind=cfg.noise.kind,
+        family, models, n_starts=cfg.ensemble.expansion_starts * 3, horizon=cfg.horizons.envelope_horizon,
     )
     # koebe survey over random pullback branches
     rng = np.random.default_rng(cfg.noise.seed)

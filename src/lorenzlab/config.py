@@ -117,6 +117,10 @@ class ExperimentConfig:
     def noise_model(self, eps: float) -> NoiseModel:
         return NoiseModel(eps=eps, kind=self.noise.kind, seed=self.noise.seed)
 
+    def ladder_models(self) -> list[NoiseModel]:
+        """One noise model per rung of ``noise.eps_ladder``, in ladder order."""
+        return [self.noise_model(float(eps)) for eps in self.noise.eps_ladder]
+
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 

@@ -57,7 +57,7 @@ class VerificationFailed(LorenzLabError):
     ``reason`` names the check that failed (see ``inducing.VERIFY_REASONS``).
     """
 
-    def __init__(self, message, reason=None):
+    def __init__(self, message, reason):
         self.reason = reason
         super().__init__(message)
 

@@ -39,7 +39,9 @@ __all__ = [
     "inducing_tail_stats",
 ]
 
-# fixed stream-id bases of the companion hull's samples and the tail's members
+# fixed stream-id bases of the nice-set fibers (the nice-set subcommand and
+# criterion 14), the companion hull's samples and the tail's members
+STREAM_NICE = 4_000_000
 STREAM_HULL = 7_700_000
 STREAM_TAIL = 8_000_000
 
@@ -195,7 +197,7 @@ def _estimate_lyapunov_bits(family, noise, x0: float) -> float:
     for i in range(min(2000, len(noise))):
         if abs(y - c) < 1e-13:
             y += 1e-6
-        y, df = family.step(float(noise[i]), y)
+        y, df, _ = family.jet(float(noise[i]), y)
         total += math.log2(df)
         count += 1
     return max(total / max(count, 1), 0.1)
@@ -232,7 +234,7 @@ def _scan_mp(family, nb, noise, total_steps):
             if not margin <= yf <= 1.0 - margin or abs(yf - params.c) < 1e-12:
                 return i + 1, traj, logdf  # left the core or grazed c: failure
             logdf += math.log(abs(params.deriv(yf)) + 1e-300)
-            # written out in mpmath: PerturbedFamily.step works in doubles
+            # written out in mpmath: PerturbedFamily.jet works in doubles
             if y < c:
                 z = (c - y) / c
                 y = u * (1 - z**ell) + t
@@ -424,14 +426,10 @@ def markov_theta_cap(ell: float, theta0: float) -> float:
 class MarkovVerification:
     """Witnesses of a directly verified Markov inducing time."""
 
-    time: int
-    window: tuple[float, float]
     target: tuple[float, float]
     nonlinearity: float
     min_df: float
     floor: float
-    chain_order: int
-    grid_points: int
 
 
 #: names of the checks a Markov verification can fail, in the order they run
@@ -504,16 +502,7 @@ def verify_markov_time(
     floor = math.e**2 * (target[1] - target[0]) / base_length
     if min_df < floor:
         raise VerificationFailed(f"derivative {min_df:.3f} below floor {floor:.3f}", "below_floor")
-    return MarkovVerification(
-        time=m,
-        window=(lo, hi),
-        target=target,
-        nonlinearity=nonlinearity,
-        min_df=min_df,
-        floor=floor,
-        chain_order=chain.order,
-        grid_points=grid_points,
-    )
+    return MarkovVerification(target=target, nonlinearity=nonlinearity, min_df=min_df, floor=floor)
 
 
 def _pullback_rows(family: PerturbedFamily, omega, sides_left, target, code):
@@ -627,6 +616,10 @@ def verify_markov_batch(
     return code
 
 
+#: window constant theta0 of markov_inducing_time's distortion cap
+_MARKOV_THETA0 = 0.01
+
+
 def markov_inducing_time(
     family: PerturbedFamily,
     x: float,
@@ -634,8 +627,6 @@ def markov_inducing_time(
     nice_set: NiceSetApprox,
     theta: float,
     horizon: int,
-    theta0: float = 0.01,
-    grid_points: int = 128,
 ) -> tuple[int, MarkovVerification] | None:
     """Minimal directly verified Markov inducing time of (x, omega).
 
@@ -645,9 +636,10 @@ def markov_inducing_time(
     derivative floor).  Good returns at distortion theta are a special case
     of such landings, so whenever the theta-good return time is defined the
     returned time is at most it.  ``theta`` must respect the cap tied to
-    the window constant theta0.
+    the window constant _MARKOV_THETA0.  Each candidate is verified on a
+    grid of verify_markov_time's default size.
     """
-    cap = markov_theta_cap(family.base.ell, theta0)
+    cap = markov_theta_cap(family.base.ell, _MARKOV_THETA0)
     if not 0.0 < theta < cap:
         raise ValueError(f"theta={theta} outside (0, {cap:.4g})")
     if not nice_set.contains(x):
@@ -670,9 +662,7 @@ def markov_inducing_time(
         if not target[0] < y < target[1]:
             continue
         try:
-            report = verify_markov_time(
-                family, values, x, s, target, base_length, grid_points=grid_points
-            )
+            report = verify_markov_time(family, values, x, s, target, base_length)
         except VerificationFailed:
             continue
         return s, report
@@ -693,7 +683,6 @@ class TailStats:
     n_members: int
     censored: int
     critical_hits: int
-    theta: float
     theta_good_times: np.ndarray
     hull: tuple[float, float]
     verified_subsample: dict
@@ -910,7 +899,6 @@ def inducing_tail_stats(
         n_members=n_members,
         censored=censored,
         critical_hits=critical_hits,
-        theta=theta,
         theta_good_times=h_times,
         hull=hull,
         verified_subsample={"checked": checked, "agree": agree},

@@ -301,26 +301,17 @@ class PerturbedFamily:
             return base
         return base + t * self.taper(x)
 
-    def step(self, t: float, x: float) -> tuple[float, float]:
-        """(f_t(x), Df_t(x)): the base map's eval and deriv plus the taper terms."""
+    def jet(self, t: float, x: float) -> tuple[float, float, float]:
+        """(f_t(x), Df_t(x), D2f_t(x)): the base map's eval, deriv and deriv2 plus the taper terms."""
         self._check_noise(t)
-        fx, df = self.base.eval(x), self.base.deriv(x)
+        p = self.base
+        fx, d1, d2 = p.eval(x), p.deriv(x), p.deriv2(x)
         if t == 0.0:
-            return fx, df
+            return fx, d1, d2
         m = self.margin
-        if m <= x <= 1.0 - m:  # taper core: w = 1 and w' = 0
-            return fx + t, df
-        return fx + t * self.taper(x), df + t * self.taper_d(x)
-
-    def derivatives(self, t: float, x: float) -> tuple[float, float]:
-        """(Df_t(x), D2f_t(x))."""
-        self._check_noise(t)
-        d1 = self.base.deriv(x)
-        d2 = self.base.deriv2(x)
-        if t != 0.0:
-            d1 += t * self.taper_d(x)
-            d2 += t * self.taper_d2(x)
-        return d1, d2
+        if m <= x <= 1.0 - m:  # taper core: w = 1 and w' = w'' = 0
+            return fx + t, d1, d2
+        return fx + t * self.taper(x), d1 + t * self.taper_d(x), d2 + t * self.taper_d2(x)
 
     def branch_domain(self, left: bool) -> tuple[float, float]:
         """The left (``left``) or right branch's domain."""

@@ -34,20 +34,19 @@ class OrbitRecord:
     """A random orbit together with its derivative cocycle and distortion sum.
 
     ``points[i]`` is the i-th iterate, ``d1[i]`` and ``d2[i]`` the first and
-    second derivatives of the i-step composition at ``x0``, and ``asum[i]``
-    the distortion sum over the first i steps.  When ``hit_critical`` is
-    True the arrays are truncated at the offending point and everything past
-    it is invalid (the distortion sum is conventionally infinite from there).
+    second derivatives of the i-step composition at the start ``points[0]``,
+    and ``asum[i]`` the distortion sum over the first i steps.  When
+    ``hit_critical`` is True the arrays are truncated at the offending point,
+    ``points[n]``, and everything past it is invalid (the distortion sum is
+    conventionally infinite from there).
     """
 
-    x0: float
     omega: np.ndarray
     points: np.ndarray
     d1: np.ndarray
     d2: np.ndarray
     asum: np.ndarray
     hit_critical: bool = False
-    hit_index: int | None = None
 
     @property
     def n(self) -> int:
@@ -76,26 +75,15 @@ def random_orbit(family: PerturbedFamily, x0: float, omega, n: int) -> OrbitReco
         if abs(x - c) < guard:
             hit = i
             break
-        t = float(omega[i])
-        df, df2 = family.derivatives(t, x)
+        x_next, df, df2 = family.jet(float(omega[i]), x)
         asum[i + 1] = asum[i] + d1[i] / abs(x - c)
         d2[i + 1] = df2 * d1[i] * d1[i] + df * d2[i]
         d1[i + 1] = df * d1[i]
-        x = family.eval(t, x)
-        points[i + 1] = x
+        x = points[i + 1] = x_next
     if hit is not None:
         k = hit + 1
-        return OrbitRecord(
-            x0=x0,
-            omega=omega[:hit],
-            points=points[:k],
-            d1=d1[:k],
-            d2=d2[:k],
-            asum=asum[:k],
-            hit_critical=True,
-            hit_index=hit,
-        )
-    return OrbitRecord(x0=x0, omega=omega, points=points, d1=d1, d2=d2, asum=asum)
+        return OrbitRecord(omega[:hit], points[:k], d1[:k], d2[:k], asum[:k], hit_critical=True)
+    return OrbitRecord(omega, points, d1, d2, asum)
 
 
 def chain_derivatives(family: PerturbedFamily, values, g: np.ndarray, m: int):
@@ -142,10 +130,11 @@ def log_scan(family: PerturbedFamily, x: float, noise):
     guard = CRITICAL_GUARD
     log, log1p, exp = math.log, math.log1p, math.exp
     y, log_df, log_a = x, 0.0, -math.inf
-    # Each step is family.step(t, y) and np.logaddexp's formula written out with their exact
-    # expressions: about 570 ns a step, against 1000 for the same loop calling family.step and a
-    # logaddexp function (x86-64, CPython 3.11; tests/test_orbits.py keeps that loop as the bit-exact
-    # oracle).  Noise is read as Python floats through a memoryview of the prefix.
+    # Each step is f_t and Df_t of family.jet(t, y) and np.logaddexp's formula written out with
+    # their exact expressions: about 580 ns a step, against 1400 for the same loop calling
+    # family.jet and a logaddexp function (x86-64, CPython 3.11; tests/test_orbits.py keeps that
+    # loop as the bit-exact oracle).  Noise is read as Python floats through a memoryview of the
+    # prefix.
     for s, t in enumerate(memoryview(np.asarray(noise, dtype=float)), 1):
         d = c - y if y < c else y - c  # abs(y - c): c - y is exactly -(y - c)
         if d < guard:

@@ -207,7 +207,8 @@ def good_return_or_expansion_time(
 
     The scale infimum runs over a geometric grid with ratio e from delta up to
     DELTA_STAR; refining the grid can only make the reported time earlier.
-    Ties at the same step report the good return (it carries the scale).
+    Ties at the same step report the good return (it carries the scale, and no
+    tau: a theta-good stop does not depend on it).
     """
     params = family.base
     if scale_grid is None:
@@ -221,7 +222,7 @@ def good_return_or_expansion_time(
     for s, y, log_df, log_a in log_scan(family, x, _noise_prefix(omega, horizon)):
         for lo, hi, log_len, nb in rungs:
             if lo < y < hi and y != c and log_theta + log_df >= log_a + log_len:
-                return ReturnEvent("theta_good", s, nb.delta, theta, tau, log_df, log_a, nb.length)
+                return ReturnEvent("theta_good", s, nb.delta, theta, None, log_df, log_a, nb.length)
         if log_theta0 + log_df >= log_tau_rhs + log_a:
             return ReturnEvent("tau_scale", s, None, theta, tau, log_df, log_a, None)
     return None
@@ -236,7 +237,6 @@ class DepthTrace:
     ``Q(n1, n2)`` and ``visits(n1, n2)`` are inclusive range sums.
     """
 
-    eps: float
     points: np.ndarray
     q: np.ndarray
     in_nbhd: np.ndarray
@@ -289,7 +289,7 @@ def _depth(eps: float, df: float, d: float) -> int:
 
 def depth_value(family: PerturbedFamily, eps: float, t: float, x: float) -> int:
     """Depth q of a single skew-product state (x with next noise t)."""
-    return _depth(eps, family.step(t, x)[1], abs(x - family.base.c))
+    return _depth(eps, family.jet(t, x)[1], abs(x - family.base.c))
 
 
 def depth_trace(
@@ -314,10 +314,10 @@ def depth_trace(
             raise CriticalHit(j, y)
         points[j] = y
         flags[j] = nb.contains(y)
-        y_next, df = family.step(float(values[j]), y)  # the bits of family.eval(t, y)
+        y_next, df, _ = family.jet(float(values[j]), y)  # the bits of family.eval(t, y)
         q[j] = _depth(eps, df, abs(y - c))
         y = y_next
-    return DepthTrace(eps=eps, points=points, q=q, in_nbhd=flags)
+    return DepthTrace(points=points, q=q, in_nbhd=flags)
 
 
 @dataclass
@@ -515,7 +515,8 @@ def backward_contraction_check(
     violations = []
     seen = set()
     cvs = (params.c1_plus, params.c1_minus)
-    per_start = max(1, sample_budget // (2 * max(1, len(list(delta_ladder)))))
+    delta_ladder = list(delta_ladder)  # read twice: its length, then its rungs
+    per_start = max(1, sample_budget // (2 * max(1, len(delta_ladder))))
     for delta in delta_ladder:
         nb_target = critical_neighborhood(params, BC_R * delta)
         target = nb_target.interval()

@@ -331,19 +331,20 @@ def tv_distance(a: Density, b: Density) -> float:
 
 def stability_sweep(
     family: PerturbedFamily,
-    eps_ladder,
+    models,
     partition: Partition,
-    noise_kind: str = "uniform",
     quad_nodes: int = 32,
 ) -> tuple[list[dict], Density, dict]:
-    """Distance of the stationary density to the zero-noise density per rung.
+    """Distance of the stationary density to the zero-noise density per noise model.
 
-    The ladder must be sorted in descending order and every rung must be an
-    admissible amplitude.  A rung whose power iteration fails is recorded
-    with its final residual and does not abort the sweep.  Returns the rows,
-    the zero-noise density and its solve info.
+    The models' amplitudes form the ladder, which must be sorted in descending
+    order with every rung an admissible amplitude; assembly reads only each
+    law's quadrature, never a seed.  A rung whose power iteration fails is
+    recorded with its final residual and does not abort the sweep.  Returns
+    the rows, the zero-noise density and its solve info.
     """
-    ladder = [float(e) for e in eps_ladder]
+    models = list(models)
+    ladder = [model.eps for model in models]
     if any(b >= a for a, b in zip(ladder, ladder[1:])):
         raise ValueError("eps ladder must be sorted in descending order")
     if any(e > family.eps_max for e in ladder):
@@ -351,14 +352,13 @@ def stability_sweep(
     det_matrix = build_ulam(family, None, partition)
     zeta0, det_info = stationary_density(det_matrix)
     rows = []
-    for eps in ladder:
-        model = NoiseModel(eps=eps, kind=noise_kind)  # assembly reads the quadrature, no draws
+    for model in models:
         matrix = build_ulam(family, model, partition, quad_nodes=quad_nodes)
         try:
             zeta_eps, info = stationary_density(matrix)
             rows.append(
                 {
-                    "eps": eps,
+                    "eps": model.eps,
                     "l1": l1_distance(zeta_eps, zeta0),
                     "tv": tv_distance(zeta_eps, zeta0),
                     "residual": info["residual"],
@@ -369,7 +369,7 @@ def stability_sweep(
         except NoConvergence as exc:
             rows.append(
                 {
-                    "eps": eps,
+                    "eps": model.eps,
                     "l1": float("nan"),
                     "tv": float("nan"),
                     "residual": exc.residual,

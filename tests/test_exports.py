@@ -110,3 +110,17 @@ def test_benchmark_tracer_counts_pullback_steps():
     assert res["applicable"]  # so koebe_check pulled back both T and its inner J
     assert tracer.calls["recurrence.pullback"] == 3
     assert tracer.counters["recurrence.pullback.steps"] == 3 * 6
+
+
+def test_benchmark_tracer_counts_bc_components():
+    """The tracer counts ``components_visited`` of a backward-contraction check, one per row."""
+    tracer = _load_benchmark_tracer().Tracer("test").install()
+    try:
+        rep = lorenzlab.recurrence.backward_contraction_check(
+            lorenzlab.maps.CANON, [0.0025], 2, sample_budget=10, seed=0
+        )
+    finally:
+        tracer.uninstall()
+    assert len(rep["rows"]) > 0
+    assert tracer.calls["recurrence.bc_check"] == 1
+    assert tracer.counters["recurrence.bc_check.components"] == len(rep["rows"])

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import warnings
 
@@ -195,9 +196,32 @@ class TestPerturbedFamily:
 
     def test_derivatives_include_taper(self, family):
         x, t = 0.02, 0.01  # inside the left taper zone
-        d1, d2 = family.derivatives(t, x)
+        _, d1, d2 = family.jet(t, x)
         assert d1 == pytest.approx(CANON.deriv(x) + t * family.taper_d(x), rel=1e-12)
         assert d2 == pytest.approx(CANON.deriv2(x) + t * family.taper_d2(x), rel=1e-12)
+
+
+def _reference_step(family, t, x):
+    """(f_t(x), Df_t(x)) as PerturbedFamily.step computed them before jet replaced it."""
+    family._check_noise(t)
+    fx, df = family.base.eval(x), family.base.deriv(x)
+    if t == 0.0:
+        return fx, df
+    m = family.margin
+    if m <= x <= 1.0 - m:  # taper core: w = 1 and w' = 0
+        return fx + t, df
+    return fx + t * family.taper(x), df + t * family.taper_d(x)
+
+
+def _reference_derivatives(family, t, x):
+    """(Df_t(x), D2f_t(x)) as PerturbedFamily.derivatives computed them before jet replaced it."""
+    family._check_noise(t)
+    d1 = family.base.deriv(x)
+    d2 = family.base.deriv2(x)
+    if t != 0.0:
+        d1 += t * family.taper_d(x)
+        d2 += t * family.taper_d2(x)
+    return d1, d2
 
 
 @pytest.mark.parametrize("params", KERNEL_PARAMS, ids=["canon", "ell3", "ell2.5"])
@@ -210,13 +234,42 @@ class TestStepKernels:
         for t in (0.0, 0.6 * family.eps_max, -0.9 * family.eps_max):
             for x in xs:
                 expected = (family.eval(t, x), params.deriv(x) + t * family.taper_d(x))
-                assert family.step(t, x) == expected
+                assert family.jet(t, x)[:2] == expected
+
+    def test_jet_matches_step_and_derivatives_bit_for_bit(self, params):
+        """jet's (f_t, Df_t) are the former step's bits and its (Df_t, D2f_t) the former derivatives'."""
+        family = PerturbedFamily(params)
+        m, c = family.margin, params.c
+        # the fixed endpoints 0 and 1, both taper zones up to their edges, the core edges m and
+        # 1 - m, both sides of c on the core, and a random spread
+        xs = [0.0, 1e-9, 0.3 * m, 0.999 * m, m, 0.3, c - 1e-3, c + 1e-3, 0.8, 1.0 - m,
+              1.0 - 0.999 * m, 1.0 - 0.3 * m, 1.0 - 1e-9, 1.0]
+        xs += np.random.default_rng(3).uniform(0.0, 1.0, 200).tolist()
+        e = family.eps_max
+        for t in (0.0, e / 2.0, -e / 2.0, e, -e):
+            for x in xs:
+                f, d1, d2 = family.jet(t, x)
+                assert (f.hex(), d1.hex()) == tuple(v.hex() for v in _reference_step(family, t, x))
+                assert (d1.hex(), d2.hex()) == tuple(v.hex() for v in _reference_derivatives(family, t, x))
+
+    def test_jet_raises_as_step_and_derivatives_did(self, params):
+        family = PerturbedFamily(params)
+        for call in (family.jet, functools.partial(_reference_step, family),
+                     functools.partial(_reference_derivatives, family)):
+            with pytest.raises(NoiseOutOfRange):
+                call(1.5 * family.eps_max, 0.3)
+            with pytest.raises(CriticalPointEval):
+                call(0.0, params.c)
+
+    def test_family_has_no_step_or_derivatives(self, params):
+        family = PerturbedFamily(params)
+        assert not hasattr(family, "step") and not hasattr(family, "derivatives")
 
     def test_jet_matches_scalar_calls_at_fixed_endpoints(self, params):
         family = PerturbedFamily(params)
         for t in (0.0, family.eps_max / 2.0, -family.eps_max):
             for x in (0.0, 1.0):
-                scalar = np.array([family.eval(t, x), *family.derivatives(t, x)])
+                scalar = np.array(family.jet(t, x))
                 jet = np.concatenate(family.jet_vec(t, np.array([x])))
                 assert scalar.tobytes() == jet.tobytes()
 

@@ -38,7 +38,7 @@ class TestRandomOrbit:
     def test_critical_hit_truncates(self, family):
         rec = random_orbit(family, 0.5 + 1e-16, np.zeros(5), 5)
         assert rec.hit_critical
-        assert rec.hit_index == 0
+        assert rec.n == 0  # the record ends at the offending point
         assert len(rec.points) == 1
 
     def test_noise_prefix_too_short(self, family):
@@ -65,7 +65,7 @@ class TestRandomOrbit:
         rec = random_orbit(family, 0.31, om, n)
         prod = 1.0
         for i in range(rec.n):
-            d1, _ = family.derivatives(float(om[i]), rec.points[i])
+            _, d1, _ = family.jet(float(om[i]), rec.points[i])
             prod *= d1
         assert rec.d1[rec.n] == pytest.approx(prod, rel=1e-12)
 
@@ -92,14 +92,14 @@ def _logaddexp(a: float, b: float) -> float:
 
 
 def _reference_log_scan(family, x, noise):
-    """log_scan's walk through family.step and _logaddexp: the oracle of its inline step."""
+    """log_scan's walk through family.jet and _logaddexp: the oracle of its inline step."""
     c = family.base.c
     y, log_df, log_a = x, 0.0, -math.inf
     for s, t in enumerate(noise, 1):
         d = abs(y - c)
         if d < CRITICAL_GUARD:
             raise CriticalHit(s - 1, y)
-        y, df = family.step(float(t), y)
+        y, df, _ = family.jet(float(t), y)
         log_a = _logaddexp(log_a, log_df - math.log(d))
         log_df += math.log(df)
         yield s, y, log_df, log_a
@@ -128,7 +128,7 @@ def _tied_start(family):
     c = family.base.c
 
     def terms(x, t):
-        y, df = family.step(t, x)
+        y, df, _ = family.jet(t, x)
         return 0.0 - math.log(abs(x - c)), math.log(df) - math.log(abs(y - c))
 
     for k in range(40):
@@ -182,10 +182,11 @@ class TestLogScan:
         assert len(rows) == 1
         assert err.value.step == 1
         assert err.value.point == rows[0][1]
-        assert random_orbit(scan_family, x, np.zeros(5), 5).hit_index == 1
+        rec = random_orbit(scan_family, x, np.zeros(5), 5)
+        assert rec.hit_critical and rec.n == 1 and rec.points[1] == err.value.point
 
     def test_inline_step_matches_family_step_bit_for_bit(self, scan_family):
-        """Every yielded (s, y, log_df, log_a) equals the family.step walk's bits."""
+        """Every yielded (s, y, log_df, log_a) equals the family.jet walk's bits."""
         family = scan_family
         m, eps_max = family.margin, family.eps_max
         rng = np.random.default_rng(2026)

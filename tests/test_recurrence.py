@@ -379,3 +379,11 @@ class TestBackwardContraction:
         rep = backward_contraction_check(CANON, [0.0025], 30, sample_budget=800, seed=2)
         assert len(rep["violations"]) == 0
         assert rep["components_visited"] > 100
+
+    def test_one_shot_ladder_scans_like_a_list(self):
+        """A generator ladder is read once: its length sets the per-start budget and its rungs are scanned."""
+        ladder = [0.01, 0.005]
+        want = backward_contraction_check(CANON, ladder, 10, sample_budget=200, seed=0)
+        got = backward_contraction_check(CANON, (d for d in ladder), 10, sample_budget=200, seed=0)
+        assert len(want["rows"]) == 36
+        assert got == want

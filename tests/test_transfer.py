@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lorenzlab import transfer
 from lorenzlab.acceptance import _project_density
 from lorenzlab.errors import NoConvergence, PartitionMismatch, PartitionTooCoarse
 from lorenzlab.maps import CANON, CRITICAL_GUARD
@@ -284,19 +285,42 @@ class TestBirkhoff:
 class TestSweep:
     def test_ladder_order_enforced(self, family, part64):
         with pytest.raises(ValueError):
-            stability_sweep(family, [0.005, 0.01], part64)
+            stability_sweep(family, [NoiseModel(eps=0.005), NoiseModel(eps=0.01)], part64)
 
     def test_rung_above_eps_max_rejected(self, family, part64):
         with pytest.raises(ValueError):
-            stability_sweep(family, [0.5, 0.01], part64)
+            stability_sweep(family, [NoiseModel(eps=0.5), NoiseModel(eps=0.01)], part64)
 
     def test_zero_noise_distance_is_zero(self, family, part64):
         det = _cached_det(family, part64)
         pi, _ = stationary_density(det)
         assert l1_distance(pi, pi) == 0.0
 
+    def test_non_converging_rung_is_recorded_and_the_sweep_goes_on(self, family, part64, monkeypatch):
+        models = [NoiseModel(eps=0.02), NoiseModel(eps=0.01), NoiseModel(eps=0.005)]
+        want = stability_sweep(family, models[2:], part64, quad_nodes=16)[0]
+        solve = transfer.stationary_density
+        calls = []
+
+        def first_rung_fails(matrix, *args, **kwargs):
+            calls.append(matrix.mode)
+            if len(calls) == 2:  # the zero-noise solve, then the first rung
+                raise NoConvergence(iterations=1234, residual=5.5e-3)
+            return solve(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(transfer, "stationary_density", first_rung_fails)
+        rows, _, _ = stability_sweep(family, models, part64, quad_nodes=16)
+        assert calls == ["deterministic", "randomized", "randomized", "randomized"]
+        failed = rows[0]
+        assert failed["eps"] == 0.02 and failed["error"] == "no convergence"
+        assert np.isnan(failed["l1"]) and np.isnan(failed["tv"])
+        assert (failed["residual"], failed["iterations"]) == (5.5e-3, 1234)
+        assert all(r["error"] == "" and np.isfinite(r["l1"]) for r in rows[1:])
+        assert rows[2] == want[0]  # a later rung is solved as in a sweep without the failure
+
     def test_small_sweep_runs(self, family):
         part = partition_for(family, 128)
-        rows, zeta0, info = stability_sweep(family, [0.02, 0.01], part, quad_nodes=16)
+        models = [NoiseModel(eps=0.02), NoiseModel(eps=0.01)]
+        rows, zeta0, info = stability_sweep(family, models, part, quad_nodes=16)
         assert len(rows) == 2
         assert all(np.isfinite(r["l1"]) for r in rows)
