@@ -76,15 +76,20 @@ class NiceSetApprox:
         return self.boundary_lo < x < self.boundary_hi
 
 
-def _first_hit_times(family, nb: CriticalNeighborhood, points: np.ndarray, noise: np.ndarray, depth: int):
-    """Per-point first i in 1..depth with f_omega^i(point) inside the hat neighborhood."""
+def _first_hit_times(family, nb: CriticalNeighborhood, points: np.ndarray, noise: np.ndarray, depth: int, rows=None):
+    """Per-point first i in 1..depth with f_omega^i(point) inside the hat neighborhood.
+
+    ``noise`` is one sequence for every point or, with ``rows``, a 2-D array
+    whose row ``rows[k]`` drives point k.
+    """
     first = np.full(len(points), np.iinfo(np.int64).max, dtype=np.int64)
     x = points.copy()
     alive = np.arange(len(points))
     for i in range(1, depth + 1):
         if len(alive) == 0:
             break
-        x[alive] = family.eval_vec(float(noise[i - 1]), x[alive])
+        t = float(noise[i - 1]) if rows is None else noise[rows[alive], i - 1]
+        x[alive] = family.eval_vec(t, x[alive])
         inside = (x[alive] > nb.lo) & (x[alive] < nb.hi)
         first[alive[inside]] = i
         alive = alive[~inside]
@@ -99,6 +104,28 @@ def _point_escapes(family, nb, x: float, noise: np.ndarray, depth: int) -> bool:
         if lo < y < hi:
             return False
     return steps == depth  # a shorter walk came within the critical guard
+
+
+def _escapes_rows(family, nb, x: np.ndarray, noise: np.ndarray, rows: np.ndarray, depth: int) -> np.ndarray:
+    """_point_escapes per element, point k under the noise row ``rows[k]``, in lockstep.
+
+    eval_rows has the bits of the scalar walk; a point within the critical
+    guard ends its walk as log_scan's CriticalHit does.
+    """
+    c = family.base.c
+    live = np.arange(len(x))
+    y = x
+    for i in range(depth):
+        stay = ~(np.abs(y - c) < CRITICAL_GUARD)
+        live, y = live[stay], y[stay]
+        y = family.eval_rows(noise[rows[live], i], y)
+        out = ~((nb.lo < y) & (y < nb.hi))
+        live, y = live[out], y[out]
+        if not len(live):
+            break
+    escapes = np.zeros(len(x), dtype=bool)
+    escapes[live] = True
+    return escapes
 
 
 # width at which the bisection for a fiber boundary stops
@@ -186,6 +213,53 @@ def build_nice_set(
         result.meta["violations"] = violations
         result.meta["boundary_refinement"] = refine_meta
     return result
+
+
+# grid points across the annulus for the tail's fibers (companion hull and subsample)
+_FIBER_GRID = 512
+# fibers whose first-hit grids are walked at once: it bounds the grid's
+# temporaries (some 80 KB a fiber) while keeping the steps few
+_GRID_FIBERS = 8
+
+
+def _fiber_intervals(family: PerturbedFamily, delta: float, noise: np.ndarray, depth: int):
+    """build_nice_set(family, delta, noise[k], depth, grid_points=_FIBER_GRID).interval for every row k.
+
+    Returns the arrays (lo, hi).  The first-hit grids of _GRID_FIBERS fibers
+    at a time go through eval_vec with one noise value per point; then every
+    side's boundary bisection runs in lockstep, through _escapes_rows.  Each
+    boundary has the bits of the scalar build.
+    """
+    params = family.base
+    nb = critical_neighborhood(params, delta)
+    nb2 = critical_neighborhood(params, 2.0 * delta)
+    n = len(noise)
+    # lane 2k + side: side 0 (lo) or 1 (hi) of fiber k
+    grids = np.stack([np.linspace(nb.lo, nb2.lo, _FIBER_GRID), np.linspace(nb.hi, nb2.hi, _FIBER_GRID)])
+    out = np.empty(2 * n, dtype=np.int64)  # first escaping grid index, _FIBER_GRID when none
+    for k in range(0, n, _GRID_FIBERS):
+        f = min(_GRID_FIBERS, n - k)
+        rows = np.repeat(np.arange(k, k + f), 2 * _FIBER_GRID)
+        first = _first_hit_times(family, nb, np.tile(grids.ravel(), f), noise, depth, rows)
+        escapes = (first > depth).reshape(2 * f, _FIBER_GRID)
+        out[2 * k : 2 * (k + f)] = np.where(escapes.any(axis=1), escapes.argmax(axis=1), _FIBER_GRID)
+    side = np.arange(2 * n) % 2
+    # containment fails where no grid point escapes: the boundary is the grid's end
+    boundary = grids[side, -1]
+    lanes = np.nonzero(out < _FIBER_GRID)[0]
+    k, side = out[lanes], side[lanes]
+    inner = np.where(k > 0, grids[side, k - 1], np.where(side == 1, nb.hi, nb.lo))
+    outer = grids[side, k]
+    while True:
+        act = np.nonzero(np.abs(outer - inner) > _BISECT_TOL)[0]
+        if not len(act):
+            break
+        mid = 0.5 * (inner[act] + outer[act])
+        escapes = _escapes_rows(family, nb, mid, noise, lanes[act] // 2, depth)
+        outer[act[escapes]] = mid[escapes]
+        inner[act[~escapes]] = mid[~escapes]
+    boundary[lanes] = outer
+    return boundary[0::2], boundary[1::2]
 
 
 def _estimate_lyapunov_bits(family, noise, x0: float) -> float:
@@ -505,46 +579,48 @@ def verify_markov_time(
     return MarkovVerification(target=target, nonlinearity=nonlinearity, min_df=min_df, floor=floor)
 
 
-def _pullback_rows(family: PerturbedFamily, omega, sides_left, target, code):
+def _pullback_rows(family: PerturbedFamily, omega, order, left, live, target, code):
     """recurrence.pullback_component along each row's orbit, for rows with code -1.
 
-    Returns the components (lo, hi) and whether any step met c (order > 0);
-    rows whose chain empties get the code of ``pullback_empty``.
+    Row i pulls back along ``omega[order[i]]`` with branch sides ``left[i]``;
+    at step j only the first ``live[j]`` rows take part.  Returns the
+    components (lo, hi) and whether any step met c (order > 0); rows whose
+    chain empties get the code of ``pullback_empty``.
     """
     p = family.base
     c = p.c
-    n, m = omega.shape
+    n = len(code)
     lo = np.full(n, float(target[0]))
     hi = np.full(n, float(target[1]))
     clipped = np.zeros(n, dtype=bool)
     empty_code = VERIFY_REASONS.index("pullback_empty")
-    for j in range(m - 1, -1, -1):
-        r = np.nonzero(code < 0)[0]
+    for j in range(len(live) - 1, -1, -1):
+        r = np.nonzero(code[: live[j]] < 0)[0]
         if not len(r):
-            break
-        t = omega[r, j]
-        left = sides_left[r, j]
+            continue
+        t = omega[order[r], j]
+        side = left[r, j]
         # recurrence._pull_once, one row per element
-        rng_lo = np.where(left, 0.0, p.c1_plus + t)
-        rng_hi = np.where(left, p.c1_minus + t, 1.0)
+        rng_lo = np.where(side, 0.0, p.c1_plus + t)
+        rng_hi = np.where(side, p.c1_minus + t, 1.0)
         lo_y = np.maximum(lo[r], rng_lo)
         hi_y = np.minimum(hi[r], rng_hi)
         empty = hi_y <= lo_y
         lo_end = lo_y <= rng_lo
         hi_end = hi_y >= rng_hi
-        x_lo = np.where(left, 0.0, c)
-        x_hi = np.where(left, c, 1.0)
+        x_lo = np.where(side, 0.0, c)
+        x_hi = np.where(side, c, 1.0)
         need_lo = ~empty & ~lo_end
         need_hi = ~empty & ~hi_end
         ks = np.concatenate([np.nonzero(need_lo)[0], np.nonzero(need_hi)[0]])
         ys = np.concatenate([lo_y[need_lo], hi_y[need_hi]])
-        xs = family.inverse_rows(t[ks], ys, left[ks], PULLBACK_TOL)
+        xs = family.inverse_rows(t[ks], ys, side[ks], PULLBACK_TOL)
         n_lo = int(need_lo.sum())
         x_lo[need_lo] = xs[:n_lo]
         x_hi[need_hi] = xs[n_lo:]
         # a None preimage (NaN) fails the comparison and empties the chain
         empty |= ~(x_hi > x_lo)
-        clipped[r] |= np.where(left, hi_end, lo_end) & ~empty
+        clipped[r] |= np.where(side, hi_end, lo_end) & ~empty
         code[r[empty]] = empty_code
         lo[r] = x_lo
         hi[r] = x_hi
@@ -553,67 +629,91 @@ def _pullback_rows(family: PerturbedFamily, omega, sides_left, target, code):
 
 # grid points of each tail verification's nonlinearity and floor checks
 _TAIL_GRID = 64
+# rows whose grids step through the chain rule together: 256 rows of _TAIL_GRID
+# points keep each array at 128 KB, within the cache (on a 2-core x86-64,
+# jet_vec on the tail's grids costs about 14 ns a point so, 27 ns at 10 000 rows)
+_CHAIN_ROWS = 256
 
 
 def verify_markov_batch(
     family: PerturbedFamily,
     omega: np.ndarray,
     x: np.ndarray,
+    m: np.ndarray,
     target: tuple[float, float],
     base_length: float,
 ) -> np.ndarray:
-    """verify_markov_time for many candidates at one time m, in one pass.
+    """verify_markov_time for many candidates, one time per row, in one pass.
 
-    Row i verifies the start ``x[i]`` under the noise row ``omega[i]`` at
-    m = omega.shape[1] against the common target.  The stages, their order
-    and their arithmetic are those of the scalar verifier at
-    grid_points=_TAIL_GRID, which stays the oracle.  Returns one code per
-    row: -1 when the time is verified, else the index in VERIFY_REASONS of
-    the first check that fails.
+    Row i verifies the start ``x[i]`` at time ``m[i]`` under the first m[i]
+    values of the noise row ``omega[i]`` against the common target.  The
+    stages, their order and their arithmetic are those of the scalar
+    verifier at grid_points=_TAIL_GRID, which stays the oracle.  The rows
+    are taken in order of decreasing m, so the rows still stepping at any
+    step of the replay, the pullback and the chain rule form a prefix.
+    Returns one code per row: -1 when the time is verified, else the index
+    in VERIFY_REASONS of the first check that fails.
     """
     c = family.base.c
-    omega = np.asarray(omega, dtype=float)
-    x = np.asarray(x, dtype=float)
-    n, m = omega.shape
+    m = np.asarray(m, dtype=np.int64)
+    n = len(m)
     code = np.full(n, -1, dtype=np.int64)
     if n == 0:
         return code
-    # the scalar replay's eval raises on the same noise values
-    family._check_noise(float(np.max(np.abs(omega))))
+    order = np.argsort(-m, kind="stable")
+    x = np.asarray(x, dtype=float)[order]
+    # live[j]: the rows with m > j, a prefix in this order
+    live = np.searchsorted(-m[order], -np.arange(m[order[0]]))
 
-    orbit = np.empty((n, m))
+    guard_code = VERIFY_REASONS.index("critical_guard")
+    left = np.empty((n, len(live)), dtype=bool)  # the orbit's side of c at each step
     y = x.copy()
-    for j in range(m):
-        hit = (np.abs(y - c) < CRITICAL_GUARD) & (code < 0)
-        code[hit] = VERIFY_REASONS.index("critical_guard")
-        orbit[:, j] = y
-        y = family.eval_rows(omega[:, j], y)
+    for j, k in enumerate(live):
+        t = omega[order[:k], j]
+        family._check_noise(float(np.max(np.abs(t))))  # the scalar replay's eval raises on it
+        yk = y[:k]
+        code[:k][(np.abs(yk - c) < CRITICAL_GUARD) & (code[:k] < 0)] = guard_code
+        left[:k, j] = yk < c
+        y[:k] = family.eval_rows(t, yk)
     outside = ~((target[0] < y) & (y < target[1])) & (code < 0)
     code[outside] = VERIFY_REASONS.index("endpoint_outside")
 
-    lo, hi, clipped = _pullback_rows(family, omega, orbit < c, target, code)
+    lo, hi, clipped = _pullback_rows(family, omega, order, left, live, target, code)
     code[clipped & (code < 0)] = VERIFY_REASONS.index("clips_critical")
     misses = ~((lo < x) & (x < hi)) & (code < 0)
     code[misses] = VERIFY_REASONS.index("misses_start")
 
-    r = np.nonzero(code < 0)[0]
-    if not len(r):
-        return code
-    g = np.linspace(lo[r], hi[r], _TAIL_GRID, axis=1)
-    g[:, 0] += 1e-15
-    g[:, -1] -= 1e-15
-    _, d1, d2 = chain_derivatives(family, omega[r].T, g, m)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        nonlinearity = np.max(np.abs(d2) / d1, axis=1) * (hi[r] - lo[r])
+    rest = np.nonzero(code < 0)[0]
     floor = math.e**2 * (target[1] - target[0]) / base_length
-    checks = (
-        ("not_orientation_preserving", np.any(d1 <= 0.0, axis=1) | ~np.all(np.isfinite(d1), axis=1)),
-        ("nonlinearity", nonlinearity > 1.0),
-        ("below_floor", np.min(d1, axis=1) < floor),
-    )
-    for reason, failed in reversed(checks):
-        code[r[failed]] = VERIFY_REASONS.index(reason)
-    return code
+    for r in np.array_split(rest, -(-len(rest) // _CHAIN_ROWS)) if len(rest) else ():
+        # orbits.chain_derivatives, row i of the grid stepping while j < m
+        g = np.linspace(lo[r], hi[r], _TAIL_GRID, axis=1)
+        g[:, 0] += 1e-15
+        g[:, -1] -= 1e-15
+        d1 = np.ones_like(g)
+        d2 = np.zeros_like(g)
+        for j, k in enumerate(np.searchsorted(r, live)):
+            if not k:
+                break
+            g[:k], s1, s2 = family.jet_vec(omega[order[r[:k]], j], g[:k])
+            # d2 = s2 * d1 * d1 + s1 * d2 and d1 = s1 * d1, in place
+            s2 *= d1[:k]
+            s2 *= d1[:k]
+            d2[:k] *= s1
+            d2[:k] += s2
+            d1[:k] *= s1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            nonlinearity = np.max(np.abs(d2) / d1, axis=1) * (hi[r] - lo[r])
+        checks = (
+            ("not_orientation_preserving", np.any(d1 <= 0.0, axis=1) | ~np.all(np.isfinite(d1), axis=1)),
+            ("nonlinearity", nonlinearity > 1.0),
+            ("below_floor", np.min(d1, axis=1) < floor),
+        )
+        for reason, failed in reversed(checks):
+            code[r[failed]] = VERIFY_REASONS.index(reason)
+    out = np.empty_like(code)
+    out[order] = code
+    return out
 
 
 #: window constant theta0 of markov_inducing_time's distortion cap
@@ -755,17 +855,11 @@ def estimate_companion_hull(
     time an upper bound for the true minimal inducing time whenever the hull
     really contains the member's fiber (cross-checked on a subsample).
     """
-    los, his = [], []
-    for j in range(_HULL_SAMPLES):
-        ns = build_nice_set(
-            family, delta, model.stream(STREAM_HULL + j), depth,
-            verify_horizon=0, grid_points=512,
-        )
-        los.append(ns.boundary_lo)
-        his.append(ns.boundary_hi)
-    lo_spread = max(los) - min(los)
-    hi_spread = max(his) - min(his)
-    return min(los) - _HULL_MARGIN * lo_spread, max(his) + _HULL_MARGIN * hi_spread
+    noise = np.stack([model.stream(STREAM_HULL + j).prefix(depth) for j in range(_HULL_SAMPLES)])
+    los, his = _fiber_intervals(family, delta, noise, depth)
+    lo_spread = float(los.max() - los.min())
+    hi_spread = float(his.max() - his.min())
+    return float(los.min()) - _HULL_MARGIN * lo_spread, float(his.max()) + _HULL_MARGIN * hi_spread
 
 
 # steps of noise the tail draws at a time for its alive members
@@ -773,6 +867,46 @@ _TAIL_BLOCK = 64
 
 # verification attempts per tail member
 _MAX_VERIFICATIONS = 16
+
+
+def _first_accepted(family, hist, x0, rows, steps, target, base_length):
+    """Each row's first candidate step that verify_markov_batch accepts (0 where none does), and the failures.
+
+    Candidate k is row ``rows[k]`` of the block at time ``steps[k]``, in step
+    order.  The first pass verifies each row's first candidate, the second
+    the other candidates of the rows the first pass did not accept.  The
+    failures, counted by reason, are those of a row's attempts before its
+    accepted step, or of all of them when none is accepted.
+    """
+    codes = np.full(len(rows), -2, dtype=np.int64)  # -2: not verified
+    # A verified row's chain rule holds some ten arrays of _TAIL_GRID doubles
+    # (for up to _CHAIN_ROWS rows at once), so a pass verifies at most
+    # hist.size / (10 _TAIL_GRID) rows at a time: its arrays stay about the
+    # history's size and follow the alive rows.  Rows go in time order, so each
+    # call's rows have nearby times and few steps.
+    size = max(1, hist.size // (10 * _TAIL_GRID))
+
+    def verify(k):
+        k = k[np.argsort(steps[k], kind="stable")]
+        for part in np.array_split(k, -(-len(k) // size)) if len(k) else ():
+            r = rows[part]
+            codes[part] = verify_markov_batch(
+                family, hist[r, : steps[part].max()], x0[r], steps[part], target, base_length,
+            )
+
+    first = np.unique(rows, return_index=True)[1]
+    verify(first)
+    second = np.ones(len(rows), dtype=bool)
+    second[first] = False
+    second[np.isin(rows, rows[first[codes[first] == -1]])] = False
+    verify(np.nonzero(second)[0])
+
+    acc = np.zeros(len(hist), dtype=np.int64)
+    ok = codes == -1
+    ok_rows, k = np.unique(rows[ok], return_index=True)  # a row's first acceptance in step order
+    acc[ok_rows] = steps[ok][k]
+    failed = (codes >= 0) & ((acc[rows] == 0) | (steps < acc[rows]))
+    return acc, np.bincount(codes[failed], minlength=len(VERIFY_REASONS))
 
 
 def inducing_tail_stats(
@@ -792,16 +926,19 @@ def inducing_tail_stats(
     drawn in blocks of _TAIL_BLOCK steps for the members still alive, and
     only their draws so far are held, so memory follows the alive members;
     the exact-companion subsample re-reads its members' streams.  The
-    candidate times are landings in B(delta); the candidates landing at one
-    step are verified together (verify_markov_batch) directly against the
-    inducing definition with the empirical companion hull as the
-    onto-target, so accepted times upper-bound the minimal inducing time.
-    theta-good return times at the capped theta are tracked alongside for
-    comparison.  A member gets at most _MAX_VERIFICATIONS verification
-    attempts.  A random subsample is re-verified with the scalar
-    verify_markov_time against its own exactly-built companion fiber and
-    reported.  ``meta["verify"]`` counts the ensemble's verification
-    attempts, acceptances and failures by reason.
+    candidate times are landings in B(delta), verified (verify_markov_batch)
+    directly against the inducing definition with the empirical companion
+    hull as the onto-target, so accepted times upper-bound the minimal
+    inducing time.  A block's candidates are verified at its end, and each
+    member's result is the one a verification at every step would give: its
+    first accepted candidate, the failed attempts before it, and a critical
+    hit or theta-good return only up to the step it leaves at.  theta-good
+    return times at the capped theta are tracked alongside for comparison.
+    A member gets at most _MAX_VERIFICATIONS verification attempts.  A
+    random subsample is re-verified with the scalar verify_markov_time
+    against its own exactly-built companion fiber and reported.
+    ``meta["verify"]`` counts the ensemble's verification attempts,
+    acceptances and failures by reason.
     """
     params = family.base
     nb = critical_neighborhood(params, delta)
@@ -838,34 +975,42 @@ def inducing_tail_stats(
         hist = np.pad(hist, ((0, 0), (0, block)))
         for row, i in enumerate(alive):
             hist[row, s:] = model.stream(STREAM_TAIL + i).shift(s).prefix(block)
+        # every row is stepped through the whole block; per row the step of its
+        # critical hit and of its first theta-good return (0 while none) and its
+        # candidate steps are recorded, and the candidates verified at block end
+        hit = np.zeros(len(alive), dtype=np.int64)
+        good_at = np.zeros(len(alive), dtype=np.int64)
+        cand_rows, cand_steps = [], []
         for b in range(block):
             s_cur = s + b + 1
             d = np.abs(x - c)
-            leave = d < guard  # rows that leave at this step: critical hits, then acceptances
-            critical_hits += int(np.count_nonzero(leave))
+            hit[(d < guard) & (hit == 0)] = s_cur
             x, df, _ = family.jet_vec(hist[:, s + b], x)  # one noise value per member
             log_a = np.logaddexp(log_a, log_df - np.log(np.maximum(d, guard)))
             log_df += np.log(np.maximum(df, 1e-300))
             inside = (x > nb.lo) & (x < nb.hi)
-            # theta-good return bookkeeping (first occurrence)
-            good = inside & (log_theta + log_df >= log_a + log_len)
-            if good.any():
-                members = alive[good]
-                h_times[members[h_times[members] < 0]] = s_cur
-            cand = np.nonzero(inside & ~leave & (log_df >= log_floor))[0]
+            # a theta-good return counts up to the step its member leaves at, that step included
+            good = inside & (log_theta + log_df >= log_a + log_len) & (good_at == 0)
+            good_at[good & ((hit == 0) | (hit == s_cur))] = s_cur
+            cand = np.nonzero(inside & (hit == 0) & (log_df >= log_floor))[0]
             cand = cand[attempts[cand] < _MAX_VERIFICATIONS]
-            if len(cand):
-                attempts[cand] += 1
-                codes = verify_markov_batch(family, hist[cand, :s_cur], x0[alive[cand]], hull, nb.length)
-                ok = codes < 0
-                times[alive[cand[ok]]] = s_cur
-                leave[cand[ok]] = True
-                failures += np.bincount(codes[~ok], minlength=len(VERIFY_REASONS))
-            if leave.any():
-                keep = ~leave
-                alive, x, log_df, log_a, attempts, hist = (
-                    a[keep] for a in (alive, x, log_df, log_a, attempts, hist)
-                )
+            attempts[cand] += 1  # a row accepted at an earlier step leaves, so its count is not read
+            cand_rows.append(cand)
+            cand_steps.append(np.full(len(cand), s_cur))
+        acc, failed = _first_accepted(
+            family, hist, x0[alive], np.concatenate(cand_rows), np.concatenate(cand_steps), hull, nb.length,
+        )
+        failures += failed
+        times[alive[acc > 0]] = acc[acc > 0]
+        critical_hits += int(np.count_nonzero((hit > 0) & (acc == 0)))
+        ends = np.where(acc > 0, acc, hit)  # the step each row leaves at, 0 for rows that stay
+        good = (good_at > 0) & ((ends == 0) | (good_at <= ends)) & (h_times[alive] < 0)
+        h_times[alive[good]] = good_at[good]
+        keep = ends == 0
+        if not keep.all():
+            alive, x, log_df, log_a, attempts, hist = (
+                a[keep] for a in (alive, x, log_df, log_a, attempts, hist)
+            )
         s += block
 
     censored = int(np.sum(times < 0))
@@ -875,20 +1020,18 @@ def inducing_tail_stats(
     sub = []
     if len(accepted):
         sub = model.generator(4242).choice(accepted, size=min(verify_subsample, len(accepted)), replace=False)
-    agree = 0
-    checked = 0
-    inside_hull = 0
-    for i in sub:
-        m = int(times[i])
-        om = model.stream(STREAM_TAIL + int(i)).prefix(m + depth + 1)
-        comp = build_nice_set(family, delta, om[m:], depth, verify_horizon=0, grid_points=512)
-        checked += 1
-        if comp.boundary_lo >= hull[0] and comp.boundary_hi <= hull[1]:
+    # the fibers at each member's time are built together, then the members re-read for the scalar check
+    steps = [int(times[i]) for i in sub]
+    fibers = [model.stream(STREAM_TAIL + int(i)).shift(m).prefix(depth) for i, m in zip(sub, steps)]
+    los, his = _fiber_intervals(family, delta, np.array(fibers).reshape(len(sub), depth), depth)
+    agree = inside_hull = 0
+    for i, m, lo, hi in zip(sub, steps, los, his):
+        if lo >= hull[0] and hi <= hull[1]:
             inside_hull += 1
             try:
                 verify_markov_time(
-                    family, om, float(x0[int(i)]), m, comp.interval, nb.length,
-                    grid_points=_TAIL_GRID,
+                    family, model.stream(STREAM_TAIL + int(i)).prefix(m), float(x0[int(i)]), m,
+                    (lo, hi), nb.length, grid_points=_TAIL_GRID,
                 )
                 agree += 1
             except VerificationFailed:
@@ -901,7 +1044,7 @@ def inducing_tail_stats(
         critical_hits=critical_hits,
         theta_good_times=h_times,
         hull=hull,
-        verified_subsample={"checked": checked, "agree": agree},
+        verified_subsample={"checked": len(sub), "agree": agree},
         meta={
             # subsample members whose exact fiber lies inside the hull; the
             # rest cannot count as agreeing whatever their verification gives

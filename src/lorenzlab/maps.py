@@ -17,6 +17,7 @@ critical point fixed for every noise value t.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -175,11 +176,11 @@ def schwarzian(params: MapParams, x: float) -> float:
 
 
 def _libm_pow(a: np.ndarray, e: float) -> np.ndarray:
-    """Elementwise a**e with Python's float ``**`` (libm pow), as the scalar kernels compute it.
+    """Elementwise a**e with libm pow, as the scalar kernels' float ``**`` computes it (a >= 0).
 
     numpy's array power differs from libm in the last bit for some inputs.
     """
-    return np.array([v**e for v in a.tolist()])
+    return np.fromiter(map(math.pow, a.tolist(), itertools.repeat(e)), float, len(a))
 
 
 def _smoothstep(r):
@@ -367,7 +368,9 @@ class PerturbedFamily:
         fx = np.where(left, p.u * (1.0 - zp), 1.0 - p.v + p.v * zp)
         if isinstance(t, float) and t == 0.0:  # a scalar zero: skip the taper
             return fx
-        return np.where(t == 0.0, fx, fx + t * self._taper_jet(x)[0])
+        # off the taper zones w = 1, and fx + t * 1.0 is fx + t
+        zone = (x < self.margin) | (x > 1.0 - self.margin)
+        return np.where(t == 0.0, fx, fx + t * (self._taper_jet(x)[0] if zone.any() else 1.0))
 
     def inverse_rows(self, t, y: np.ndarray, left, tol: float) -> np.ndarray:
         """inverse_branch(t, y, left, tol) per element, with NaN where it returns None.

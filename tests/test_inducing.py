@@ -399,27 +399,30 @@ def _enters_taper_zone(family, om, x0, target):
 
 @pytest.fixture(scope="module")
 def oracle():
-    """Per case, rows of (scalar code, batched code, zero-noise, taper-zone)."""
+    """Per case, rows of (scalar code, batched code, zero-noise, taper-zone).
+
+    Each case's rows go through one batched call in the order they were
+    drawn, so its times are mixed and not sorted; the noise rows are padded
+    with NaN past their time, which no verification may read.
+    """
     out = {}
     for seed, (name, (family, delta)) in enumerate(ORACLE_CASES.items()):
         rows, target, base_length = _oracle_rows(family, delta, seed)
-        by_m = {}
-        for x0, om in rows:
-            by_m.setdefault(len(om), []).append((x0, om))
-        table = []
-        for m, group in by_m.items():
-            codes = verify_markov_batch(
-                family, np.array([om for _, om in group]), np.array([x0 for x0, _ in group]),
-                target, base_length,
+        m = np.array([len(om) for _, om in rows])
+        omega = np.full((len(rows), m.max()), np.nan)
+        for k, (_, om) in enumerate(rows):
+            omega[k, : len(om)] = om
+        assert np.any(np.diff(m) > 0) and np.any(np.diff(m) < 0)
+        codes = verify_markov_batch(family, omega, np.array([x0 for x0, _ in rows]), m, target, base_length)
+        out[name] = [
+            (
+                _scalar_code(family, om, x0, target, base_length),
+                int(code),
+                bool(np.any(om == 0.0)),
+                _enters_taper_zone(family, om, x0, target),
             )
-            for (x0, om), code in zip(group, codes):
-                table.append((
-                    _scalar_code(family, om, x0, target, base_length),
-                    int(code),
-                    bool(np.any(om == 0.0)),
-                    _enters_taper_zone(family, om, x0, target),
-                ))
-        out[name] = table
+            for (x0, om), code in zip(rows, codes)
+        ]
     return out
 
 
@@ -448,8 +451,216 @@ class TestBatchedVerification:
         assert any(zero and s == -1 for s, _, zero, _ in oracle["canon"])
 
     def test_empty_batch(self, family):
-        codes = verify_markov_batch(family, np.empty((0, 7)), np.empty(0), (0.4, 0.6), 0.01)
+        codes = verify_markov_batch(family, np.empty((0, 7)), np.empty(0), np.empty(0, dtype=int), (0.4, 0.6), 0.01)
         assert codes.shape == (0,)
+
+
+def _per_step_tail(family, model, delta, n_members, horizon, theta, depth=48):
+    """inducing_tail_stats' scan verifying every step's candidates at that step.
+
+    The loop the block-wise verification replaced, kept as its reference: a
+    member leaves the moment it is accepted or hits the guard.  Returns
+    (times, theta_good_times, critical_hits, meta["verify"]).
+    """
+    nb = critical_neighborhood(family.base, delta)
+    hull = inducing.estimate_companion_hull(family, model, delta, depth)
+    c = family.base.c
+    log_theta, log_len = math.log(theta), math.log(nb.length)
+    log_floor = 2.0 + math.log((hull[1] - hull[0]) / nb.length)
+    guard = inducing.CRITICAL_GUARD
+    x0 = model.generator(inducing.STREAM_TAIL).uniform(nb.lo, nb.hi, n_members)
+    x0 = np.where(np.abs(x0 - c) < 10 * guard, nb.hi - 1e-6, x0)
+    times = np.full(n_members, -1, dtype=np.int64)
+    h_times = np.full(n_members, -1, dtype=np.int64)
+    failures = np.zeros(len(VERIFY_REASONS), dtype=np.int64)
+    critical_hits = 0
+    alive = np.arange(n_members)
+    x = x0.copy()
+    log_df = np.zeros(n_members)
+    log_a = np.full(n_members, -np.inf)
+    attempts = np.zeros(n_members, dtype=np.int64)
+    hist = np.empty((n_members, 0))
+    s = 0
+    while s < horizon and len(alive):
+        block = min(inducing._TAIL_BLOCK, horizon - s)
+        hist = np.pad(hist, ((0, 0), (0, block)))
+        for row, i in enumerate(alive):
+            hist[row, s:] = model.stream(inducing.STREAM_TAIL + i).shift(s).prefix(block)
+        for b in range(block):
+            s_cur = s + b + 1
+            d = np.abs(x - c)
+            leave = d < guard
+            critical_hits += int(np.count_nonzero(leave))
+            x, df, _ = family.jet_vec(hist[:, s + b], x)
+            log_a = np.logaddexp(log_a, log_df - np.log(np.maximum(d, guard)))
+            log_df += np.log(np.maximum(df, 1e-300))
+            inside = (x > nb.lo) & (x < nb.hi)
+            good = inside & (log_theta + log_df >= log_a + log_len)
+            if good.any():
+                members = alive[good]
+                h_times[members[h_times[members] < 0]] = s_cur
+            cand = np.nonzero(inside & ~leave & (log_df >= log_floor))[0]
+            cand = cand[attempts[cand] < inducing._MAX_VERIFICATIONS]
+            if len(cand):
+                attempts[cand] += 1
+                codes = verify_markov_batch(
+                    family, hist[cand, :s_cur], x0[alive[cand]], np.full(len(cand), s_cur), hull, nb.length,
+                )
+                ok = codes < 0
+                times[alive[cand[ok]]] = s_cur
+                leave[cand[ok]] = True
+                failures += np.bincount(codes[~ok], minlength=len(VERIFY_REASONS))
+            if leave.any():
+                keep = ~leave
+                alive, x, log_df, log_a, attempts, hist = (
+                    a[keep] for a in (alive, x, log_df, log_a, attempts, hist)
+                )
+        s += block
+    accepted = int(np.sum(times > 0))
+    verify = {
+        "attempts": accepted + int(failures.sum()),
+        "accepted": accepted,
+        "failures": dict(zip(VERIFY_REASONS, failures.tolist())),
+    }
+    return times, h_times, critical_hits, verify
+
+
+def _guard_after_acceptance(family, model, delta, times, guard):
+    """Members whose orbit comes within ``guard`` of c later in the block they were accepted in.
+
+    The orbit is walked with family.eval, which can part from the scan's
+    array arithmetic in the last bits; this only counts the case as covered.
+    """
+    c = family.base.c
+    nb = critical_neighborhood(family.base, delta)
+    x0 = model.generator(inducing.STREAM_TAIL).uniform(nb.lo, nb.hi, len(times))
+    x0 = np.where(np.abs(x0 - c) < 10 * guard, nb.hi - 1e-6, x0)
+    count = 0
+    for i in np.nonzero(times > 0)[0]:
+        m = int(times[i])
+        end = -(-m // inducing._TAIL_BLOCK) * inducing._TAIL_BLOCK
+        om = model.stream(inducing.STREAM_TAIL + int(i)).prefix(end)
+        y = float(x0[i])
+        for j in range(end):
+            if j >= m and abs(y - c) < guard:
+                count += 1
+                break
+            y = family.eval(float(om[j]), y)
+    return count
+
+
+# (params, delta, eps, theta): CANON at the tail's scales; test_maps' two
+# other families, at their noise bound so that orbits leave their attracting
+# cycles (the ell = 3 one still never reaches the derivative floor, so only
+# its guard exits and theta-good returns are compared); and the summable ELL3
+TAIL_CASES = {
+    "canon": (CANON, DELTA0, 0.001, 0.001),
+    "c04_ell3": (MapParams(c=0.4, ell=3.0, u=0.85, v=0.8), 0.01, 0.1, 50.0),
+    "c055_ell25": (MapParams(c=0.55, ell=2.5, u=0.9, v=0.88), 0.002, 0.085, 50.0),
+    "ell3_summable": (ELL3, DELTA0, 0.001, 50.0),
+}
+
+
+class TestBlockVerification:
+    """inducing_tail_stats against the per-step loop, _per_step_tail."""
+
+    @staticmethod
+    def _compare(case, n_members, horizon):
+        params, delta, eps, theta = TAIL_CASES[case]
+        family = PerturbedFamily(params)
+        model = NoiseModel(eps=eps, seed=11)
+        got = inducing_tail_stats(family, model, delta, n_members, horizon, theta, verify_subsample=0)
+        times, h_times, critical_hits, verify = _per_step_tail(family, model, delta, n_members, horizon, theta)
+        assert got.times.tolist() == times.tolist()
+        assert got.theta_good_times.tolist() == h_times.tolist()
+        assert got.critical_hits == critical_hits
+        assert got.censored == int(np.sum(times < 0))
+        assert got.meta["verify"] == verify
+        return got
+
+    @pytest.mark.parametrize("case", list(TAIL_CASES))
+    def test_matches_per_step_loop(self, case):
+        # 200 = three blocks of 64 and one of 8
+        got = self._compare(case, 300, 200)
+        counts = got.meta["verify"]
+        if case != "c04_ell3":
+            assert 0 < counts["accepted"] < counts["attempts"]
+        if case != "canon":
+            assert np.any(got.theta_good_times > 0)
+
+    def test_cap_binds_inside_a_block(self, monkeypatch):
+        monkeypatch.setattr(inducing, "_MAX_VERIFICATIONS", 2)
+        got = self._compare("canon", 400, 150)
+        assert got.censored > 0  # members that ran out of attempts
+        assert got.meta["verify"]["attempts"] <= 2 * 400
+
+    @pytest.mark.parametrize("case", list(TAIL_CASES))
+    def test_guard_exits_after_acceptance(self, monkeypatch, case):
+        guard = 3e-4
+        monkeypatch.setattr(inducing, "CRITICAL_GUARD", guard)
+        got = self._compare(case, 300, 200)
+        assert got.critical_hits > 0
+        if case == "canon":
+            params, delta, eps, _ = TAIL_CASES[case]
+            model = NoiseModel(eps=eps, seed=11)
+            assert _guard_after_acceptance(PerturbedFamily(params), model, delta, got.times, guard) > 0
+
+
+# the families of the fiber test: CANON and the CLI tests' ell = 1.5 and (u, v) = (0.92, 0.86)
+FIBER_FAMILIES = {
+    "canon": CANON,
+    "ell15": MapParams(c=0.5, ell=1.5, u=0.9, v=0.9),
+    "u092_v086": MapParams(c=0.5, ell=2.0, u=0.92, v=0.86),
+}
+
+
+def _scalar_fiber(family, delta, noise, depth):
+    return build_nice_set(family, delta, noise, depth, grid_points=inducing._FIBER_GRID).interval
+
+
+class TestFiberIntervals:
+    """inducing._fiber_intervals against build_nice_set, fiber by fiber."""
+
+    @pytest.mark.parametrize("name", list(FIBER_FAMILIES))
+    def test_hull_streams_match_scalar_build(self, nmodel, name):
+        family = PerturbedFamily(FIBER_FAMILIES[name])
+        depth = 48
+        noise = np.stack([
+            nmodel.stream(inducing.STREAM_HULL + j).prefix(depth) for j in range(inducing._HULL_SAMPLES)
+        ])
+        los, his = inducing._fiber_intervals(family, DELTA0, noise, depth)
+        want = [_scalar_fiber(family, DELTA0, row, depth) for row in noise]
+        assert list(zip(los.tolist(), his.tolist())) == want
+        # and the hull is the one the scalar fibers give
+        lo_w, hi_w = zip(*want)
+        lo_spread, hi_spread = max(lo_w) - min(lo_w), max(hi_w) - min(hi_w)
+        assert inducing.estimate_companion_hull(family, nmodel, DELTA0, depth) == (
+            min(lo_w) - inducing._HULL_MARGIN * lo_spread, max(hi_w) + inducing._HULL_MARGIN * hi_spread,
+        )
+
+    def test_fiber_without_escaping_grid_point(self, family, nmodel):
+        # at delta 0.03 and depth 8 every grid point of some sides lands in
+        # B(delta): containment fails there and the boundary is the grid's end;
+        # the other sides are bisected in the same call
+        delta, depth = 0.03, 8
+        noise = np.stack([nmodel.stream(inducing.STREAM_HULL + j).prefix(depth) for j in range(4)])
+        los, his = inducing._fiber_intervals(family, delta, noise, depth)
+        nb2 = critical_neighborhood(CANON, 2.0 * delta)
+        ends = (nb2.lo, nb2.hi)  # the grids' last points
+        bisected = failed = 0
+        for row, lo, hi in zip(noise, los, his):
+            ns = build_nice_set(family, delta, row, depth, grid_points=inducing._FIBER_GRID)
+            assert (lo, hi) == ns.interval
+            sides_failed = int(lo == ends[0]) + int(hi == ends[1])
+            if sides_failed:
+                assert not ns.containment_ok
+            failed += sides_failed
+            bisected += 2 - sides_failed
+        assert failed > 0 and bisected > 0
+
+    def test_no_fibers(self, family):
+        los, his = inducing._fiber_intervals(family, DELTA0, np.empty((0, 48)), 48)
+        assert los.shape == his.shape == (0,)
 
 
 @pytest.fixture(scope="module")
