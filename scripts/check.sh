@@ -13,8 +13,9 @@
 # and tests/ against HEAD (staged new files count, untracked ones do not).  A
 # third counts the settable values of src/lorenzlab at HEAD and in the working
 # tree: function parameters (self and cls not counted), parameters with a
-# default, dataclass fields, dataclass fields with a default and command-line
-# options.  The info lines never fail the run.
+# default, dataclass fields, dataclass fields with a default, command-line
+# options and public names (module-level functions and classes, and methods,
+# whose names have no leading underscore).  The info lines never fail the run.
 set -u
 root="$(cd "$(dirname "$0")/.." && pwd)"
 work="$root/.perfbench-work/check"
@@ -62,11 +63,26 @@ import pathlib
 import subprocess
 
 
+def public_names(tree):
+    """Functions and classes at module or class level whose names have no leading underscore."""
+    count = 0
+    bodies = [tree.body]
+    while bodies:
+        for node in bodies.pop():
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                count += not node.name.startswith("_")
+            if isinstance(node, ast.ClassDef):
+                bodies.append(node.body)
+    return count
+
+
 def settable(sources):
-    """(parameters, defaulted parameters, dataclass fields, those with defaults, CLI options) of the sources."""
-    params = defaulted = fields = field_defaults = options = 0
+    """(parameters, defaulted parameters, dataclass fields, those with defaults, CLI options, public names)."""
+    params = defaulted = fields = field_defaults = options = public = 0
     for source in sources:
-        for node in ast.walk(ast.parse(source)):
+        tree = ast.parse(source)
+        public += public_names(tree)
+        for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 a = node.args
                 names = [x.arg for x in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if x]
@@ -82,7 +98,7 @@ def settable(sources):
             elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_argument":
                 first = node.args[0] if node.args else None
                 options += isinstance(first, ast.Constant) and str(first.value).startswith("--")
-    return params, defaulted, fields, field_defaults, options
+    return params, defaulted, fields, field_defaults, options, public
 
 
 def git(*args):
@@ -97,7 +113,7 @@ except (OSError, subprocess.CalledProcessError):
 else:
     tree = settable(path.read_text() for path in sorted(pathlib.Path("src/lorenzlab").rglob("*.py")))
     labels = ("parameters", "defaulted parameters", "dataclass fields", "dataclass fields with defaults",
-              "CLI options")
+              "CLI options", "public names")
     print("info  settable values against HEAD: "
           + ", ".join(f"{label} {a} -> {b}" for label, a, b in zip(labels, head, tree)))
 EOF

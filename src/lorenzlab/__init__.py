@@ -57,7 +57,6 @@ from .inducing import (
     TailStats,
     build_nice_set,
     inducing_tail_stats,
-    markov_inducing_time,
     markov_theta_cap,
 )
 from .expansion import (

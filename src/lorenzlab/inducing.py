@@ -31,7 +31,6 @@ from .recurrence import (
 __all__ = [
     "NiceSetApprox",
     "build_nice_set",
-    "markov_inducing_time",
     "markov_theta_cap",
     "VERIFY_REASONS",
     "verify_markov_batch",
@@ -52,12 +51,10 @@ class NiceSetApprox:
 
     ``intervals[n]`` approximates the component of c in the union of the
     first n backward images of B(delta); the final boundary points are
-    resolved by bisection against orbit membership computed to ``depth``
-    steps.
+    resolved by bisection against orbit membership computed to the build's
+    depth, ``len(intervals) - 1`` steps.
     """
 
-    delta: float
-    depth: int
     intervals: list
     boundary_lo: float
     boundary_hi: float
@@ -71,9 +68,6 @@ class NiceSetApprox:
     @property
     def length(self) -> float:
         return self.boundary_hi - self.boundary_lo
-
-    def contains(self, x: float) -> bool:
-        return self.boundary_lo < x < self.boundary_hi
 
 
 def _first_hit_times(family, nb: CriticalNeighborhood, points: np.ndarray, noise: np.ndarray, depth: int, rows=None):
@@ -199,8 +193,6 @@ def build_nice_set(
         (sides["lo"][0][n], sides["hi"][0][n]) for n in range(depth + 1)
     ]
     result = NiceSetApprox(
-        delta=delta,
-        depth=depth,
         intervals=intervals,
         boundary_lo=sides["lo"][1],
         boundary_hi=sides["hi"][1],
@@ -716,59 +708,6 @@ def verify_markov_batch(
     return out
 
 
-#: window constant theta0 of markov_inducing_time's distortion cap
-_MARKOV_THETA0 = 0.01
-
-
-def markov_inducing_time(
-    family: PerturbedFamily,
-    x: float,
-    omega,
-    nice_set: NiceSetApprox,
-    theta: float,
-    horizon: int,
-) -> tuple[int, MarkovVerification] | None:
-    """Minimal directly verified Markov inducing time of (x, omega).
-
-    Candidate times are the successive landings of the orbit in the
-    companion fibers; each candidate is verified against the definition
-    (diffeomorphic pullback onto the fiber, nonlinearity at most 1,
-    derivative floor).  Good returns at distortion theta are a special case
-    of such landings, so whenever the theta-good return time is defined the
-    returned time is at most it.  ``theta`` must respect the cap tied to
-    the window constant _MARKOV_THETA0.  Each candidate is verified on a
-    grid of verify_markov_time's default size.
-    """
-    cap = markov_theta_cap(family.base.ell, _MARKOV_THETA0)
-    if not 0.0 < theta < cap:
-        raise ValueError(f"theta={theta} outside (0, {cap:.4g})")
-    if not nice_set.contains(x):
-        raise ValueError("x is not inside the nice-set fiber")
-    depth = nice_set.depth
-    values = _noise_prefix(omega, horizon + depth + 1)
-    base_length = nice_set.length
-    nb = critical_neighborhood(family.base, nice_set.delta)
-    c = family.base.c
-    y = x
-    for s in range(1, horizon + 1):
-        if abs(y - c) < CRITICAL_GUARD:
-            return None
-        y = family.eval(float(values[s - 1]), y)
-        if not (nb.lo < y < nb.hi):
-            continue
-        target = build_nice_set(
-            family, nice_set.delta, values[s:], depth, verify_horizon=0, grid_points=512,
-        ).interval
-        if not target[0] < y < target[1]:
-            continue
-        try:
-            report = verify_markov_time(family, values, x, s, target, base_length)
-        except VerificationFailed:
-            continue
-        return s, report
-    return None
-
-
 @dataclass
 class TailStats:
     """Empirical tail of verified inducing times over an ensemble.
@@ -780,13 +719,19 @@ class TailStats:
 
     times: np.ndarray
     horizon: int
-    n_members: int
-    censored: int
     critical_hits: int
     theta_good_times: np.ndarray
     hull: tuple[float, float]
     verified_subsample: dict
     meta: dict = field(default_factory=dict)
+
+    @property
+    def n_members(self) -> int:
+        return len(self.times)
+
+    @property
+    def censored(self) -> int:
+        return int(np.count_nonzero(self.times < 0))
 
     @property
     def censoring_fraction(self) -> float:
@@ -1013,25 +958,24 @@ def inducing_tail_stats(
             )
         s += block
 
-    censored = int(np.sum(times < 0))
-
     # exact-companion re-verification on a subsample of accepted members
     accepted = np.nonzero(times > 0)[0]
     sub = []
     if len(accepted):
         sub = model.generator(4242).choice(accepted, size=min(verify_subsample, len(accepted)), replace=False)
-    # the fibers at each member's time are built together, then the members re-read for the scalar check
+    # each member's stream is read once, to its time plus the depth: the fiber at its time
+    # (the fibers are built together) and the scalar check's prefix are slices of it
     steps = [int(times[i]) for i in sub]
-    fibers = [model.stream(STREAM_TAIL + int(i)).shift(m).prefix(depth) for i, m in zip(sub, steps)]
-    los, his = _fiber_intervals(family, delta, np.array(fibers).reshape(len(sub), depth), depth)
+    omegas = [model.stream(STREAM_TAIL + int(i)).prefix(m + depth) for i, m in zip(sub, steps)]
+    fibers = np.array([om[m:] for om, m in zip(omegas, steps)]).reshape(len(sub), depth)
+    los, his = _fiber_intervals(family, delta, fibers, depth)
     agree = inside_hull = 0
-    for i, m, lo, hi in zip(sub, steps, los, his):
+    for i, om, m, lo, hi in zip(sub, omegas, steps, los, his):
         if lo >= hull[0] and hi <= hull[1]:
             inside_hull += 1
             try:
                 verify_markov_time(
-                    family, model.stream(STREAM_TAIL + int(i)).prefix(m), float(x0[int(i)]), m,
-                    (lo, hi), nb.length, grid_points=_TAIL_GRID,
+                    family, om[:m], float(x0[int(i)]), m, (lo, hi), nb.length, grid_points=_TAIL_GRID,
                 )
                 agree += 1
             except VerificationFailed:
@@ -1039,8 +983,6 @@ def inducing_tail_stats(
     return TailStats(
         times=times,
         horizon=horizon,
-        n_members=n_members,
-        censored=censored,
         critical_hits=critical_hits,
         theta_good_times=h_times,
         hull=hull,

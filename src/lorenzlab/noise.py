@@ -56,11 +56,6 @@ class NoiseStream:
         values.flags.writeable = False
         return values
 
-    def value(self, i: int) -> float:
-        if i < 0:
-            raise ValueError("i must be >= 0")
-        return float(self.shift(i).prefix(1)[0])
-
     def shift(self, k: int) -> "NoiseStream":
         """The shifted sequence sigma^k omega."""
         if k < 0:

@@ -287,11 +287,6 @@ def _depth(eps: float, df: float, d: float) -> int:
     return max(0, math.ceil(math.log(eps / prod)))
 
 
-def depth_value(family: PerturbedFamily, eps: float, t: float, x: float) -> int:
-    """Depth q of a single skew-product state (x with next noise t)."""
-    return _depth(eps, family.jet(t, x)[1], abs(x - family.base.c))
-
-
 def depth_trace(
     family: PerturbedFamily,
     x: float,
@@ -327,26 +322,24 @@ class BindingPeriodRecord:
     v: float
     delta: float
     M: int
-    theta: float
-    L: float
-    zeta: float
     asum: float  # distortion sum of the deterministic orbit over M steps
     df_after: float  # derivative of the (M+1)-step composition at v
     delta_prime: float
 
     def verify(self, params: MapParams) -> bool:
-        """Re-check the three defining inequalities from scratch."""
-        nbL = critical_neighborhood(params, self.L * self.delta)
+        """Re-check the three defining inequalities from scratch, with the map's binding_constants."""
+        theta, L, zeta = binding_constants(params)
+        nbL = critical_neighborhood(params, L * self.delta)
         for j, x, dfn, asum in params.walk(self.v):
             if j == self.M:
                 break
             if nbL.contains(x):
                 return False
-        if asum > self.theta / self.delta * (1.0 + 1e-12):
+        if asum > theta / self.delta * (1.0 + 1e-12):
             return False
         dprime = max(d_star(params, x), self.delta)
         df_after = dfn * params.deriv(x)
-        return df_after >= (dprime / self.delta) ** (1.0 - self.zeta) * (1.0 - 1e-12)
+        return df_after >= (dprime / self.delta) ** (1.0 - zeta) * (1.0 - 1e-12)
 
 
 def binding_constants(params: MapParams) -> tuple[float, float, float]:
@@ -398,9 +391,6 @@ def binding_period(params: MapParams, v: float, delta: float, horizon: int) -> B
                 v=v,
                 delta=delta,
                 M=M,
-                theta=theta,
-                L=L,
-                zeta=zeta,
                 asum=asums[M],
                 df_after=df_after,
                 delta_prime=dprime,

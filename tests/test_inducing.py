@@ -12,14 +12,13 @@ from lorenzlab.inducing import (
     VERIFY_REASONS,
     build_nice_set,
     inducing_tail_stats,
-    markov_inducing_time,
     markov_theta_cap,
     verify_markov_batch,
     verify_markov_time,
 )
 from lorenzlab.maps import CANON, MapParams, PerturbedFamily, summability_stats
 from lorenzlab.noise import NoiseModel
-from lorenzlab.recurrence import critical_neighborhood, good_return_time, pullback_component
+from lorenzlab.recurrence import critical_neighborhood, pullback_component
 
 DELTA0 = 0.002
 
@@ -35,6 +34,18 @@ def nice(nmodel):
 
     family = PerturbedFamily(CANON)
     return build_nice_set(family, DELTA0, nmodel.stream(4_000_000), depth=48)
+
+
+# x = 0.51 on stream 4 000 000 first lands at a time that verifies onto its own
+# 512-point fiber at MARKOV_M (found by a landing-by-landing search at theta = 0.001)
+MARKOV_M = 40
+
+
+@pytest.fixture(scope="module")
+def markov_case(family, nmodel):
+    """The stream's first MARKOV_M + 64 values and the fiber at MARKOV_M."""
+    om = nmodel.stream(4_000_000).prefix(MARKOV_M + 64)
+    return om, build_nice_set(family, DELTA0, om[MARKOV_M:], 48, grid_points=512).interval
 
 
 class TestNiceSet:
@@ -58,10 +69,11 @@ class TestNiceSet:
 
     def test_boundary_orbit_avoids_neighborhood_to_depth(self, family, nmodel, nice):
         nb = critical_neighborhood(CANON, DELTA0)
-        om = nmodel.stream(4_000_000).prefix(nice.depth)
+        depth = len(nice.intervals) - 1
+        om = nmodel.stream(4_000_000).prefix(depth)
         for b in nice.interval:
             y = b
-            for i in range(nice.depth):
+            for i in range(depth):
                 y = family.eval(float(om[i]), y)
                 assert not nb.contains(y)
 
@@ -229,56 +241,20 @@ class TestMarkovInducing:
         kappa = 2 ** 0.5
         assert cap == pytest.approx(min(0.01 / (4 * kappa), 1 / (kappa**2 * math.e**3)))
 
-    def test_returned_time_carries_passing_report(self, family, nmodel, nice):
-        res = markov_inducing_time(
-            family, 0.51, nmodel.stream(4_000_000), nice, theta=0.001, horizon=2000
-        )
-        assert res is not None
-        m, report = res
+    def test_returned_time_carries_passing_report(self, family, nice, markov_case):
+        om, target = markov_case
+        report = verify_markov_time(family, om, 0.51, MARKOV_M, target, nice.length)
+        assert report.target == target
         assert report.nonlinearity <= 1.0
         assert report.min_df >= report.floor
-        # the report is verify_markov_time's at the returned time, which raises on a clipped chain
-        om = nmodel.stream(4_000_000).prefix(m)
-        assert verify_markov_time(family, om, 0.51, m, report.target, nice.length) == report
-
-    def test_theta_above_cap_rejected(self, family, nmodel, nice):
-        with pytest.raises(ValueError):
-            markov_inducing_time(
-                family, 0.51, nmodel.stream(0), nice, theta=0.5, horizon=100
-            )
-
-    def test_point_outside_fiber_rejected(self, family, nmodel, nice):
-        with pytest.raises(ValueError):
-            markov_inducing_time(
-                family, 0.2, nmodel.stream(0), nice, theta=0.001, horizon=100
-            )
-
-    def test_never_exceeds_good_return_time(self, family, nmodel, nice):
-        # the theta-good return (when it exists) is itself a verified landing
-        theta = 0.001
-        both = checked = 0
-        for k in range(12):
-            stream = nmodel.stream(4_100_000 + k)
-            x = 0.5 + 0.012 * (1 + (k % 3))
-            if not nice.contains(x):
-                continue
-            res = markov_inducing_time(family, x, stream, nice, theta=theta, horizon=1500)
-            ev = good_return_time(family, x, stream, DELTA0, theta, horizon=1500)
-            checked += 1
-            if res is not None and ev is not None:
-                both += 1
-                assert res[0] <= ev.time
-        assert checked > 0  # the inequality is vacuous when no good return exists
-
-    def test_nonlinearity_grid_convergence(self, family, nmodel, nice):
-        res = markov_inducing_time(
-            family, 0.51, nmodel.stream(4_000_000), nice, theta=0.001, horizon=2000,
+        assert (report.nonlinearity, report.min_df, report.floor) == pytest.approx(
+            (0.6409116675363032, 130.6084003117565, 7.199288897270584), rel=1e-9
         )
-        m, coarse = res
-        om = nmodel.stream(4_000_000).prefix(m + 64)
-        fine = verify_markov_time(
-            family, om, 0.51, m, coarse.target, nice.length, grid_points=256
-        )
+
+    def test_nonlinearity_grid_convergence(self, family, nice, markov_case):
+        om, target = markov_case
+        coarse = verify_markov_time(family, om, 0.51, MARKOV_M, target, nice.length)
+        fine = verify_markov_time(family, om, 0.51, MARKOV_M, target, nice.length, grid_points=256)
         rel = abs(fine.nonlinearity - coarse.nonlinearity) / fine.nonlinearity
         assert rel <= 0.1
 

@@ -485,13 +485,14 @@ def _reference_binding_period(params, v, delta, horizon):
         dprime = max(d_star(params, xM), delta)
         df_after = dfns[M] * params.deriv(xM)
         if df_after >= (dprime / delta) ** (1.0 - zeta):
-            return BindingPeriodRecord(v, delta, M, theta, L, zeta, asums[M], df_after, dprime)
+            return BindingPeriodRecord(v, delta, M, asums[M], df_after, dprime)
     return None
 
 
 def _reference_verify(rec, params):
     """BindingPeriodRecord.verify's own loop."""
-    nbL = critical_neighborhood(params, rec.L * rec.delta)
+    theta, L, zeta = binding_constants(params)
+    nbL = critical_neighborhood(params, L * rec.delta)
     x = rec.v
     asum = 0.0
     dfn = 1.0
@@ -501,11 +502,11 @@ def _reference_verify(rec, params):
         asum += dfn / abs(x - params.c)
         dfn *= params.deriv(x)
         x = params.eval(x)
-    if asum > rec.theta / rec.delta * (1.0 + 1e-12):
+    if asum > theta / rec.delta * (1.0 + 1e-12):
         return False
     dprime = max(d_star(params, x), rec.delta)
     df_after = dfn * params.deriv(x)
-    return df_after >= (dprime / rec.delta) ** (1.0 - rec.zeta) * (1.0 - 1e-12)
+    return df_after >= (dprime / rec.delta) ** (1.0 - zeta) * (1.0 - 1e-12)
 
 
 def _bits(rec):
@@ -541,15 +542,14 @@ class TestWalk:
                 assert stats["S_N"].hex() == partial.hex()
 
     def test_binding_and_verify_match_reference_bit_for_bit(self, params):
-        _, L, zeta = binding_constants(params)
         verdicts = set()
         for v in (params.c1_minus, params.c1_plus):
             for delta in BINDING_LADDER:
                 rec = binding_period(params, v, delta, 2000)
                 assert _bits(rec) == _bits(_reference_binding_period(params, v, delta, 2000))
-                # CANON's records, and records at CANON's budget on the other maps, re-verified
-                # at their own and at longer binding periods
-                base = rec or BindingPeriodRecord(v, delta, 40, 0.008, L, zeta, 0.0, 0.0, 0.0)
+                # CANON's records, and a 40-step stand-in where the other maps have none,
+                # re-verified at their own and at longer binding periods
+                base = rec or BindingPeriodRecord(v, delta, 40, 0.0, 0.0, 0.0)
                 for M in (base.M, base.M + 1, base.M + 20, 3 * base.M):
                     probe = dataclasses.replace(base, M=M)
                     verdict = probe.verify(params)
@@ -569,8 +569,7 @@ class TestWalk:
         for delta in BINDING_LADDER:
             args = (params, x0, delta, 2000)
             assert _bits_or_hit(binding_period, *args) == _bits_or_hit(_reference_binding_period, *args)
-        theta, L, zeta = binding_constants(params)
-        rec = BindingPeriodRecord(x0, BINDING_LADDER[0], 3, theta, L, zeta, 0.0, 0.0, 0.0)
+        rec = BindingPeriodRecord(x0, BINDING_LADDER[0], 3, 0.0, 0.0, 0.0)
         if x1 != params.c:
             assert rec.verify(params) is _reference_verify(rec, params) is False  # x1 lies in B(L delta)
         else:

@@ -20,7 +20,6 @@ from lorenzlab.recurrence import (
     d_star,
     default_scale_grid,
     depth_trace,
-    depth_value,
     good_return_or_expansion_time,
     good_return_time,
     landing_time,
@@ -187,10 +186,10 @@ class TestStoppingTimes:
 class TestDepthTrace:
     def test_depth_zero_when_derivative_large(self, family, model):
         # far from c the product Df * d exceeds eps
-        assert depth_value(family, 0.01, 0.0, 0.25) == 0
+        assert depth_trace(family, 0.25, np.zeros(2), 0.01, 1).q[0] == 0
 
     def test_depth_positive_near_critical(self, family):
-        q = depth_value(family, 0.01, 0.0, CANON.c + 1e-4)
+        q = depth_trace(family, CANON.c + 1e-4, np.zeros(2), 0.01, 1).q[0]
         assert q > 0
         # minimality of q
         df = CANON.deriv(CANON.c + 1e-4)
@@ -206,7 +205,7 @@ class TestDepthTrace:
         for x in np.linspace(nb.lo + 1e-9, nb.hi - 1e-9, 101):
             if abs(x - CANON.c) < 1e-9:
                 continue
-            q = depth_value(family, eps, 0.0, float(x))
+            q = depth_trace(family, float(x), np.zeros(2), eps, 1).q[0]
             lhs = CANON.deriv(float(x))
             rhs = O1 * (math.exp(-q) * eps / O2) ** (1.0 - 1.0 / CANON.ell)
             assert lhs >= rhs * (1.0 - 1e-9)
