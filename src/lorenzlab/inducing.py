@@ -269,23 +269,28 @@ def _estimate_lyapunov_bits(family, noise, x0: float) -> float:
     return max(total / max(count, 1), 0.1)
 
 
-# Both boundary scans below return scan(x) -> (first_hit, trajectory, log Df
-# at first_hit) for the noise prefix: the trajectory holds the doubles
-# nearest to x and to each step's value, and a scan fails (first_hit at most
-# total_steps) when its orbit enters B(delta), leaves the taper core or
-# grazes c.  Only the core, where f_t = f + t, is ever stepped.  log Df and
-# the core test are taken in doubles at the nearest double.
+# Both boundary scans below return a pair (scan, trace) for the noise prefix.
+# scan(x) -> (first_hit, Ys) steps the orbit of x and fails (first_hit at most
+# total_steps) when the orbit enters B(delta), leaves the taper core or grazes
+# c; only the core, where f_t = f + t, is ever stepped.  trace(Ys) ->
+# (trajectory, log Df at first_hit): the doubles nearest to x and to each
+# step's value, and log Df taken at those doubles, as the core test is.
+
+
+def _trace_doubles(params, traj):
+    """(traj, log Df summed in step order over the trajectory's points before its last)."""
+    logdf = 0.0
+    for yf in traj[:-1]:
+        logdf += math.log(abs(params.deriv(yf)) + 1e-300)
+    return traj, logdf
 
 
 def _scan_mp(family, nb, noise, total_steps):
-    """The boundary scan in mpmath at the caller's working precision."""
+    """The boundary scan in mpmath at the caller's working precision; its Ys are the trajectory."""
     import mpmath as mp
 
     params = family.base
-    c = mp.mpf(params.c)
-    u = mp.mpf(params.u)
-    v = mp.mpf(params.v)
-    ell = mp.mpf(params.ell)
+    c, u, v, ell = (mp.mpf(a) for a in (params.c, params.u, params.v, params.ell))
     one_c = mp.mpf(1.0 - params.c)  # the double 1 - c, as the float kernels use
     lo_b, hi_b = mp.mpf(nb.lo), mp.mpf(nb.hi)
     margin = family.margin
@@ -294,12 +299,10 @@ def _scan_mp(family, nb, noise, total_steps):
         y = x
         yf = float(y)
         traj = [yf]
-        logdf = 0.0
         for i in range(total_steps):
             t = float(noise[i])
             if not margin <= yf <= 1.0 - margin or abs(yf - params.c) < 1e-12:
-                return i + 1, traj, logdf  # left the core or grazed c: failure
-            logdf += math.log(abs(params.deriv(yf)) + 1e-300)
+                return i + 1, traj  # left the core or grazed c: failure
             # written out in mpmath: PerturbedFamily.jet works in doubles
             if y < c:
                 z = (c - y) / c
@@ -310,10 +313,10 @@ def _scan_mp(family, nb, noise, total_steps):
             yf = float(y)
             traj.append(yf)
             if lo_b < y < hi_b:
-                return i + 1, traj, logdf
-        return total_steps + 1, traj, logdf
+                return i + 1, traj
+        return total_steps + 1, traj
 
-    return scan
+    return scan, lambda traj: _trace_doubles(params, traj)
 
 
 # fractional bits the fixed-point scan keeps beyond the mpmath precision
@@ -328,8 +331,12 @@ def _scan_int(family, nb, noise, total_steps, bits):
     rounding at ``bits``.  The parameters, the bounds of B(delta) and the
     noise values are doubles and convert exactly; division by c and by
     1 - c goes through 2^(2S)-scaled reciprocals, and z^ell is an int power
-    shifted back by S(ell - 1).  Y / 2^S is int true division, which rounds
-    to the nearest double as float(mpf) does.
+    shifted back by S(ell - 1).  A multiplier's trailing zero bits join the
+    shift after it, so u and v (at most 53 significant bits, as doubles) and
+    the reciprocals at c = 1/2 multiply as short ints.  Y / 2^S is int true
+    division, which rounds to the nearest double as float(mpf) does; the
+    scan itself takes no double: its core and c-graze tests on Y / 2^S are
+    int windows on Y.
     """
     import mpmath as mp
 
@@ -341,72 +348,79 @@ def _scan_int(family, nb, noise, total_steps, bits):
         n, d = float(a).as_integer_ratio()
         return (n << S) // d
 
+    def first(test, lo, hi):
+        """The least Y in (lo, hi] whose Y / 2^S passes ``test``, which fails at lo and is monotone."""
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if test(mid / one) else (mid, hi)
+        return hi
+
+    def fold(K):
+        """(m, s) with K * W >> S == m * W >> s for every int W: K's trailing zero bits join the shift."""
+        k = min((K & -K).bit_length() - 1, S)
+        return K >> k, S - k
+
     C, U, V = fixed(params.c), fixed(params.u), fixed(params.v)
-    inv_c = (1 << 2 * S) // C
-    inv_one_c = (1 << 2 * S) // fixed(1.0 - params.c)
+    (Cm, Cs), (Om, Os) = fold((1 << 2 * S) // C), fold((1 << 2 * S) // fixed(1.0 - params.c))
+    (Um, Us), (Vm, Vs) = fold(U), fold(V)
     right_floor = one - V
     ell = int(params.ell)
     drop = S * (ell - 1)
     lo_b, hi_b = fixed(nb.lo), fixed(nb.hi)
     ts = [fixed(t) for t in noise[:total_steps].tolist()]
-    margin = family.margin
-    c = params.c
-    deriv = params.deriv
+    margin, c, near = family.margin, params.c, one >> 20
+    # each window edge is bisected on the double test itself, so it is exact
+    core_lo = first(lambda yf: margin <= yf, 0, one)
+    core_hi = first(lambda yf: not yf <= 1.0 - margin, 0, one) - 1
+    graze_lo = first(lambda yf: abs(yf - c) < 1e-12, C - near, C)
+    graze_hi = first(lambda yf: not abs(yf - c) < 1e-12, C, C + near) - 1
 
     def scan(x):
         Y = int(mp.ldexp(x, S))  # exact for x at or above 2^-_GUARD_BITS
-        yf = Y / one
-        traj = [yf]
-        logdf = 0.0
-        for i in range(total_steps):
-            if not margin <= yf <= 1.0 - margin or abs(yf - c) < 1e-12:
-                return i + 1, traj, logdf
-            logdf += math.log(abs(deriv(yf)) + 1e-300)
+        Ys = [Y]
+        for T in ts:
+            if not core_lo <= Y <= core_hi or graze_lo <= Y <= graze_hi:
+                return len(Ys), Ys
             if Y < C:
-                Z = (C - Y) * inv_c >> S
-                Y = (U * (one - (Z**ell >> drop)) >> S) + ts[i]
+                Z = (C - Y) * Cm >> Cs
+                Y = (Um * (one - (Z**ell >> drop)) >> Us) + T
             else:
-                Z = (Y - C) * inv_one_c >> S
-                Y = right_floor + (V * (Z**ell >> drop) >> S) + ts[i]
-            yf = Y / one
-            traj.append(yf)
+                Z = (Y - C) * Om >> Os
+                Y = right_floor + (Vm * (Z**ell >> drop) >> Vs) + T
+            Ys.append(Y)
             if lo_b < Y < hi_b:
-                return i + 1, traj, logdf
-        return total_steps + 1, traj, logdf
+                return len(Ys) - 1, Ys
+        return total_steps + 1, Ys
 
-    return scan
+    return scan, lambda Ys: _trace_doubles(params, [Y / one for Y in Ys])
 
 
 # candidate orbits the survivor tracking scans before it gives up
 _MAX_ORBITS = 4000
 
 
-def _refine_boundary_mp(family, nb, nb2, side, start, noise, total_steps):
+def _refine_boundary_mp(nb, nb2, side, start, total_steps, bits, scan, trace):
     """High-precision survivor tracking: a point near the boundary whose orbit
     avoids the neighborhood for ``total_steps`` steps.
 
     Doubles cannot hold such points (the avoiding set at this depth is
     thinner than the double-precision grid), so the search runs in mpmath
-    with precision tied to the Lyapunov growth over the horizon.  Each
-    candidate's orbit is scanned in fixed point when ell is an integer and
-    in mpmath otherwise.  Returns (point, trajectory doubles, meta) or
-    (None, None, meta) when tracking fails, which includes running out of
-    _MAX_ORBITS scans; ``meta["scan_steps"]`` counts the map steps of every
-    scan.
+    at ``bits``, which the caller ties to the Lyapunov growth over the
+    horizon.  Each candidate's orbit is scanned by the fiber's (scan, trace)
+    pair, in fixed point when ell is an integer and in mpmath otherwise;
+    only the start and each candidate that improves the first hit are
+    traced.  Returns (point, trajectory doubles, meta) or (None, None, meta)
+    when tracking fails, which includes running out of _MAX_ORBITS scans;
+    ``meta["scan_steps"]`` counts the map steps of every scan.
     """
     import mpmath as mp
-
-    bits = int(1.3 * _estimate_lyapunov_bits(family, noise, 0.3141) * total_steps) + 64
-    if float(family.base.ell).is_integer():
-        orbit_scan = _scan_int(family, nb, noise, total_steps, bits)
-    else:
-        orbit_scan = _scan_mp(family, nb, noise, total_steps)
 
     with mp.workprec(bits):
         outward = 1.0 if side == "hi" else -1.0  # away from c
         x = mp.mpf(start) + outward * mp.mpf(1e-13)
-        best_hit, traj, logdf = orbit_scan(x)
-        scan_steps = len(traj) - 1
+        best_hit, Ys = scan(x)
+        traj, logdf = trace(Ys)
+        scan_steps = len(Ys) - 1
         orbits_used = 1
         rng = np.random.default_rng(((1 if side == "hi" else 2) << 32) + total_steps)
         stall = 0
@@ -423,10 +437,10 @@ def _refine_boundary_mp(family, nb, nb2, side, start, noise, total_steps):
                 orbits_used += 1
                 step = scale * mp.mpf(float(rng.uniform(0.2, 1.0)))
                 cand = x + step if rng.integers(2) else x - step
-                hit, traj_c, logdf_c = orbit_scan(cand)
-                scan_steps += len(traj_c) - 1
+                hit, Ys = scan(cand)
+                scan_steps += len(Ys) - 1
                 if hit > best_hit:
-                    x, best_hit, traj, logdf = cand, hit, traj_c, logdf_c
+                    x, best_hit, (traj, logdf) = cand, hit, trace(Ys)
                     improved = True
                     break
             stall = 0 if improved else stall + 1
@@ -456,8 +470,13 @@ def _verify_niceness_mp(family, nb, nb2, nice, noise, companion_depth, horizon):
     violations = []
     refine_meta = {}
     total = horizon + companion_depth
+    bits = int(1.3 * _estimate_lyapunov_bits(family, noise, 0.3141) * total) + 64
+    if float(family.base.ell).is_integer():
+        scan, trace = _scan_int(family, nb, noise, total, bits)
+    else:
+        scan, trace = _scan_mp(family, nb, noise, total)
     for side, b in (("lo", nice.boundary_lo), ("hi", nice.boundary_hi)):
-        point, traj, meta = _refine_boundary_mp(family, nb, nb2, side, b, noise, total)
+        point, traj, meta = _refine_boundary_mp(nb, nb2, side, b, total, bits, scan, trace)
         refine_meta[side] = meta
         if point is None:
             violations.append(

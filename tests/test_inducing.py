@@ -92,16 +92,16 @@ class TestNiceSet:
 
 
 def _mp_scan_at(factor):
-    """A _scan_int stand-in: the mpmath scan at ``factor`` times the refine's bits."""
+    """A _scan_int stand-in: the mpmath (scan, trace) pair at ``factor`` times the refine's bits."""
 
     def make(family, nb, noise, total_steps, bits):
-        body = inducing._scan_mp(family, nb, noise, total_steps)
+        body, trace = inducing._scan_mp(family, nb, noise, total_steps)
 
         def scan(x):
             with mp.workprec(factor * bits):
                 return body(x)
 
-        return scan
+        return scan, trace
 
     return make
 
@@ -109,22 +109,25 @@ def _mp_scan_at(factor):
 def _scans_beside_oracles(monkeypatch):
     """Patch _scan_int to also run the mpmath scan at bits and at 4 * bits.
 
-    The refine still follows the fixed-point scan; returns the list that
-    collects one (fixed-point, mpmath, 4x mpmath) triple per candidate.
+    Every candidate is traced by all three scans, so each is compared in
+    full, though the refine itself traces only the improvers; the refine
+    still follows the fixed-point scan.  Returns the list that collects one
+    (fixed-point, mpmath, 4x mpmath) triple of (first hit, trajectory
+    doubles, log Df) per candidate.
     """
     triples = []
     fixed_scan = inducing._scan_int
     oracle, reference = _mp_scan_at(1), _mp_scan_at(4)
 
     def make(family, nb, noise, total_steps, bits):
-        scans = [f(family, nb, noise, total_steps, bits) for f in (fixed_scan, oracle, reference)]
+        pairs = [f(family, nb, noise, total_steps, bits) for f in (fixed_scan, oracle, reference)]
 
         def scan(x):
-            triple = tuple(f(x) for f in scans)
-            triples.append(triple)
-            return triple[0]
+            scanned = [each(x) for each, _ in pairs]
+            triples.append(tuple((hit, *trace(Ys)) for (hit, Ys), (_, trace) in zip(scanned, pairs)))
+            return scanned[0]
 
-        return scan
+        return scan, pairs[0][1]
 
     monkeypatch.setattr(inducing, "_scan_int", make)
     return triples
@@ -210,6 +213,38 @@ class TestBoundaryScan:
         assert n_scans > 100
         assert mp_matches < fixed_matches
 
+    @pytest.mark.parametrize("params", [CANON, ELL3], ids=["canon", "ell3"])
+    @pytest.mark.parametrize("horizon", [60, 1048])
+    def test_int_windows_match_the_double_tests(self, nmodel, params, horizon):
+        """At each edge of the core and c-graze windows, the fixed-point scan's
+        int test on Y agrees with the double test on Y / 2^S, and the double
+        test flips within two units of Y either side."""
+        family = PerturbedFamily(params)
+        total = horizon + 48
+        noise = nmodel.stream(4_000_000).prefix(total)
+        # the refine's bits at this horizon
+        bits = int(1.3 * inducing._estimate_lyapunov_bits(family, noise, 0.3141) * total) + 64
+        S = bits + inducing._GUARD_BITS
+        scan, _ = inducing._scan_int(family, critical_neighborhood(params, DELTA0), noise, 1, bits)
+        margin, c = family.margin, params.c
+
+        def fails(yf):  # the scan's double test: left the core or grazed c
+            return not margin <= yf <= 1.0 - margin or abs(yf - c) < 1e-12
+
+        for edge in (margin, 1.0 - margin, c - 1e-12, c + 1e-12):
+            ds = [edge]
+            for _ in range(4):
+                ds = [math.nextafter(ds[0], -math.inf), *ds, math.nextafter(ds[-1], math.inf)]
+            ((a, b),) = [(a, b) for a, b in zip(ds, ds[1:]) if fails(a) != fails(b)]
+            # Y / 2^S rounds to a below the midpoint of a and b, to b above it
+            mid = sum((n << S) // d for n, d in (a.as_integer_ratio(), b.as_integer_ratio())) // 2
+            assert fails(a) == fails((mid - 2) / (1 << S)) != fails((mid + 2) / (1 << S)) == fails(b)
+            with mp.workprec(S + 64):
+                for Y in range(mid - 2, mid + 3):
+                    _, Ys = scan(mp.ldexp(Y, -S))
+                    assert Ys[0] == Y
+                    assert (len(Ys) == 1) == fails(Y / (1 << S))
+
     def test_non_integer_ell_refines_in_mpmath(self, monkeypatch):
         def no_fixed_point(*args):
             raise AssertionError("fixed-point scan used for ell = 2.5")
@@ -228,7 +263,7 @@ class TestBoundaryScan:
         ns = build_nice_set(
             family, 5e-4, model.stream(4_000_000), depth=24, verify_horizon=60,
         )
-        assert len(calls) == 2  # one per side
+        assert len(calls) == 1  # one per fiber
         assert ns.meta["violations"] == []
         for side in ns.meta["boundary_refinement"].values():
             assert side["achieved_avoidance"] == 84
