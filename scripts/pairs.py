@@ -1,18 +1,20 @@
-"""Alternated base/change pairs of one benchmark workload.
+"""Alternated base/change pairs of benchmark workloads.
 
-    python3 scripts/pairs.py --workload nice-set [--pairs 10] [--seconds 25] [--seed N] [--base REV]
+    python3 scripts/pairs.py --workload W [W ...] [--pairs 10] [--seconds 25] [--seed N] [--base REV]
 
 Exports REV (default HEAD) with ``git archive`` into a temporary directory
 (the base), then runs ``perfbench/run.py --trace 0`` alternately in that tree
 and in the working tree (the change), switching which side runs first every
-pair.  Both sides run the working tree's ``perfbench`` with one environment.
+pair.  The workloads run in turn, each for all its pairs, on one export and
+one compile.  Both sides run the working tree's ``perfbench`` with one
+environment.
 Their sources are byte-compiled into the trees' own ``__pycache__`` before
 the first run, and no bytecode is written after it, so neither side reads a
 cache the other lacks or recompiles a module the other does not.
 
-For every end-to-end metric of BENCHMARK.json it prints each side's median
-and quartiles over the pairs and the number of pairs the change won (ties
-count for neither).  A run of several minutes: it is not part of
+For every workload and every end-to-end metric of BENCHMARK.json it prints
+one table of each side's median and quartiles over the pairs and the number
+of pairs the change won (ties count for neither).  A run of several minutes: it is not part of
 scripts/check.sh.  Exits 1 when any run does not print ``"correct": true``,
 2 when the base cannot be exported; the temporary directory is removed on
 exit.
@@ -29,9 +31,9 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def _run(tree, env, args):
-    """One perfbench run in ``tree``: (correct, {metric: value})."""
-    cmd = [sys.executable, os.path.join(ROOT, "perfbench", "run.py"), "--workload", args.workload,
+def _run(tree, env, args, workload):
+    """One perfbench run of ``workload`` in ``tree``: (correct, {metric: value})."""
+    cmd = [sys.executable, os.path.join(ROOT, "perfbench", "run.py"), "--workload", workload,
            "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
     lines = proc.stdout.strip().splitlines()
@@ -47,9 +49,25 @@ def _spread(values):
     return f"{median:.4g} [{q1:.4g}, {q3:.4g}]"
 
 
+def _table(workload, args, metrics, runs):
+    """Print one workload's table: per end-to-end metric each side's spread and the pairs the change won."""
+    print(f"{workload} at seed {args.seed}, {args.pairs} pairs, base {args.base}:")
+    print(f"{'metric':12s} {'base median [q1, q3]':32s} {'change median [q1, q3]':32s} change won")
+    for m in metrics:
+        name = m["name"]
+        pairs = [(b[name], c[name]) for b, c in zip(runs["base"], runs["change"]) if name in b and name in c]
+        if not pairs:
+            print(f"{name:12s} (missing)")
+            continue
+        sign = 1 if m["better"] == "lower" else -1
+        won = sum(sign * (b - c) > 0 for b, c in pairs)
+        bases, changes = zip(*pairs)
+        print(f"{name:12s} {_spread(bases):32s} {_spread(changes):32s} {won}/{len(pairs)}", flush=True)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True, nargs="+")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=25.0)
     parser.add_argument("--seed", type=int, default=20240901)
@@ -75,29 +93,19 @@ def main(argv=None) -> int:
         env["PYTHONDONTWRITEBYTECODE"] = "1"
 
         sides = {"base": base, "change": ROOT}
-        runs = {side: [] for side in sides}
         all_correct = True
-        for i in range(args.pairs):
-            order = ("base", "change") if i % 2 == 0 else ("change", "base")
-            for side in order:
-                correct, values = _run(sides[side], env, args)
-                all_correct &= correct
-                runs[side].append(values)
-                shown = ", ".join(f"{m['name']} {values.get(m['name'], float('nan')):.4g}" for m in metrics)
-                print(f"pair {i + 1}/{args.pairs} {side:6s} correct={correct} {shown}", flush=True)
+        for workload in args.workload:
+            runs = {side: [] for side in sides}
+            for i in range(args.pairs):
+                order = ("base", "change") if i % 2 == 0 else ("change", "base")
+                for side in order:
+                    correct, values = _run(sides[side], env, args, workload)
+                    all_correct &= correct
+                    runs[side].append(values)
+                    shown = ", ".join(f"{m['name']} {values.get(m['name'], float('nan')):.4g}" for m in metrics)
+                    print(f"{workload} pair {i + 1}/{args.pairs} {side:6s} correct={correct} {shown}", flush=True)
+            _table(workload, args, metrics, runs)
 
-    print(f"{args.workload} at seed {args.seed}, {args.pairs} pairs, base {args.base}:")
-    print(f"{'metric':12s} {'base median [q1, q3]':32s} {'change median [q1, q3]':32s} change won")
-    for m in metrics:
-        name = m["name"]
-        pairs = [(b[name], c[name]) for b, c in zip(runs["base"], runs["change"]) if name in b and name in c]
-        if not pairs:
-            print(f"{name:12s} (missing)")
-            continue
-        sign = 1 if m["better"] == "lower" else -1
-        won = sum(sign * (b - c) > 0 for b, c in pairs)
-        bases, changes = zip(*pairs)
-        print(f"{name:12s} {_spread(bases):32s} {_spread(changes):32s} {won}/{len(pairs)}")
     if not all_correct:
         print("error: a run did not print \"correct\": true", file=sys.stderr)
     return 0 if all_correct else 1

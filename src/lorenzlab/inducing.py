@@ -70,11 +70,10 @@ class NiceSetApprox:
         return self.boundary_hi - self.boundary_lo
 
 
-def _first_hit_times(family, nb: CriticalNeighborhood, points: np.ndarray, noise: np.ndarray, depth: int, rows=None):
+def _first_hit_times(family, nb: CriticalNeighborhood, points: np.ndarray, noise: np.ndarray, rows: np.ndarray, depth: int):
     """Per-point first i in 1..depth with f_omega^i(point) inside the hat neighborhood.
 
-    ``noise`` is one sequence for every point or, with ``rows``, a 2-D array
-    whose row ``rows[k]`` drives point k.
+    Point k is driven by the noise row ``rows[k]`` of the 2-D ``noise``.
     """
     first = np.full(len(points), np.iinfo(np.int64).max, dtype=np.int64)
     x = points.copy()
@@ -82,8 +81,7 @@ def _first_hit_times(family, nb: CriticalNeighborhood, points: np.ndarray, noise
     for i in range(1, depth + 1):
         if len(alive) == 0:
             break
-        t = float(noise[i - 1]) if rows is None else noise[rows[alive], i - 1]
-        x[alive] = family.eval_vec(t, x[alive])
+        x[alive] = family.eval_vec(noise[rows[alive], i - 1], x[alive])
         inside = (x[alive] > nb.lo) & (x[alive] < nb.hi)
         first[alive[inside]] = i
         alive = alive[~inside]
@@ -124,6 +122,75 @@ def _escapes_rows(family, nb, x: np.ndarray, noise: np.ndarray, rows: np.ndarray
 
 # width at which the bisection for a fiber boundary stops
 _BISECT_TOL = 1e-12
+# grid points across the annulus: the nice-set fibers' and the tail's (companion hull and subsample)
+_NICE_GRID = 2048
+_FIBER_GRID = 512
+# fibers whose first-hit grids are walked at once: it bounds the grid's
+# temporaries (some 80 KB a fiber at _FIBER_GRID) while keeping the steps few
+_GRID_FIBERS = 8
+# bisected sides from which the boundaries are walked in lockstep rather
+# than one by one: on a 2-core x86-64 the scalar walks win up to about 16
+# sides and the lockstep walk from about 24, at grids 512 and 2048 alike
+_LOCKSTEP_SIDES = 20
+
+
+def _fibers(family: PerturbedFamily, delta: float, noise: np.ndarray, depth: int, grid_points: int):
+    """Depth-limited nice-set fibers, one for each row of the 2-D ``noise``.
+
+    Each side of c is scanned on a grid of ``grid_points`` points across the
+    annulus between B(delta) and B(2*delta); the first-hit times of
+    _GRID_FIBERS fibers at a time go through eval_vec with one noise value
+    per point.  At depth d a side reaches the first grid point whose orbit
+    avoids B(delta) for d steps; where none does, the grid's last point
+    stands in and containment fails.  The side's boundary is then bisected
+    between that point at the full depth and the grid point before it:
+    below _LOCKSTEP_SIDES sides one at a time (_point_escapes), else all in
+    lockstep (_escapes_rows), with the same bits.  Returns the arrays
+    (intervals (n, depth + 1, 2), boundaries (n, 2), containment (n,)).
+    """
+    params = family.base
+    nb = critical_neighborhood(params, delta)
+    nb2 = critical_neighborhood(params, 2.0 * delta)
+    n = len(noise)
+    grids = np.stack([np.linspace(nb.lo, nb2.lo, grid_points), np.linspace(nb.hi, nb2.hi, grid_points)])
+    # per fiber, depth d and side: the first grid index whose orbit avoids
+    # B(delta) for d steps, grid_points when none
+    reach = np.empty((n, depth + 1, 2), dtype=np.int64)
+    for k in range(0, n, _GRID_FIBERS):
+        f = min(_GRID_FIBERS, n - k)
+        rows = np.repeat(np.arange(k, k + f), 2 * grid_points)
+        first = _first_hit_times(family, nb, np.tile(grids.ravel(), f), noise, rows, depth)
+        first = first.reshape(f, 2, grid_points)
+        for d in range(depth + 1):
+            escapes = first > d
+            reach[k : k + f, d] = np.where(escapes.any(axis=2), escapes.argmax(axis=2), grid_points)
+    containment = (reach < grid_points).all(axis=(1, 2))
+    intervals = grids[np.arange(2), np.minimum(reach, grid_points - 1)]
+    boundaries = intervals[:, depth].copy()
+
+    fiber, side = np.nonzero(reach[:, depth] < grid_points)
+    j = reach[fiber, depth, side]
+    inner = np.where(j > 0, grids[side, j - 1], np.where(side == 1, nb.hi, nb.lo))
+    outer = grids[side, j]
+    if len(fiber) < _LOCKSTEP_SIDES:
+        for s in range(len(fiber)):
+            while abs(outer[s] - inner[s]) > _BISECT_TOL:
+                mid = 0.5 * (inner[s] + outer[s])
+                if _point_escapes(family, nb, mid, noise[fiber[s]], depth):
+                    outer[s] = mid
+                else:
+                    inner[s] = mid
+    else:
+        while True:
+            act = np.nonzero(np.abs(outer - inner) > _BISECT_TOL)[0]
+            if not len(act):
+                break
+            mid = 0.5 * (inner[act] + outer[act])
+            escapes = _escapes_rows(family, nb, mid, noise, fiber[act], depth)
+            outer[act[escapes]] = mid[escapes]
+            inner[act[~escapes]] = mid[~escapes]
+    boundaries[fiber, side] = outer
+    return intervals, boundaries, containment
 
 
 def build_nice_set(
@@ -132,13 +199,11 @@ def build_nice_set(
     omega,
     depth: int,
     verify_horizon: int = 0,
-    grid_points: int = 2048,
 ) -> NiceSetApprox:
     """Depth-limited nice-set fiber with optional boundary-orbit verification.
 
-    The component of c is computed on each side by scanning a grid across
-    the annulus between B(delta) and B(2*delta) for the first point whose
-    orbit avoids B(delta) up to the depth horizon, then bisecting.
+    The fiber is built by _fibers on a grid of _NICE_GRID points across each
+    side's annulus between B(delta) and B(2*delta).
 
     Verification to a horizon N demands boundary points whose orbits avoid
     the neighborhood for N + depth steps.  Such
@@ -149,54 +214,15 @@ def build_nice_set(
     against the companion fibers.  Verification failures are reported in
     ``meta["violations"]``; they never raise.
     """
-    params = family.base
-    nb = critical_neighborhood(params, delta)
-    nb2 = critical_neighborhood(params, 2.0 * delta)
-    needed = depth + max(verify_horizon, 0)
-    noise = _noise_prefix(omega, needed)
-    c = params.c
-
-    sides = {}
-    containment_ok = True
-    for side in ("lo", "hi"):
-        if side == "hi":
-            grid = np.linspace(nb.hi, nb2.hi, grid_points)
-        else:
-            grid = np.linspace(nb.lo, nb2.lo, grid_points)
-        first = _first_hit_times(family, nb, grid, noise, depth)
-        per_depth = []
-        for n in range(depth + 1):
-            out = np.nonzero(first > n)[0]
-            if len(out) == 0:
-                containment_ok = False
-                per_depth.append(grid[-1])
-            else:
-                per_depth.append(grid[out[0]])
-        out = np.nonzero(first > depth)[0]
-        if len(out) == 0:
-            containment_ok = False
-            boundary = grid[-1]
-        else:
-            k = out[0]
-            inner = grid[k - 1] if k > 0 else (nb.hi if side == "hi" else nb.lo)
-            outer = grid[k]
-            while abs(outer - inner) > _BISECT_TOL:
-                mid = 0.5 * (inner + outer)
-                if _point_escapes(family, nb, mid, noise, depth):
-                    outer = mid
-                else:
-                    inner = mid
-            boundary = outer
-        sides[side] = (per_depth, boundary)
-
-    intervals = [
-        (sides["lo"][0][n], sides["hi"][0][n]) for n in range(depth + 1)
-    ]
+    nb = critical_neighborhood(family.base, delta)
+    nb2 = critical_neighborhood(family.base, 2.0 * delta)
+    noise = _noise_prefix(omega, depth + max(verify_horizon, 0))
+    intervals, boundaries, containment = _fibers(family, delta, noise[None, :depth], depth, _NICE_GRID)
     result = NiceSetApprox(
-        intervals=intervals,
-        boundary_lo=sides["lo"][1],
-        boundary_hi=sides["hi"][1],
-        containment_ok=containment_ok,
+        intervals=[tuple(pair) for pair in intervals[0]],
+        boundary_lo=boundaries[0, 0],
+        boundary_hi=boundaries[0, 1],
+        containment_ok=bool(containment[0]),
     )
     if verify_horizon > 0:
         violations, refine_meta = _verify_niceness_mp(
@@ -205,53 +231,6 @@ def build_nice_set(
         result.meta["violations"] = violations
         result.meta["boundary_refinement"] = refine_meta
     return result
-
-
-# grid points across the annulus for the tail's fibers (companion hull and subsample)
-_FIBER_GRID = 512
-# fibers whose first-hit grids are walked at once: it bounds the grid's
-# temporaries (some 80 KB a fiber) while keeping the steps few
-_GRID_FIBERS = 8
-
-
-def _fiber_intervals(family: PerturbedFamily, delta: float, noise: np.ndarray, depth: int):
-    """build_nice_set(family, delta, noise[k], depth, grid_points=_FIBER_GRID).interval for every row k.
-
-    Returns the arrays (lo, hi).  The first-hit grids of _GRID_FIBERS fibers
-    at a time go through eval_vec with one noise value per point; then every
-    side's boundary bisection runs in lockstep, through _escapes_rows.  Each
-    boundary has the bits of the scalar build.
-    """
-    params = family.base
-    nb = critical_neighborhood(params, delta)
-    nb2 = critical_neighborhood(params, 2.0 * delta)
-    n = len(noise)
-    # lane 2k + side: side 0 (lo) or 1 (hi) of fiber k
-    grids = np.stack([np.linspace(nb.lo, nb2.lo, _FIBER_GRID), np.linspace(nb.hi, nb2.hi, _FIBER_GRID)])
-    out = np.empty(2 * n, dtype=np.int64)  # first escaping grid index, _FIBER_GRID when none
-    for k in range(0, n, _GRID_FIBERS):
-        f = min(_GRID_FIBERS, n - k)
-        rows = np.repeat(np.arange(k, k + f), 2 * _FIBER_GRID)
-        first = _first_hit_times(family, nb, np.tile(grids.ravel(), f), noise, depth, rows)
-        escapes = (first > depth).reshape(2 * f, _FIBER_GRID)
-        out[2 * k : 2 * (k + f)] = np.where(escapes.any(axis=1), escapes.argmax(axis=1), _FIBER_GRID)
-    side = np.arange(2 * n) % 2
-    # containment fails where no grid point escapes: the boundary is the grid's end
-    boundary = grids[side, -1]
-    lanes = np.nonzero(out < _FIBER_GRID)[0]
-    k, side = out[lanes], side[lanes]
-    inner = np.where(k > 0, grids[side, k - 1], np.where(side == 1, nb.hi, nb.lo))
-    outer = grids[side, k]
-    while True:
-        act = np.nonzero(np.abs(outer - inner) > _BISECT_TOL)[0]
-        if not len(act):
-            break
-        mid = 0.5 * (inner[act] + outer[act])
-        escapes = _escapes_rows(family, nb, mid, noise, lanes[act] // 2, depth)
-        outer[act[escapes]] = mid[escapes]
-        inner[act[~escapes]] = mid[~escapes]
-    boundary[lanes] = outer
-    return boundary[0::2], boundary[1::2]
 
 
 def _estimate_lyapunov_bits(family, noise, x0: float) -> float:
@@ -820,7 +799,7 @@ def estimate_companion_hull(
     really contains the member's fiber (cross-checked on a subsample).
     """
     noise = np.stack([model.stream(STREAM_HULL + j).prefix(depth) for j in range(_HULL_SAMPLES)])
-    los, his = _fiber_intervals(family, delta, noise, depth)
+    los, his = _fibers(family, delta, noise, depth, _FIBER_GRID)[1].T
     lo_spread = float(los.max() - los.min())
     hi_spread = float(his.max() - his.min())
     return float(los.min()) - _HULL_MARGIN * lo_spread, float(his.max()) + _HULL_MARGIN * hi_spread
@@ -987,7 +966,7 @@ def inducing_tail_stats(
     steps = [int(times[i]) for i in sub]
     omegas = [model.stream(STREAM_TAIL + int(i)).prefix(m + depth) for i, m in zip(sub, steps)]
     fibers = np.array([om[m:] for om, m in zip(omegas, steps)]).reshape(len(sub), depth)
-    los, his = _fiber_intervals(family, delta, fibers, depth)
+    los, his = _fibers(family, delta, fibers, depth, _FIBER_GRID)[1].T
     agree = inside_hull = 0
     for i, om, m, lo, hi in zip(sub, omegas, steps, los, his):
         if lo >= hull[0] and hi <= hull[1]:

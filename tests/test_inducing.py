@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from lorenzlab import inducing
+from lorenzlab.config import load_config
 from lorenzlab.errors import EmptyPullback, VerificationFailed
 from lorenzlab.inducing import (
     VERIFY_REASONS,
@@ -45,7 +46,8 @@ MARKOV_M = 40
 def markov_case(family, nmodel):
     """The stream's first MARKOV_M + 64 values and the fiber at MARKOV_M."""
     om = nmodel.stream(4_000_000).prefix(MARKOV_M + 64)
-    return om, build_nice_set(family, DELTA0, om[MARKOV_M:], 48, grid_points=512).interval
+    fiber = inducing._fibers(family, DELTA0, om[None, MARKOV_M : MARKOV_M + 48], 48, inducing._FIBER_GRID)
+    return om, tuple(fiber[1][0].tolist())
 
 
 class TestNiceSet:
@@ -76,6 +78,23 @@ class TestNiceSet:
             for i in range(depth):
                 y = family.eval(float(om[i]), y)
                 assert not nb.contains(y)
+
+    def test_criterion_14_fibers_pinned(self):
+        # criterion 14's 20 fibers at the default config, without verification:
+        # each fiber's per-depth (lo, hi) and its boundary, stacked
+        cfg = load_config()
+        family = cfg.perturbed_family()
+        model = cfg.noise_model(min(cfg.noise.eps, cfg.scales.delta0))
+        fibers = [
+            build_nice_set(family, cfg.scales.delta0, model.stream(inducing.STREAM_NICE + k), depth=48)
+            for k in range(20)
+        ]
+        assert all(ns.containment_ok for ns in fibers)
+        stacked = np.array([[*ns.intervals, ns.interval] for ns in fibers], dtype=np.float64)
+        assert stacked.shape == (20, 50, 2)
+        assert hashlib.sha256(stacked.tobytes()).hexdigest() == (
+            "6dbb14de64c3f7e218f64eb2de3301c63c408fe4958b75354df54c5e0ae5d9ad"
+        )
 
     def test_short_verification_horizon_passes(self, family, nmodel):
         ns = build_nice_set(
@@ -625,53 +644,86 @@ FIBER_FAMILIES = {
 }
 
 
-def _scalar_fiber(family, delta, noise, depth):
-    return build_nice_set(family, delta, noise, depth, grid_points=inducing._FIBER_GRID).interval
+def _per_fiber(family, delta, noise, depth):
+    """inducing._fibers one row at a time: each call has at most two sides, so they walk one by one."""
+    parts = [inducing._fibers(family, delta, row[None], depth, inducing._FIBER_GRID) for row in noise]
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+
+
+def _assert_same_fibers(got, want):
+    for a, b in zip(got, want):
+        assert a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """The names of the boundary walks inducing._fibers calls, one entry a call."""
+    seen = []
+    for name in ("_point_escapes", "_escapes_rows"):
+        walk = getattr(inducing, name)
+        monkeypatch.setattr(inducing, name, lambda *args, walk=walk, name=name: seen.append(name) or walk(*args))
+    return seen
 
 
 class TestFiberIntervals:
-    """inducing._fiber_intervals against build_nice_set, fiber by fiber."""
+    """inducing._fibers: one call over many rows against one call a row, the lockstep walk against the scalar."""
 
     @pytest.mark.parametrize("name", list(FIBER_FAMILIES))
-    def test_hull_streams_match_scalar_build(self, nmodel, name):
+    def test_hull_streams_match_scalar_build(self, nmodel, walks, name):
         family = PerturbedFamily(FIBER_FAMILIES[name])
         depth = 48
         noise = np.stack([
             nmodel.stream(inducing.STREAM_HULL + j).prefix(depth) for j in range(inducing._HULL_SAMPLES)
         ])
-        los, his = inducing._fiber_intervals(family, DELTA0, noise, depth)
-        want = [_scalar_fiber(family, DELTA0, row, depth) for row in noise]
-        assert list(zip(los.tolist(), his.tolist())) == want
-        # and the hull is the one the scalar fibers give
-        lo_w, hi_w = zip(*want)
+        got = inducing._fibers(family, DELTA0, noise, depth, inducing._FIBER_GRID)
+        assert set(walks) == {"_escapes_rows"}
+        walks.clear()
+        want = _per_fiber(family, DELTA0, noise, depth)
+        assert set(walks) == {"_point_escapes"}
+        _assert_same_fibers(got, want)
+        # and the hull is the one the per-fiber boundaries give
+        lo_w, hi_w = want[1].T.tolist()
         lo_spread, hi_spread = max(lo_w) - min(lo_w), max(hi_w) - min(hi_w)
         assert inducing.estimate_companion_hull(family, nmodel, DELTA0, depth) == (
             min(lo_w) - inducing._HULL_MARGIN * lo_spread, max(hi_w) + inducing._HULL_MARGIN * hi_spread,
         )
 
-    def test_fiber_without_escaping_grid_point(self, family, nmodel):
+    def test_fiber_without_escaping_grid_point(self, family, nmodel, walks):
         # at delta 0.03 and depth 8 every grid point of some sides lands in
         # B(delta): containment fails there and the boundary is the grid's end;
         # the other sides are bisected in the same call
         delta, depth = 0.03, 8
-        noise = np.stack([nmodel.stream(inducing.STREAM_HULL + j).prefix(depth) for j in range(4)])
-        los, his = inducing._fiber_intervals(family, delta, noise, depth)
+        noise = np.stack([
+            nmodel.stream(inducing.STREAM_HULL + j).prefix(depth) for j in range(inducing._HULL_SAMPLES)
+        ])
+        got = inducing._fibers(family, delta, noise, depth, inducing._FIBER_GRID)
+        assert set(walks) == {"_escapes_rows"}
+        _assert_same_fibers(got, _per_fiber(family, delta, noise, depth))
         nb2 = critical_neighborhood(CANON, 2.0 * delta)
-        ends = (nb2.lo, nb2.hi)  # the grids' last points
-        bisected = failed = 0
-        for row, lo, hi in zip(noise, los, his):
-            ns = build_nice_set(family, delta, row, depth, grid_points=inducing._FIBER_GRID)
-            assert (lo, hi) == ns.interval
-            sides_failed = int(lo == ends[0]) + int(hi == ends[1])
-            if sides_failed:
-                assert not ns.containment_ok
-            failed += sides_failed
-            bisected += 2 - sides_failed
-        assert failed > 0 and bisected > 0
+        failed = got[1] == (nb2.lo, nb2.hi)  # the grids' last points
+        assert failed.any() and (~failed).any()
+        assert (got[2] == ~failed.any(axis=1)).all()
+
+    @pytest.mark.parametrize("sides, walk", [
+        (inducing._LOCKSTEP_SIDES - 2, "_point_escapes"),
+        (inducing._LOCKSTEP_SIDES, "_escapes_rows"),
+    ])
+    def test_walk_chosen_by_side_count(self, family, nmodel, walks, sides, walk):
+        depth = 48
+        noise = np.stack([nmodel.stream(inducing.STREAM_HULL + j).prefix(depth) for j in range(sides // 2)])
+        got = inducing._fibers(family, DELTA0, noise, depth, inducing._FIBER_GRID)
+        assert got[2].all()  # every side is bisected
+        assert set(walks) == {walk}
+        _assert_same_fibers(got, _per_fiber(family, DELTA0, noise, depth))
 
     def test_no_fibers(self, family):
-        los, his = inducing._fiber_intervals(family, DELTA0, np.empty((0, 48)), 48)
-        assert los.shape == his.shape == (0,)
+        intervals, boundaries, containment = inducing._fibers(
+            family, DELTA0, np.empty((0, 48)), 48, inducing._FIBER_GRID,
+        )
+        assert intervals.shape == (0, 49, 2)
+        assert boundaries.shape == (0, 2)
+        assert containment.shape == (0,)
 
 
 @pytest.fixture(scope="module")
