@@ -13,8 +13,10 @@ the first run, and no bytecode is written after it, so neither side reads a
 cache the other lacks or recompiles a module the other does not.
 
 For every workload and every end-to-end metric of BENCHMARK.json it prints
-one table of each side's median and quartiles over the pairs and the number
-of pairs the change won (ties count for neither).  A run of several minutes: it is not part of
+one table of each side's median and quartiles over the pairs in which both
+runs read correct, as perfbench's harness takes them, and the number of
+pairs the change won (ties count for neither); a metric with fewer than two
+such pairs reads "too few correct pairs".  A run of several minutes: it is not part of
 scripts/check.sh.  Exits 1 when any run does not print ``"correct": true``,
 2 when the base cannot be exported; the temporary directory is removed on
 exit.
@@ -23,12 +25,14 @@ exit.
 import argparse
 import json
 import os
-import statistics
 import subprocess
 import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+
+from harness import quartiles  # noqa: E402
 
 
 def _run(tree, env, args, workload):
@@ -45,7 +49,7 @@ def _run(tree, env, args, workload):
 
 
 def _spread(values):
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    q1, median, q3 = quartiles(list(values))
     return f"{median:.4g} [{q1:.4g}, {q3:.4g}]"
 
 
@@ -56,8 +60,8 @@ def _table(workload, args, metrics, runs):
     for m in metrics:
         name = m["name"]
         pairs = [(b[name], c[name]) for b, c in zip(runs["base"], runs["change"]) if name in b and name in c]
-        if not pairs:
-            print(f"{name:12s} (missing)")
+        if len(pairs) < 2:
+            print(f"{name:12s} too few correct pairs ({len(pairs)})")
             continue
         sign = 1 if m["better"] == "lower" else -1
         won = sum(sign * (b - c) > 0 for b, c in pairs)
@@ -101,7 +105,7 @@ def main(argv=None) -> int:
                 for side in order:
                     correct, values = _run(sides[side], env, args, workload)
                     all_correct &= correct
-                    runs[side].append(values)
+                    runs[side].append(values if correct else {})
                     shown = ", ".join(f"{m['name']} {values.get(m['name'], float('nan')):.4g}" for m in metrics)
                     print(f"{workload} pair {i + 1}/{args.pairs} {side:6s} correct={correct} {shown}", flush=True)
             _table(workload, args, metrics, runs)

@@ -205,17 +205,20 @@ def build_nice_set(
     The fiber is built by _fibers on a grid of _NICE_GRID points across each
     side's annulus between B(delta) and B(2*delta).
 
-    Verification to a horizon N demands boundary points whose orbits avoid
-    the neighborhood for N + depth steps.  Such
-    points exist arbitrarily close to the true boundary but their orbits
-    cannot be followed in double precision (round-off is amplified past the
-    neighborhood scale after a few dozen steps), so the boundary is refined
-    with adaptive-precision survivor tracking before its orbit is checked
-    against the companion fibers.  Verification failures are reported in
-    ``meta["violations"]``; they never raise.
+    Verification to a horizon N demands, next to each side's boundary, a
+    point whose orbit avoids the neighborhood for N + depth steps, and that
+    is the whole check: the companion fiber at shift k lies in the union of
+    the first ``depth`` backward images of B(delta), so an orbit that stays
+    out of B(delta) from step k to step k + depth is in no companion fiber
+    at step k, for every k up to N.  Such points exist arbitrarily close to
+    the true boundary but their orbits cannot be followed in double
+    precision (round-off is amplified past the neighborhood scale after a
+    few dozen steps), so they are found by adaptive-precision survivor
+    tracking, at ``bits`` tied to a typical orbit's Lyapunov growth over the
+    N + depth steps, with the fixed-point scan for integer ell and the
+    mpmath scan otherwise.  ``meta["violations"]`` lists the sides ("lo",
+    "hi") whose tracking failed; it never raises.
     """
-    nb = critical_neighborhood(family.base, delta)
-    nb2 = critical_neighborhood(family.base, 2.0 * delta)
     noise = _noise_prefix(omega, depth + max(verify_horizon, 0))
     intervals, boundaries, containment = _fibers(family, delta, noise[None, :depth], depth, _NICE_GRID)
     result = NiceSetApprox(
@@ -225,11 +228,20 @@ def build_nice_set(
         containment_ok=bool(containment[0]),
     )
     if verify_horizon > 0:
-        violations, refine_meta = _verify_niceness_mp(
-            family, nb, nb2, result, noise, depth, verify_horizon
-        )
-        result.meta["violations"] = violations
-        result.meta["boundary_refinement"] = refine_meta
+        nb = critical_neighborhood(family.base, delta)
+        nb2 = critical_neighborhood(family.base, 2.0 * delta)
+        total = verify_horizon + depth
+        bits = int(1.3 * _estimate_lyapunov_bits(family, noise, 0.3141) * total) + 64
+        if float(family.base.ell).is_integer():
+            scan, trace = _scan_int(family, nb, noise, total, bits)
+        else:
+            scan, trace = _scan_mp(family, nb, noise, total)
+        refine = {
+            side: _refine_boundary_mp(nb, nb2, side, b, total, bits, scan, trace)
+            for side, b in (("lo", result.boundary_lo), ("hi", result.boundary_hi))
+        }
+        result.meta["violations"] = [side for side, meta in refine.items() if meta["achieved_avoidance"] < total]
+        result.meta["boundary_refinement"] = refine
     return result
 
 
@@ -379,8 +391,8 @@ _MAX_ORBITS = 4000
 
 
 def _refine_boundary_mp(nb, nb2, side, start, total_steps, bits, scan, trace):
-    """High-precision survivor tracking: a point near the boundary whose orbit
-    avoids the neighborhood for ``total_steps`` steps.
+    """High-precision survivor tracking for a point near the boundary whose
+    orbit avoids the neighborhood for ``total_steps`` steps.
 
     Doubles cannot hold such points (the avoiding set at this depth is
     thinner than the double-precision grid), so the search runs in mpmath
@@ -388,8 +400,9 @@ def _refine_boundary_mp(nb, nb2, side, start, total_steps, bits, scan, trace):
     horizon.  Each candidate's orbit is scanned by the fiber's (scan, trace)
     pair, in fixed point when ell is an integer and in mpmath otherwise;
     only the start and each candidate that improves the first hit are
-    traced.  Returns (point, trajectory doubles, meta) or (None, None, meta)
-    when tracking fails, which includes running out of _MAX_ORBITS scans;
+    traced, for the log Df that sets the next moves.  Returns the meta;
+    tracking failed when ``meta["achieved_avoidance"]`` falls short of
+    ``total_steps``, which includes running out of _MAX_ORBITS scans;
     ``meta["scan_steps"]`` counts the map steps of every scan.
     """
     import mpmath as mp
@@ -398,7 +411,7 @@ def _refine_boundary_mp(nb, nb2, side, start, total_steps, bits, scan, trace):
         outward = 1.0 if side == "hi" else -1.0  # away from c
         x = mp.mpf(start) + outward * mp.mpf(1e-13)
         best_hit, Ys = scan(x)
-        traj, logdf = trace(Ys)
+        _, logdf = trace(Ys)
         scan_steps = len(Ys) - 1
         orbits_used = 1
         rng = np.random.default_rng(((1 if side == "hi" else 2) << 32) + total_steps)
@@ -419,65 +432,19 @@ def _refine_boundary_mp(nb, nb2, side, start, total_steps, bits, scan, trace):
                 hit, Ys = scan(cand)
                 scan_steps += len(Ys) - 1
                 if hit > best_hit:
-                    x, best_hit, (traj, logdf) = cand, hit, trace(Ys)
+                    x, best_hit, (_, logdf) = cand, hit, trace(Ys)
                     improved = True
                     break
             stall = 0 if improved else stall + 1
             if stall > 30:
                 break
-        meta = {
+        return {
             "bits": bits,
             "orbits_used": orbits_used,
             "achieved_avoidance": int(best_hit - 1),
             "offset_from_start": float(x - mp.mpf(start)),
             "scan_steps": scan_steps,
         }
-        if best_hit <= total_steps:
-            return None, None, meta
-        return x, traj, meta
-
-
-def _verify_niceness_mp(family, nb, nb2, nice, noise, companion_depth, horizon):
-    """Boundary-orbit check against companion fibers via refined trajectories.
-
-    Membership of a trajectory point in a companion fiber is decided from
-    the trajectory itself: the fiber at shift k is contained in the union of
-    the first ``companion_depth`` backward images of the neighborhood, so a
-    point whose continued orbit stays out of the neighborhood for that many
-    steps cannot belong to it.
-    """
-    violations = []
-    refine_meta = {}
-    total = horizon + companion_depth
-    bits = int(1.3 * _estimate_lyapunov_bits(family, noise, 0.3141) * total) + 64
-    if float(family.base.ell).is_integer():
-        scan, trace = _scan_int(family, nb, noise, total, bits)
-    else:
-        scan, trace = _scan_mp(family, nb, noise, total)
-    for side, b in (("lo", nice.boundary_lo), ("hi", nice.boundary_hi)):
-        point, traj, meta = _refine_boundary_mp(nb, nb2, side, b, total, bits, scan, trace)
-        refine_meta[side] = meta
-        if point is None:
-            violations.append(
-                {"step": meta["achieved_avoidance"] + 1, "side": side,
-                 "point": float("nan"), "kind": "tracking-failed"}
-            )
-            continue
-        for k in range(1, horizon + 1):
-            y = traj[k]
-            if nb.lo < y < nb.hi:
-                violations.append({"step": k, "side": side, "point": y, "kind": "core"})
-                break
-            if nb2.lo < y < nb2.hi:
-                # inside the annulus: in the companion only if the continued
-                # orbit re-enters the neighborhood within the companion depth
-                enters = any(
-                    nb.lo < traj[k + j] < nb.hi for j in range(1, companion_depth + 1)
-                )
-                if enters:
-                    violations.append({"step": k, "side": side, "point": y, "kind": "annulus"})
-                    break
-    return violations, refine_meta
 
 
 def markov_theta_cap(ell: float, theta0: float) -> float:
@@ -737,7 +704,7 @@ class TailStats:
 
     def survival(self) -> tuple[np.ndarray, np.ndarray]:
         """(m, P(m_V > m)) on the sorted uncensored support."""
-        finite = np.sort(self.times[self.times > 0])
+        finite = self.times[self.times > 0]
         if len(finite) == 0:
             return np.array([1.0]), np.array([1.0])
         ms, counts = np.unique(finite, return_counts=True)

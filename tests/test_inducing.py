@@ -6,7 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from lorenzlab import inducing
+from lorenzlab import cli, inducing
 from lorenzlab.config import load_config
 from lorenzlab.errors import EmptyPullback, VerificationFailed
 from lorenzlab.inducing import (
@@ -109,6 +109,33 @@ class TestNiceSet:
         assert ref["lo"]["offset_from_start"] == -3.7084902568136372e-09
         assert ref["hi"]["offset_from_start"] == 1.427366630924441e-07
 
+    def test_tracking_failure_names_its_side(self, monkeypatch, family, nmodel, tmp_path):
+        # the fiber above tracks its hi side in 9 scans and its lo side in 15
+        monkeypatch.setattr(inducing, "_MAX_ORBITS", 10)
+        ns = build_nice_set(
+            family, DELTA0, nmodel.stream(4_000_123), depth=48, verify_horizon=60,
+        )
+        ref = ns.meta["boundary_refinement"]
+        assert ns.meta["violations"] == ["lo"]
+        assert ref["lo"]["achieved_avoidance"] < 108
+        assert ref["hi"]["achieved_avoidance"] == 108
+        assert ref["hi"]["orbits_used"] == 9
+
+        # the nice-set subcommand counts each fiber's failed sides
+        monkeypatch.setattr(inducing, "_MAX_ORBITS", 2)
+        cfg = load_config()
+        cfg.horizons.verify_horizon = 60
+        _, results = cli.run_nice_set(cfg, str(tmp_path))
+        cli_family, model = cfg.perturbed_family(), cfg.noise_model(cfg.noise.eps)
+        failed = [
+            build_nice_set(
+                cli_family, cfg.scales.delta0, model.stream(inducing.STREAM_NICE + k), depth=48, verify_horizon=60,
+            ).meta["violations"]
+            for k in range(4)
+        ]
+        assert any(failed)
+        assert [f["violations"] for f in results["fibers"]] == [len(sides) for sides in failed]
+
 
 def _mp_scan_at(factor):
     """A _scan_int stand-in: the mpmath (scan, trace) pair at ``factor`` times the refine's bits."""
@@ -152,6 +179,22 @@ def _scans_beside_oracles(monkeypatch):
     return triples
 
 
+def _avoiders_outside(scans, nb, total):
+    """Assert that every scan whose first hit is past ``total`` has trajectory
+    doubles 1..total outside B(delta), and count those scans.
+
+    Each scan is (first hit, trajectory doubles, log Df).  A side's niceness
+    is read off the first hit alone; this is the property that makes it so.
+    """
+    avoiders = 0
+    for hit, traj, _ in scans:
+        if hit > total:
+            avoiders += 1
+            assert len(traj) == total + 1
+            assert not any(nb.lo < y < nb.hi for y in traj[1:])
+    return avoiders
+
+
 def _refinements(monkeypatch, family, model, stream, depth, horizon):
     """Nice sets of one fiber refined with the fixed-point scan ("int"), the
     mpmath scan ("mp") and the mpmath scan at 4x bits ("ref"), and the scan
@@ -182,6 +225,9 @@ class TestBoundaryScan:
     @pytest.mark.parametrize("horizon", [60, 200])
     def test_fixed_point_matches_mpmath_on_canon(self, monkeypatch, family, nmodel, stream, horizon):
         built, triples = _refinements(monkeypatch, family, nmodel, stream, 48, horizon)
+        nb = critical_neighborhood(CANON, DELTA0)
+        # each side's accepted point, by all three scans
+        assert _avoiders_outside([s for triple in triples for s in triple], nb, horizon + 48) >= 6
         assert len(triples) > 10
         for fixed, at_bits, reference in triples:
             # first hit, trajectory doubles and log Df, bit for bit, against
@@ -223,6 +269,9 @@ class TestBoundaryScan:
                 assert counts["int"] == counts["mp"] == counts["ref"]
                 for fixed, at_bits, reference in triples:
                     assert fixed[0] == at_bits[0] == reference[0]
+                nb = critical_neighborhood(ELL3, DELTA0)
+                avoiders = _avoiders_outside([s for triple in triples for s in triple], nb, horizon + 24)
+                assert avoiders >= 3 * (2 - counts["int"])
                 n_scans += len(triples)
                 fixed_matches += sum(f[1] == r[1] for f, _, r in triples)
                 mp_matches += sum(m[1] == r[1] for _, m, r in triples)
@@ -269,21 +318,32 @@ class TestBoundaryScan:
             raise AssertionError("fixed-point scan used for ell = 2.5")
 
         calls = []
+        scans = []  # per candidate, the scan at bits and at 4x bits
         mp_scan = inducing._scan_mp
 
         def counted(*args):
             calls.append(args)
-            return mp_scan(*args)
+            body, trace = mp_scan(*args)
+
+            def scan(x):
+                hit, Ys = body(x)
+                with mp.workprec(4 * mp.mp.prec):
+                    reference = body(x)
+                scans.extend([(hit, *trace(Ys)), (reference[0], *trace(reference[1]))])
+                return hit, Ys
+
+            return scan, trace
 
         monkeypatch.setattr(inducing, "_scan_int", no_fixed_point)
         monkeypatch.setattr(inducing, "_scan_mp", counted)
-        family = PerturbedFamily(MapParams(c=0.55, ell=2.5, u=0.9, v=0.88))
+        params = MapParams(c=0.55, ell=2.5, u=0.9, v=0.88)
         model = NoiseModel(eps=0.001, seed=42)
         ns = build_nice_set(
-            family, 5e-4, model.stream(4_000_000), depth=24, verify_horizon=60,
+            PerturbedFamily(params), 5e-4, model.stream(4_000_000), depth=24, verify_horizon=60,
         )
         assert len(calls) == 1  # one per fiber
         assert ns.meta["violations"] == []
+        assert _avoiders_outside(scans, critical_neighborhood(params, 5e-4), 84) >= 4
         for side in ns.meta["boundary_refinement"].values():
             assert side["achieved_avoidance"] == 84
             assert side["scan_steps"] == 84
