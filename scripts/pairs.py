@@ -16,7 +16,12 @@ For every workload and every end-to-end metric of BENCHMARK.json it prints
 one table of each side's median and quartiles over the pairs in which both
 runs read correct, as perfbench's harness takes them, and the number of
 pairs the change won (ties count for neither); a metric with fewer than two
-such pairs reads "too few correct pairs".  A run of several minutes: it is not part of
+such pairs reads "too few correct pairs".  After each table it prints one
+verdict per metric: "gain" when the change won at least 9 in 10 of the pairs
+and its median is better than the base's by more than the base's
+interquartile range, "worse beyond bound" when its median is worse than the
+base's by more than the metric's ``bound`` in BENCHMARK.json (a fraction of
+the base's median), and "within bound" otherwise.  A run of several minutes: it is not part of
 scripts/check.sh.  Exits 1 when any run does not print ``"correct": true``,
 2 when the base cannot be exported; the temporary directory is removed on
 exit.
@@ -53,10 +58,24 @@ def _spread(values):
     return f"{median:.4g} [{q1:.4g}, {q3:.4g}]"
 
 
+def _verdict(metric, bases, changes, won):
+    """One metric's verdict over its pairs: gain, worse beyond bound or within bound."""
+    sign = 1 if metric["better"] == "lower" else -1
+    q1, base, q3 = quartiles(list(bases))
+    change = quartiles(list(changes))[1]
+    if won >= 0.9 * len(bases) and sign * (base - change) > q3 - q1:
+        return "gain"
+    if sign * (change - base) > metric["bound"] * abs(base):
+        return "worse beyond bound"
+    return "within bound"
+
+
 def _table(workload, args, metrics, runs):
-    """Print one workload's table: per end-to-end metric each side's spread and the pairs the change won."""
+    """Print one workload's table: per end-to-end metric each side's spread and the pairs the change won,
+    then each metric's verdict."""
     print(f"{workload} at seed {args.seed}, {args.pairs} pairs, base {args.base}:")
     print(f"{'metric':12s} {'base median [q1, q3]':32s} {'change median [q1, q3]':32s} change won")
+    verdicts = []
     for m in metrics:
         name = m["name"]
         pairs = [(b[name], c[name]) for b, c in zip(runs["base"], runs["change"]) if name in b and name in c]
@@ -67,6 +86,9 @@ def _table(workload, args, metrics, runs):
         won = sum(sign * (b - c) > 0 for b, c in pairs)
         bases, changes = zip(*pairs)
         print(f"{name:12s} {_spread(bases):32s} {_spread(changes):32s} {won}/{len(pairs)}", flush=True)
+        verdicts.append((name, _verdict(m, bases, changes, won)))
+    for name, verdict in verdicts:
+        print(f"verdict {name}: {verdict}", flush=True)
 
 
 def main(argv=None) -> int:

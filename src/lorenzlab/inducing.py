@@ -263,17 +263,31 @@ def _estimate_lyapunov_bits(family, noise, x0: float) -> float:
 # Both boundary scans below return a pair (scan, trace) for the noise prefix.
 # scan(x) -> (first_hit, Ys) steps the orbit of x and fails (first_hit at most
 # total_steps) when the orbit enters B(delta), leaves the taper core or grazes
-# c; only the core, where f_t = f + t, is ever stepped.  trace(Ys) ->
-# (trajectory, log Df at first_hit): the doubles nearest to x and to each
-# step's value, and log Df taken at those doubles, as the core test is.
+# c; only the core, where f_t = f + t, is ever stepped.  trace(Ys, prev=None)
+# -> (trajectory, sums): the doubles nearest to x and to each step's value,
+# and the running log Df taken at those doubles, as the core test is; log Df
+# at first_hit is sums[-1].
 
 
-def _trace_doubles(params, traj):
-    """(traj, log Df summed in step order over the trajectory's points before its last)."""
-    logdf = 0.0
-    for yf in traj[:-1]:
+def _trace_doubles(params, traj, prev=None):
+    """(traj, sums) with sums[k] the log Df summed in step order over traj[:k].
+
+    ``prev`` is an earlier (traj, sums) of the same noise: its sums are kept
+    up to the first index where the two trajectories differ and the sum goes
+    on from there in the same order, so it gives the from-scratch bits.
+    """
+    k, sums = 0, [0.0]
+    if prev is not None:
+        old, old_sums = prev
+        n = min(len(old), len(traj)) - 1
+        while k < n and old[k] == traj[k]:
+            k += 1
+        sums = old_sums[: k + 1]
+    logdf = sums[-1]
+    for yf in traj[k:-1]:
         logdf += math.log(abs(params.deriv(yf)) + 1e-300)
-    return traj, logdf
+        sums.append(logdf)
+    return traj, sums
 
 
 def _scan_mp(family, nb, noise, total_steps):
@@ -307,7 +321,7 @@ def _scan_mp(family, nb, noise, total_steps):
                 return i + 1, traj
         return total_steps + 1, traj
 
-    return scan, lambda traj: _trace_doubles(params, traj)
+    return scan, lambda traj, prev=None: _trace_doubles(params, traj, prev)
 
 
 # fractional bits the fixed-point scan keeps beyond the mpmath precision
@@ -383,11 +397,31 @@ def _scan_int(family, nb, noise, total_steps, bits):
                 return len(Ys) - 1, Ys
         return total_steps + 1, Ys
 
-    return scan, lambda Ys: _trace_doubles(params, [Y / one for Y in Ys])
+    return scan, lambda Ys, prev=None: _trace_doubles(params, [Y / one for Y in Ys], prev)
 
 
 # candidate orbits the survivor tracking scans before it gives up
 _MAX_ORBITS = 4000
+# how far past the nearer edge of B(delta), in |B|, a directed move aims
+_PUSH = 0.5
+
+
+def _directed_move(nb, x, traced):
+    """The candidate that moves the orbit's entry into B(delta) just outside it, or None.
+
+    ``traced`` is the (trajectory, sums) of x's scan.  f^m increases, so when
+    the trajectory's last double x_m lies in B(delta), x + (target - x_m) /
+    Df^m moves x_m to ``target``, the nearer edge of B(delta) pushed outward
+    by _PUSH * |B|, to first order.
+    """
+    import mpmath as mp
+
+    xm, logdf = traced[0][-1], traced[1][-1]
+    if not nb.lo < xm < nb.hi:
+        return None
+    push = _PUSH * nb.length
+    target = nb.lo - push if xm - nb.lo < nb.hi - xm else nb.hi + push
+    return x + mp.mpf(target - xm) / mp.e**mp.mpf(logdf)
 
 
 def _refine_boundary_mp(nb, nb2, side, start, total_steps, bits, scan, trace):
@@ -395,15 +429,20 @@ def _refine_boundary_mp(nb, nb2, side, start, total_steps, bits, scan, trace):
     orbit avoids the neighborhood for ``total_steps`` steps.
 
     Doubles cannot hold such points (the avoiding set at this depth is
-    thinner than the double-precision grid), so the search runs in mpmath
-    at ``bits``, which the caller ties to the Lyapunov growth over the
-    horizon.  Each candidate's orbit is scanned by the fiber's (scan, trace)
-    pair, in fixed point when ell is an integer and in mpmath otherwise;
-    only the start and each candidate that improves the first hit are
-    traced, for the log Df that sets the next moves.  Returns the meta;
-    tracking failed when ``meta["achieved_avoidance"]`` falls short of
-    ``total_steps``, which includes running out of _MAX_ORBITS scans;
-    ``meta["scan_steps"]`` counts the map steps of every scan.
+    thinner than the double-precision grid), so candidates are mpmath
+    numbers at ``bits``, which the caller ties to the Lyapunov growth over
+    the horizon, and each candidate's orbit is scanned by the fiber's (scan,
+    trace) pair, in fixed point when ell is an integer and in mpmath
+    otherwise.  Only the start and each candidate that improves the first
+    hit are traced, each improver from the previous one's trace, for the log
+    Df that sets the next moves.  A round scans candidates around the best
+    point until one improves the first hit m: first, for a new best point
+    whose orbit's first hit is an entry into B(delta), one directed move
+    (_directed_move), then up to 12 random moves at scales around |B|/Df^m.
+    Returns the meta; tracking failed when ``meta["achieved_avoidance"]``
+    falls short of ``total_steps``, which includes running out of
+    _MAX_ORBITS scans; ``meta["orbits_used"]`` counts every scan, directed
+    ones included, and ``meta["scan_steps"]`` their map steps.
     """
     import mpmath as mp
 
@@ -411,12 +450,14 @@ def _refine_boundary_mp(nb, nb2, side, start, total_steps, bits, scan, trace):
         outward = 1.0 if side == "hi" else -1.0  # away from c
         x = mp.mpf(start) + outward * mp.mpf(1e-13)
         best_hit, Ys = scan(x)
-        _, logdf = trace(Ys)
+        best = trace(Ys)
         scan_steps = len(Ys) - 1
         orbits_used = 1
         rng = np.random.default_rng(((1 if side == "hi" else 2) << 32) + total_steps)
-        stall = 0
-        while best_hit <= total_steps and orbits_used < _MAX_ORBITS:
+
+        def moves(x, directed, logdf, stall):
+            if directed is not None:
+                yield directed
             # resample at scales around |B|/Df^m, which re-randomises the
             # orbit at the current first-hit step m; candidates that drift
             # into the fiber fail the scan and are rejected, so any accepted
@@ -424,15 +465,21 @@ def _refine_boundary_mp(nb, nb2, side, start, total_steps, bits, scan, trace):
             base = mp.mpf(2.0 * nb.length) / mp.e**mp.mpf(min(logdf, 700.0))
             base = min(base, mp.mpf(nb2.length) * mp.mpf(0.02))
             scale = base * mp.mpf(2.0 ** ((stall % 5) - 1))
-            improved = False
             for _ in range(12):
-                orbits_used += 1
                 step = scale * mp.mpf(float(rng.uniform(0.2, 1.0)))
-                cand = x + step if rng.integers(2) else x - step
+                yield x + step if rng.integers(2) else x - step
+
+        stall = 0
+        improved = True  # x is a new best point, due its directed move
+        while best_hit <= total_steps and orbits_used < _MAX_ORBITS:
+            directed = _directed_move(nb, x, best) if improved else None
+            improved = False
+            for cand in moves(x, directed, best[1][-1], stall):
+                orbits_used += 1
                 hit, Ys = scan(cand)
                 scan_steps += len(Ys) - 1
                 if hit > best_hit:
-                    x, best_hit, (_, logdf) = cand, hit, trace(Ys)
+                    x, best_hit, best = cand, hit, trace(Ys, best)
                     improved = True
                     break
             stall = 0 if improved else stall + 1
