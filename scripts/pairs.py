@@ -21,8 +21,8 @@ verdict per metric: "gain" when the change won at least 9 in 10 of the pairs
 and its median is better than the base's by more than the base's
 interquartile range, "worse beyond bound" when its median is worse than the
 base's by more than the metric's ``bound`` in BENCHMARK.json (a fraction of
-the base's median), and "within bound" otherwise.  A run of several minutes: it is not part of
-scripts/check.sh.  Exits 1 when any run does not print ``"correct": true``,
+the base's median), and "within bound" otherwise.  A run of several
+minutes: it is not part of scripts/check.sh.  Exits 1 when any run does not print ``"correct": true``,
 2 when the base cannot be exported; the temporary directory is removed on
 exit.
 """

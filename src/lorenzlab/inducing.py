@@ -274,7 +274,8 @@ def _trace_doubles(params, traj, prev=None):
 
     ``prev`` is an earlier (traj, sums) of the same noise: its sums are kept
     up to the first index where the two trajectories differ and the sum goes
-    on from there in the same order, so it gives the from-scratch bits.
+    on from there in the same order, so it gives the bits of a sum from
+    step 0.
     """
     k, sums = 0, [0.0]
     if prev is not None:

@@ -193,8 +193,8 @@ def _scans_beside_oracles(monkeypatch):
     Every candidate is traced by all three scans, so each is compared in
     full, though the refine itself traces only the improvers; the refine
     still follows the fixed-point scan.  Each scan's trace of a candidate
-    from the previous candidate's trace must give the from-scratch running
-    log Df sums bit for bit.  Returns the list that collects one
+    from the previous candidate's trace must give the running log Df sums
+    of a trace from step 0 bit for bit.  Returns the list that collects one
     (fixed-point, mpmath, 4x mpmath) triple of (first hit, trajectory
     doubles, log Df) per candidate.
     """
@@ -298,7 +298,7 @@ class TestBoundaryScan:
             assert any(a[1][:2] == b[1][:2] for (a, _, _), (b, _, _) in zip(triples, triples[1:]))
 
     def test_trace_from_any_previous_trace(self):
-        """A trace from a previous trace gives the from-scratch sums when the
+        """A trace from a previous trace gives the sums from step 0 when the
         two trajectories share all, part or none of a prefix, or one is a
         prefix of the other."""
         traj = [0.3, 0.7, 0.2, 0.9, 0.4]
