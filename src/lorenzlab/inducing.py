@@ -22,8 +22,8 @@ from .maps import CRITICAL_GUARD, PerturbedFamily
 from .noise import NoiseModel
 from .orbits import _noise_prefix, chain_derivatives, scan_to_landing
 from .recurrence import (
-    PULLBACK_TOL,
     CriticalNeighborhood,
+    _pullback_rows,
     critical_neighborhood,
     pullback_component,
 )
@@ -584,54 +584,6 @@ def verify_markov_time(
     return MarkovVerification(target=target, nonlinearity=nonlinearity, min_df=min_df, floor=floor)
 
 
-def _pullback_rows(family: PerturbedFamily, omega, order, left, live, target, code):
-    """recurrence.pullback_component along each row's orbit, for rows with code -1.
-
-    Row i pulls back along ``omega[order[i]]`` with branch sides ``left[i]``;
-    at step j only the first ``live[j]`` rows take part.  Returns the
-    components (lo, hi) and whether any step met c (order > 0); rows whose
-    chain empties get the code of ``pullback_empty``.
-    """
-    p = family.base
-    c = p.c
-    n = len(code)
-    lo = np.full(n, float(target[0]))
-    hi = np.full(n, float(target[1]))
-    clipped = np.zeros(n, dtype=bool)
-    empty_code = VERIFY_REASONS.index("pullback_empty")
-    for j in range(len(live) - 1, -1, -1):
-        r = np.nonzero(code[: live[j]] < 0)[0]
-        if not len(r):
-            continue
-        t = omega[order[r], j]
-        side = left[r, j]
-        # recurrence._pull_once, one row per element
-        rng_lo = np.where(side, 0.0, p.c1_plus + t)
-        rng_hi = np.where(side, p.c1_minus + t, 1.0)
-        lo_y = np.maximum(lo[r], rng_lo)
-        hi_y = np.minimum(hi[r], rng_hi)
-        empty = hi_y <= lo_y
-        lo_end = lo_y <= rng_lo
-        hi_end = hi_y >= rng_hi
-        x_lo = np.where(side, 0.0, c)
-        x_hi = np.where(side, c, 1.0)
-        need_lo = ~empty & ~lo_end
-        need_hi = ~empty & ~hi_end
-        ks = np.concatenate([np.nonzero(need_lo)[0], np.nonzero(need_hi)[0]])
-        ys = np.concatenate([lo_y[need_lo], hi_y[need_hi]])
-        xs = family.inverse_rows(t[ks], ys, side[ks], PULLBACK_TOL)
-        n_lo = int(need_lo.sum())
-        x_lo[need_lo] = xs[:n_lo]
-        x_hi[need_hi] = xs[n_lo:]
-        # a None preimage (NaN) fails the comparison and empties the chain
-        empty |= ~(x_hi > x_lo)
-        clipped[r] |= np.where(side, hi_end, lo_end) & ~empty
-        code[r[empty]] = empty_code
-        lo[r] = x_lo
-        hi[r] = x_hi
-    return lo, hi, clipped
-
-
 # grid points of each tail verification's nonlinearity and floor checks
 _TAIL_GRID = 64
 # rows whose grids step through the chain rule together: 256 rows of _TAIL_GRID
@@ -655,7 +607,9 @@ def verify_markov_batch(
     stages, their order and their arithmetic are those of the scalar
     verifier at grid_points=_TAIL_GRID, which stays the oracle.  The rows
     are taken in order of decreasing m, so the rows still stepping at any
-    step of the replay, the pullback and the chain rule form a prefix.
+    step of the replay and the chain rule form a prefix.  The pullback is
+    recurrence's one array pullback step, which backward_contraction_check
+    shares; a chain that meets c (order > 0) fails as clips_critical.
     Returns one code per row: -1 when the time is verified, else the index
     in VERIFY_REASONS of the first check that fails.
     """
@@ -671,20 +625,21 @@ def verify_markov_batch(
     live = np.searchsorted(-m[order], -np.arange(m[order[0]]))
 
     guard_code = VERIFY_REASONS.index("critical_guard")
-    left = np.empty((n, len(live)), dtype=bool)  # the orbit's side of c at each step
+    left = np.empty((n, len(live)), dtype=bool)  # row i's side of c at each step, rows in the given order
     y = x.copy()
     for j, k in enumerate(live):
         t = omega[order[:k], j]
         family._check_noise(float(np.max(np.abs(t))))  # the scalar replay's eval raises on it
         yk = y[:k]
         code[:k][(np.abs(yk - c) < CRITICAL_GUARD) & (code[:k] < 0)] = guard_code
-        left[:k, j] = yk < c
+        left[order[:k], j] = yk < c
         y[:k] = family.eval_rows(t, yk)
     outside = ~((target[0] < y) & (y < target[1])) & (code < 0)
     code[outside] = VERIFY_REASONS.index("endpoint_outside")
 
-    lo, hi, clipped = _pullback_rows(family, omega, order, left, live, target, code)
-    code[clipped & (code < 0)] = VERIFY_REASONS.index("clips_critical")
+    lo, hi, met_c = _pullback_rows(family, target, omega, left, order, np.where(code < 0, m[order], 0))
+    code[np.isnan(lo)] = VERIFY_REASONS.index("pullback_empty")
+    code[(met_c > 0) & (code < 0)] = VERIFY_REASONS.index("clips_critical")
     misses = ~((lo < x) & (x < hi)) & (code < 0)
     code[misses] = VERIFY_REASONS.index("misses_start")
 

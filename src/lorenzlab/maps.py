@@ -147,17 +147,6 @@ class MapParams:
             dfn *= self.deriv(x)
             x = self.eval(x)
 
-    def non_flatness_constants(self) -> tuple[float, float]:
-        """(O1, O2) with O1*d^(ell-1) <= Df(x) <= O2*d^(ell-1), d = |x - c|.
-
-        Exact on each branch because the branch profiles are affine power
-        laws; for the perturbed family they remain valid wherever the taper
-        derivative vanishes, in particular near c.
-        """
-        left = self.u * self.ell / self.c**self.ell
-        right = self.v * self.ell / (1.0 - self.c) ** self.ell
-        return min(left, right), max(left, right)
-
 
 #: canonical parameter set used throughout the test-suite and default configs
 CANON = MapParams(c=0.5, ell=2.0, u=0.9, v=0.9)

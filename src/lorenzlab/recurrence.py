@@ -119,22 +119,11 @@ def d_star(params: MapParams, x: float) -> float:
 class ReturnEvent:
     """A stopping event of a random orbit with the witnesses of its defining inequality."""
 
-    kind: str  # "landing" | "theta_good" | "tau_scale"
+    kind: str  # "theta_good" | "tau_scale"
     time: int
     delta: float | None
-    theta: float | None
-    tau: float | None
     log_df: float
     log_asum: float
-    nbhd_length: float | None
-
-    def inequality_holds(self, theta0: float | None = None) -> bool:
-        """Re-evaluate the defining inequality from the stored witnesses."""
-        if self.kind == "theta_good":
-            return math.log(self.theta) + self.log_df >= self.log_asum + math.log(self.nbhd_length)
-        if self.kind == "tau_scale":
-            return math.log(theta0) + self.log_df >= 1.0 + math.log(self.tau) + self.log_asum
-        return True
 
 
 def landing_time(
@@ -175,7 +164,7 @@ def good_return_time(
     lo, hi, c = nb.lo, nb.hi, family.base.c
     for s, y, log_df, log_a in log_scan(family, x, _noise_prefix(omega, horizon)):
         if lo < y < hi and y != c and log_theta + log_df >= log_a + log_len:
-            return ReturnEvent("theta_good", s, delta, theta, None, log_df, log_a, nb.length)
+            return ReturnEvent("theta_good", s, delta, log_df, log_a)
     return None
 
 
@@ -222,9 +211,9 @@ def good_return_or_expansion_time(
     for s, y, log_df, log_a in log_scan(family, x, _noise_prefix(omega, horizon)):
         for lo, hi, log_len, nb in rungs:
             if lo < y < hi and y != c and log_theta + log_df >= log_a + log_len:
-                return ReturnEvent("theta_good", s, nb.delta, theta, None, log_df, log_a, nb.length)
+                return ReturnEvent("theta_good", s, nb.delta, log_df, log_a)
         if log_theta0 + log_df >= log_tau_rhs + log_a:
-            return ReturnEvent("tau_scale", s, None, theta, tau, log_df, log_a, None)
+            return ReturnEvent("tau_scale", s, None, log_df, log_a)
     return None
 
 
@@ -441,6 +430,55 @@ def _pull_once(family: PerturbedFamily, t: float, left: bool, interval):
     return (x_lo, x_hi), at_c
 
 
+def _pullback_rows(family: PerturbedFamily, target, omega, left, rows, steps):
+    """pullback_component for many chains at once, with its bits per chain.
+
+    Chain i pulls ``target`` back ``steps[i]`` steps along row ``rows[i]``
+    of the guides: at step j it takes the noise value ``omega[rows[i], j]``
+    and the left branch where ``left[rows[i], j]``.  Returns the components
+    (lo, hi), NaN for a chain that empties, and each chain's order: the
+    number of steps whose preimage ends at c.
+    """
+    p = family.base
+    c = p.c
+    n = len(steps)
+    lo = np.full(n, float(target[0]))
+    hi = np.full(n, float(target[1]))
+    order = np.zeros(n, dtype=np.int64)
+    for j in range(int(np.max(steps, initial=0)) - 1, -1, -1):
+        r = np.nonzero((steps > j) & ~np.isnan(lo))[0]
+        if not len(r):
+            continue
+        g = rows[r]
+        t = omega[g, j]
+        side = left[g, j]
+        # _pull_once, one chain per element
+        rng_lo = np.where(side, 0.0, p.c1_plus + t)
+        rng_hi = np.where(side, p.c1_minus + t, 1.0)
+        lo_y = np.maximum(lo[r], rng_lo)
+        hi_y = np.minimum(hi[r], rng_hi)
+        empty = hi_y <= lo_y
+        lo_end = lo_y <= rng_lo
+        hi_end = hi_y >= rng_hi
+        x_lo = np.where(side, 0.0, c)
+        x_hi = np.where(side, c, 1.0)
+        need_lo = ~empty & ~lo_end
+        need_hi = ~empty & ~hi_end
+        ks = np.concatenate([np.nonzero(need_lo)[0], np.nonzero(need_hi)[0]])
+        ys = np.concatenate([lo_y[need_lo], hi_y[need_hi]])
+        xs = family.inverse_rows(t[ks], ys, side[ks], PULLBACK_TOL)
+        n_lo = int(need_lo.sum())
+        x_lo[need_lo] = xs[:n_lo]
+        x_hi[need_hi] = xs[n_lo:]
+        # a None preimage (NaN) fails the comparison and empties the chain
+        empty |= ~(x_hi > x_lo)
+        order[r] += np.where(side, hi_end, lo_end) & ~empty
+        x_lo[empty] = x_hi[empty] = np.nan
+        lo[r] = x_lo
+        hi[r] = x_hi
+    return lo, hi, order
+
+
 def pullback_component(
     family: PerturbedFamily,
     target: tuple[float, float],
@@ -492,81 +530,65 @@ def backward_contraction_check(
     """Search for violations of backward contraction with constant r = BC_R.
 
     For each delta in the ladder, enumerates components W of the s-step
-    preimages of B(r*delta) near the critical values (single-step components
-    in closed form, deeper ones guided by sampled orbits that land in the
-    target) and reports every W with dist(W, CV) < delta but |W| >= delta.
-    An empty violation list means no violation was found at these scales,
-    not a proof.  Coverage is reported as the number of distinct components
-    visited.
+    preimages of B(r*delta) near the critical values (the single-step
+    components through each branch, deeper ones guided by sampled orbits
+    that land in the target) and reports every W with dist(W, CV) < delta
+    but |W| >= delta.  A rung steps all its guide orbits together and pulls
+    all its chains back in one _pullback_rows call, with the bits of the
+    scalar pullback_component.  An empty violation list means no violation
+    was found at these scales, not a proof.  Coverage is reported as the
+    number of distinct components visited.
     """
     family = PerturbedFamily(params)
     rng = np.random.default_rng(seed)
+    c = params.c
     rows = []
     violations = []
     seen = set()
-    cvs = (params.c1_plus, params.c1_minus)
     delta_ladder = list(delta_ladder)  # read twice: its length, then its rungs
     per_start = max(1, sample_budget // (2 * max(1, len(delta_ladder))))
     for delta in delta_ladder:
-        nb_target = critical_neighborhood(params, BC_R * delta)
-        target = nb_target.interval()
-
-        def record(chain, s, delta=delta):
-            w = chain.component
-            key = (s, round(w[0], 10), round(w[1], 10))
-            if key in seen:
-                return
+        target = critical_neighborhood(params, BC_R * delta).interval()
+        starts = np.concatenate(
+            [v + rng.uniform(-2.0 * delta, 2.0 * delta, per_start) for v in (params.c1_plus, params.c1_minus)]
+        )
+        starts = starts[(starts > 0.0) & (starts < 1.0)]
+        # guide orbits x_0 .. x_{s_max}, stepped together; a start whose first
+        # s_max points come within the critical guard is dropped
+        orbits = np.empty((len(starts), s_max + 1))
+        orbits[:, 0] = starts
+        for j in range(s_max):
+            orbits[:, j + 1] = family.eval_rows(0.0, orbits[:, j])
+        orbits = orbits[np.all(np.abs(orbits[:, :s_max] - c) >= CRITICAL_GUARD, axis=1)]
+        # guide rows 0 and 1 take the left and the right branch: the single-step
+        # components; then each start's landings in the target by increasing s
+        left = np.vstack([np.ones(s_max + 1, dtype=bool), np.zeros(s_max + 1, dtype=bool), orbits < c])
+        start, landing = np.nonzero((target[0] < orbits[:, 1:]) & (orbits[:, 1:] < target[1]))
+        guide = np.concatenate([[0, 1], start + 2])
+        steps = np.concatenate([[1, 1], landing + 1])
+        lo, hi, order = _pullback_rows(family, target, np.zeros(left.shape), left, guide, steps)
+        for s, w_lo, w_hi, met_c in zip(steps.tolist(), lo.tolist(), hi.tolist(), order.tolist()):
+            key = (s, round(w_lo, 10), round(w_hi, 10))
+            if math.isnan(w_lo) or key in seen:  # an empty chain, or a component already seen
+                continue
             seen.add(key)
-            dist = _interval_cv_distance(params, w)
-            length = w[1] - w[0]
+            dist = _interval_cv_distance(params, (w_lo, w_hi))
+            length = w_hi - w_lo
             bad = dist < delta and length >= delta
             rows.append(
                 {
                     "delta": delta,
                     "s": s,
-                    "w_lo": w[0],
-                    "w_hi": w[1],
+                    "w_lo": w_lo,
+                    "w_hi": w_hi,
                     "length": length,
                     "dist_cv": dist,
-                    "order": chain.order,
+                    "order": met_c,
                     "violation": bad,
                 }
             )
             if bad:
                 violations.append(rows[-1])
-
-        # single-step components in closed form, both branches
-        for left in (True, False):
-            try:
-                interval, at_c = _pull_once(family, 0.0, left, target)
-            except EmptyPullback:
-                continue
-            record(PullbackChain([interval, target], 1 if at_c else 0), 1)
-        # guided deeper components from orbits started near the critical values
-        for v in cvs:
-            starts = v + (rng.uniform(-2.0 * delta, 2.0 * delta, per_start))
-            starts = starts[(starts > 0.0) & (starts < 1.0)]
-            for x0 in starts:
-                orbit = [x0]
-                y = x0
-                dead = False
-                for _ in range(s_max):
-                    if abs(y - params.c) < CRITICAL_GUARD:
-                        dead = True
-                        break
-                    y = params.eval(y)
-                    orbit.append(y)
-                if dead:
-                    continue
-                for s in range(1, len(orbit)):
-                    if target[0] < orbit[s] < target[1]:
-                        try:
-                            chain = pullback_component(
-                                family, target, s, guide_orbit=orbit[:s]
-                            )
-                        except EmptyPullback:
-                            continue
-                        record(chain, s)
     return {
         "rows": rows,
         "violations": violations,

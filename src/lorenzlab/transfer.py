@@ -92,9 +92,6 @@ class Partition:
                 return True
         return False
 
-    def bin_of(self, x: float) -> int:
-        return int(np.clip(np.searchsorted(self.edges, x, side="right") - 1, 0, self.n_bins - 1))
-
     def same_as(self, other: "Partition") -> bool:
         return len(self.edges) == len(other.edges) and bool(np.all(self.edges == other.edges))
 

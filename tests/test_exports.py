@@ -1,8 +1,10 @@
 import ast
+import collections
 import importlib
 import importlib.util
 import pathlib
 import pkgutil
+import re
 
 import pytest
 
@@ -91,6 +93,36 @@ def test_no_unread_parameters():
         for path in sorted(pathlib.Path(lorenzlab.__file__).parent.glob("*.py"))
         for line, func, name in _unread_parameters(path)
     ]
+    assert unread == []
+
+
+def _public_definitions(path):
+    """(line, name) of each module-level function or class, and each method, whose name has no leading underscore."""
+    bodies = [ast.parse(path.read_text()).body]
+    while bodies:
+        for node in bodies.pop():
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                yield node.lineno, node.name
+            if isinstance(node, ast.ClassDef):
+                bodies.append(node.body)
+
+
+def test_every_public_name_has_a_reader():
+    """Every public name of the package appears in the code of src/, perfbench/ or scripts/ besides its own definition line."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    words = collections.Counter(
+        word
+        for top in ("src", "perfbench", "scripts")
+        for path in (root / top).rglob("*")
+        if path.suffix in (".py", ".sh")
+        for word in re.findall(r"\w+", path.read_text())
+    )
+    unread = []
+    for path in sorted(pathlib.Path(lorenzlab.__file__).parent.glob("*.py")):
+        lines = path.read_text().splitlines()
+        for line, name in _public_definitions(path):
+            if words[name] == re.findall(r"\w+", lines[line - 1]).count(name):
+                unread.append(f"{path.name}:{line} {name}")
     assert unread == []
 
 

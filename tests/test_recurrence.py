@@ -9,10 +9,14 @@ from scipy.optimize import brentq
 
 from lorenzlab.config import ExperimentConfig
 from lorenzlab.errors import DeltaOutOfRange, EmptyPullback
-from lorenzlab.maps import CANON, MapParams, PerturbedFamily
+from lorenzlab.maps import CANON, CRITICAL_GUARD, MapParams, PerturbedFamily
+from lorenzlab.noise import NoiseModel
 from lorenzlab.recurrence import (
     BC_R,
     DELTA_STAR,
+    _interval_cv_distance,
+    _pull_once,
+    _pullback_rows,
     backward_contraction_check,
     binding_constants,
     binding_period,
@@ -27,6 +31,8 @@ from lorenzlab.recurrence import (
 )
 
 NONLD = MapParams(c=0.5, ell=2.0, u=0.6, v=0.52)
+#: the CLI tests' family, off the canonical map's symmetry
+SKEW = MapParams(c=0.5, ell=2.0, u=0.92, v=0.86)
 
 
 class TestCriticalNeighborhood:
@@ -133,9 +139,10 @@ class TestStoppingTimes:
     def test_good_return_event_contract(self, family, model):
         ev = good_return_time(family, 0.25, model.stream(3), 0.009, 2.0, horizon=500)
         assert ev is not None
-        assert ev.inequality_holds()
+        assert ev.kind == "theta_good" and ev.delta == 0.009
         nb = critical_neighborhood(CANON, 0.009)
-        assert ev.nbhd_length == pytest.approx(nb.length)
+        # theta * Df >= A * |B(delta)|, in log space from the stored witnesses
+        assert math.log(2.0) + ev.log_df >= ev.log_asum + math.log(nb.length)
 
     def test_event_witnesses_match_orbit_record(self, family, model):
         from lorenzlab.orbits import random_orbit
@@ -145,7 +152,7 @@ class TestStoppingTimes:
         assert math.log(rec.d1[ev.time]) == pytest.approx(ev.log_df, rel=1e-10)
         assert math.log(rec.asum[ev.time]) == pytest.approx(ev.log_asum, rel=1e-10)
         # the defining inequality re-evaluates from raw orbit data
-        assert ev.theta * rec.d1[ev.time] >= rec.asum[ev.time] * ev.nbhd_length
+        assert 2.0 * rec.d1[ev.time] >= rec.asum[ev.time] * critical_neighborhood(CANON, 0.009).length
 
     def test_large_theta_reduces_to_landing(self, family, model):
         for k in range(25):
@@ -165,7 +172,8 @@ class TestStoppingTimes:
             family, 0.25, model.stream(3), 0.009, 2.0, 1e-9, horizon=500
         )
         assert ev is not None and ev.kind == "tau_scale"
-        assert ev.inequality_holds(theta0=0.01)
+        # theta0 * Df >= e * tau * A at the default theta0 = 0.01
+        assert math.log(0.01) + ev.log_df >= 1.0 + math.log(1e-9) + ev.log_asum
 
     def test_grid_refinement_only_decreases_time(self, family, model):
         coarse = default_scale_grid(CANON, 0.009)[::2]
@@ -199,7 +207,10 @@ class TestDepthTrace:
 
     def test_nonflatness_depth_display(self, family, model):
         # Df >= O1 (e^{-q} eps / O2)^(1 - 1/ell) for points inside B(eps)
-        O1, O2 = CANON.non_flatness_constants()
+        # Df = (branch coefficient) * d^(ell-1) exactly on each affine power-law branch
+        left = CANON.u * CANON.ell / CANON.c**CANON.ell
+        right = CANON.v * CANON.ell / (1.0 - CANON.c) ** CANON.ell
+        O1, O2 = min(left, right), max(left, right)
         eps = 0.01
         nb = critical_neighborhood(CANON, eps)
         for x in np.linspace(nb.lo + 1e-9, nb.hi - 1e-9, 101):
@@ -386,3 +397,173 @@ class TestBackwardContraction:
         got = backward_contraction_check(CANON, (d for d in ladder), 10, sample_budget=200, seed=0)
         assert len(want["rows"]) == 36
         assert got == want
+
+    @pytest.mark.parametrize(
+        "params, ladder, s_max, budget, seed, one_shot",
+        [
+            (CANON, [0.01, 0.0025], 0, 100, 3, False),
+            (CANON, [0.01, 0.0025], 1, 100, 3, False),
+            (CANON, [0.01, 0.005], 10, 200, 0, True),
+            (NONLD, [0.01], 10, 400, 20240901, False),
+            (SKEW, [0.01, 0.004], 40, 600, 17, False),
+        ],
+        ids=["s_max-0", "s_max-1", "generator-ladder", "nonld", "skew"],
+    )
+    def test_rows_equal_scalar_loop(self, params, ladder, s_max, budget, seed, one_shot):
+        """The lockstep pass records what the per-start scalar loop recorded, row for row."""
+        want = _scalar_backward_contraction(params, ladder, s_max, budget, seed)
+        got = backward_contraction_check(
+            params, (d for d in ladder) if one_shot else ladder, s_max, sample_budget=budget, seed=seed
+        )
+        assert len(want["rows"]) >= 2
+        assert got == want
+
+    def test_guarded_starts_are_dropped(self, monkeypatch):
+        """Starts whose orbits meet the critical guard are dropped, as the scalar loop drops them."""
+        real_default_rng = np.random.default_rng
+        on_guard = [NONLD.c, NONLD.inverse(NONLD.c, True)]  # on c, and one step before it
+
+        class Draws:
+            """The seed's draws, with the first c1_plus offsets moved to put the starts on on_guard."""
+
+            def __init__(self, seed):
+                self.rng = real_default_rng(seed)
+                self.calls = 0
+
+            def uniform(self, lo, hi, n):
+                draws = self.rng.uniform(lo, hi, n)
+                if self.calls % 2 == 0:  # each rung draws c1_plus's offsets first
+                    draws[: len(on_guard)] = np.array(on_guard) - NONLD.c1_plus
+                self.calls += 1
+                return draws
+
+        monkeypatch.setattr(np.random, "default_rng", Draws)
+        assert abs(NONLD.eval(on_guard[1]) - NONLD.c) < CRITICAL_GUARD
+        want = _scalar_backward_contraction(NONLD, [0.01], 10, 400, 5)
+        got = backward_contraction_check(NONLD, [0.01], 10, sample_budget=400, seed=5)
+        assert got == want
+
+
+def _scalar_backward_contraction(params, ladder, s_max, sample_budget, seed):
+    """backward_contraction_check as its per-start scalar loop computed it: the lockstep pass's oracle."""
+    family = PerturbedFamily(params)
+    rng = np.random.default_rng(seed)
+    rows, seen = [], set()
+    per_start = max(1, sample_budget // (2 * max(1, len(ladder))))
+    for delta in ladder:
+        target = critical_neighborhood(params, BC_R * delta).interval()
+        chains = []  # (s, component, order) in record order
+        for left in (True, False):  # single-step components in closed form
+            try:
+                w, at_c = _pull_once(family, 0.0, left, target)
+            except EmptyPullback:
+                continue
+            chains.append((1, w, int(at_c)))
+        for v in (params.c1_plus, params.c1_minus):
+            starts = v + rng.uniform(-2.0 * delta, 2.0 * delta, per_start)
+            for x0 in starts[(starts > 0.0) & (starts < 1.0)]:
+                orbit = [x0]
+                for _ in range(s_max):
+                    if abs(orbit[-1] - params.c) < CRITICAL_GUARD:
+                        break
+                    orbit.append(params.eval(orbit[-1]))
+                else:
+                    for s in range(1, s_max + 1):
+                        if target[0] < orbit[s] < target[1]:
+                            try:
+                                chain = pullback_component(family, target, s, guide_orbit=orbit[:s])
+                            except EmptyPullback:
+                                continue
+                            chains.append((s, chain.component, chain.order))
+        for s, w, order in chains:
+            key = (s, round(w[0], 10), round(w[1], 10))
+            if key in seen:
+                continue
+            seen.add(key)
+            dist = _interval_cv_distance(params, w)
+            length = w[1] - w[0]
+            rows.append({
+                "delta": delta, "s": s, "w_lo": w[0], "w_hi": w[1], "length": length,
+                "dist_cv": dist, "order": order, "violation": dist < delta and length >= delta,
+            })
+    return {
+        "rows": rows,
+        "violations": [row for row in rows if row["violation"]],
+        "components_visited": len(rows),
+    }
+
+
+def _landing_chains(params, delta, s_max, per_start, seed):
+    """bc-check's landing chains at one rung, from scalar guide orbits: (target, sides, rows, steps)."""
+    target = critical_neighborhood(params, BC_R * delta).interval()
+    rng = np.random.default_rng(seed)
+    sides, rows, steps = [], [], []
+    for v in (params.c1_plus, params.c1_minus):
+        for x0 in v + rng.uniform(-2.0 * delta, 2.0 * delta, per_start):
+            orbit = [float(x0)]
+            while len(orbit) <= s_max and abs(orbit[-1] - params.c) >= CRITICAL_GUARD:
+                orbit.append(params.eval(orbit[-1]))
+            if len(orbit) <= s_max:
+                continue
+            landings = [s for s in range(1, s_max + 1) if target[0] < orbit[s] < target[1]]
+            rows += [len(sides)] * len(landings)
+            steps += landings
+            sides.append([x < params.c for x in orbit[:s_max]])
+    return target, np.array(sides), np.array(rows), np.array(steps)
+
+
+def _assert_rows_match_scalar(family, target, omega, left, rows, steps):
+    """_pullback_rows against pullback_component, chain by chain; returns (lo, hi, order)."""
+    lo, hi, order = _pullback_rows(family, target, omega, left, rows, steps)
+    c = family.base.c
+    for i, (k, s) in enumerate(zip(rows, steps)):
+        guide = [c - 0.25 if side else c + 0.25 for side in left[k, :s]]
+        try:
+            chain = pullback_component(family, target, s, guide_orbit=guide, omega=omega[k, :s])
+        except EmptyPullback:
+            assert np.isnan(lo[i]) and np.isnan(hi[i]), i
+            continue
+        assert (lo[i], hi[i]) == chain.component, i
+        assert order[i] == chain.order, i
+    return lo, hi, order
+
+
+class TestArrayPullback:
+    """The one array pullback step, chain by chain against the scalar pullback_component."""
+
+    def test_c13_rung_at_zero_noise(self):
+        target, left, rows, steps = _landing_chains(CANON, 0.01 * 2.0 ** -2.5, 60, 250, 20240901)
+        assert len(steps) > 200
+        _, _, order = _assert_rows_match_scalar(
+            PerturbedFamily(CANON), target, np.zeros(left.shape), left, rows, steps
+        )
+        assert order.max() >= 1
+
+    def test_nonld_chains(self):
+        target, left, rows, steps = _landing_chains(NONLD, 0.01, 10, 200, 1)
+        _, _, order = _assert_rows_match_scalar(
+            PerturbedFamily(NONLD), target, np.zeros(left.shape), left, rows, steps
+        )
+        assert order.max() >= 2  # counted, not flagged
+
+    @pytest.mark.parametrize(
+        "target", [(0.001, 0.03), (0.05, 0.2), (0.3, 0.7), (0.85, 0.95), (0.97, 0.999), (0.46, 0.53)]
+    )
+    def test_noisy_chains(self, target):
+        """Random sides under stream noise near eps_max: taper-zone preimages, empty chains and chains meeting c."""
+        family = PerturbedFamily(CANON)
+        model = NoiseModel(eps=0.9 * family.eps_max, seed=11)
+        n, depth = 300, 8
+        omega = np.array([model.stream(k).prefix(depth) for k in range(n)])
+        rng = np.random.default_rng(7)
+        left = rng.random((n, depth)) < 0.5
+        steps = rng.integers(1, depth + 1, n)
+        rows = rng.permutation(n)  # chains need not follow their rows in order
+        lo, hi, order = _assert_rows_match_scalar(family, target, omega, left, rows, steps)
+        m = family.margin
+        kept = ~np.isnan(lo)
+        assert kept.any() and not kept.all()
+        assert order.max() >= 1
+        if target[0] < 0.05 or target[1] > 0.95:  # these preimages reach the taper zones
+            ends = np.concatenate([lo[kept], hi[kept]])
+            assert np.any(((0.0 < ends) & (ends < m)) | ((1.0 - m < ends) & (ends < 1.0)))
