@@ -244,7 +244,7 @@ def criterion_07_stability_trend(cfg: ExperimentConfig):
 def criterion_08_kernel_regularity(cfg: ExperimentConfig):
     t0 = time.time()
     family = cfg.perturbed_family()
-    rep = kernel_regularity_check(family, cfg.noise_model(0.01), n_pairs=1000, n_draws=4000)
+    rep = kernel_regularity_check(family, cfg.noise_model(0.01))
     ok = rep["confirmed_violations"] == 0
     return _result(8, "transition-kernel regularity", ok,
                    f"{rep['n_pairs']} (x, A) pairs, worst ratio {rep['worst_ratio']:.3f}, "
@@ -602,6 +602,5 @@ CRITERIA = [
 ]
 
 
-def run_all(cfg: ExperimentConfig | None = None):
-    cfg = cfg if cfg is not None else ExperimentConfig().validate()
+def run_all(cfg: ExperimentConfig):
     return [fn(cfg) for fn in CRITERIA]

@@ -47,7 +47,6 @@ from .transfer import (
 STREAM_SIMULATE = 1_000_000
 STREAM_RETURNS = 2_000_000
 STREAM_DEPTH = 3_000_000
-STREAM_BIRKHOFF = 6_000_000
 
 
 def _fmt(value) -> str:
@@ -154,7 +153,6 @@ def run_density(cfg: ExperimentConfig, out_dir: str):
         n_steps=cfg.ensemble.birkhoff_steps,
         burn_in=cfg.ensemble.burn_in,
         partition=part,
-        stream_id=STREAM_BIRKHOFF,
     )
     p1 = _write_csv(os.path.join(out_dir, "ulam_density.csv"), ["bin_left", "bin_right", "weight"], _density_rows(pi))
     p2 = _write_csv(os.path.join(out_dir, "birkhoff_density.csv"), ["bin_left", "bin_right", "weight"], _density_rows(bd))

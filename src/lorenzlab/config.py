@@ -216,8 +216,8 @@ def _flatten(data: dict, prefix: str = "") -> dict:
     return flat
 
 
-def load_config(path: str | None = None, overrides: dict | None = None) -> ExperimentConfig:
-    """Build a config from an optional JSON file plus dotted-path overrides.
+def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
+    """Build a config from a JSON file (or none) plus dotted-path overrides.
 
     The file's fields and the overrides (which win) go through the same checks
     and type coercion; a bad field or value raises ConfigInvalid.
@@ -233,7 +233,7 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Exper
         if not isinstance(data, dict):
             raise ConfigInvalid([f"{path}: expected a JSON object of config sections"])
         settings = _flatten(data)
-    settings.update(overrides or {})
+    settings.update(overrides)
     for dotted, value in settings.items():
         *sections, name = dotted.split(".")
         target = cfg

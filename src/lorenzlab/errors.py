@@ -20,10 +20,10 @@ class OutOfBranchRange(LorenzLabError):
 class CriticalHit(LorenzLabError):
     """An orbit landed within the machine guard of the critical point."""
 
-    def __init__(self, step, point, message=None):
+    def __init__(self, step, point):
         self.step = step
         self.point = point
-        super().__init__(message or f"orbit hit critical guard at step {step} (x={point!r})")
+        super().__init__(f"orbit hit critical guard at step {step} (x={point!r})")
 
 
 class DeltaOutOfRange(LorenzLabError):

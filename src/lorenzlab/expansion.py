@@ -95,9 +95,9 @@ def mane_estimate(
     family: PerturbedFamily,
     model: NoiseModel | None,
     exclude: tuple[float, float],
-    n_starts: int = 400,
-    horizon: int = 200,
-    seed: int = 0,
+    n_starts: int,
+    horizon: int,
+    seed: int,
 ) -> ExpansionReport:
     """Uniform-expansion fit for orbit segments avoiding a neighborhood of c.
 
@@ -139,8 +139,8 @@ def mane_estimate(
 def expansion_envelope(
     family: PerturbedFamily,
     model: NoiseModel,
-    n_starts: int = 400,
-    horizon: int = 2000,
+    n_starts: int,
+    horizon: int,
 ) -> dict:
     """Lower envelopes of derivative growth near the critical neighborhood, at eps = model.eps.
 
@@ -323,8 +323,8 @@ def chain_image_interval(params: MapParams, chain, s: int) -> tuple[float, float
 def total_distortion_trend(
     family: PerturbedFamily,
     models,
-    n_starts: int = 1500,
-    horizon: int = 4000,
+    n_starts: int,
+    horizon: int,
 ) -> list[dict]:
     """Worst distortion at first landings per noise model of a ladder, for the trend.
 

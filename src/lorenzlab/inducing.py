@@ -198,7 +198,7 @@ def build_nice_set(
     delta: float,
     omega,
     depth: int,
-    verify_horizon: int = 0,
+    verify_horizon: int,
 ) -> NiceSetApprox:
     """Depth-limited nice-set fiber with optional boundary-orbit verification.
 
@@ -269,13 +269,13 @@ def _estimate_lyapunov_bits(family, noise, x0: float) -> float:
 # at first_hit is sums[-1].
 
 
-def _trace_doubles(params, traj, prev=None):
+def _trace_doubles(params, traj, prev):
     """(traj, sums) with sums[k] the log Df summed in step order over traj[:k].
 
-    ``prev`` is an earlier (traj, sums) of the same noise: its sums are kept
-    up to the first index where the two trajectories differ and the sum goes
-    on from there in the same order, so it gives the bits of a sum from
-    step 0.
+    ``prev`` is None or an earlier (traj, sums) of the same noise: its sums
+    are kept up to the first index where the two trajectories differ and the
+    sum goes on from there in the same order, so it gives the bits of a sum
+    from step 0.
     """
     k, sums = 0, [0.0]
     if prev is not None:
@@ -511,6 +511,9 @@ class MarkovVerification:
     floor: float
 
 
+# grid points of each Markov verification's nonlinearity and floor checks, scalar or batched
+_TAIL_GRID = 64
+
 #: names of the checks a Markov verification can fail, in the order they run
 VERIFY_REASONS = (
     "critical_guard",
@@ -531,14 +534,13 @@ def verify_markov_time(
     m: int,
     target: tuple[float, float],
     base_length: float,
-    grid_points: int = 128,
 ) -> MarkovVerification:
     """Directly verify the inducing definition at time m against a target fiber.
 
-    Pulls the target back along the orbit of x, then checks on a grid that
-    the m-step composition is a diffeomorphism of the component onto the
-    target with nonlinearity at most 1 and derivative at least
-    e^2 |target| / base_length.  Raises VerificationFailed otherwise, with
+    Pulls the target back along the orbit of x, then checks on a grid of
+    _TAIL_GRID points that the m-step composition is a diffeomorphism of the
+    component onto the target with nonlinearity at most 1 and derivative at
+    least e^2 |target| / base_length.  Raises VerificationFailed otherwise, with
     ``reason`` set to one of VERIFY_REASONS.
     """
     c = family.base.c
@@ -566,7 +568,7 @@ def verify_markov_time(
         raise VerificationFailed(
             "pullback component does not contain the starting point", "misses_start"
         )
-    g = np.linspace(lo, hi, grid_points)
+    g = np.linspace(lo, hi, _TAIL_GRID)
     g[0] += 1e-15
     g[-1] -= 1e-15
     _, d1, d2 = chain_derivatives(family, omega_values, g, m)
@@ -584,8 +586,6 @@ def verify_markov_time(
     return MarkovVerification(target=target, nonlinearity=nonlinearity, min_df=min_df, floor=floor)
 
 
-# grid points of each tail verification's nonlinearity and floor checks
-_TAIL_GRID = 64
 # rows whose grids step through the chain rule together: 256 rows of _TAIL_GRID
 # points keep each array at 128 KB, within the cache (on a 2-core x86-64,
 # jet_vec on the tail's grids costs about 14 ns a point so, 27 ns at 10 000 rows)
@@ -605,12 +605,11 @@ def verify_markov_batch(
     Row i verifies the start ``x[i]`` at time ``m[i]`` under the first m[i]
     values of the noise row ``omega[i]`` against the common target.  The
     stages, their order and their arithmetic are those of the scalar
-    verifier at grid_points=_TAIL_GRID, which stays the oracle.  The rows
-    are taken in order of decreasing m, so the rows still stepping at any
-    step of the replay and the chain rule form a prefix.  The pullback is
-    recurrence's one array pullback step, which backward_contraction_check
-    shares; a chain that meets c (order > 0) fails as clips_critical.
-    Returns one code per row: -1 when the time is verified, else the index
+    verifier, which stays the oracle.  The rows are taken in order of
+    decreasing m, so the rows still stepping at any step of the replay and
+    the chain rule form a prefix.  The pullback is recurrence's one array
+    pullback step, which backward_contraction_check shares; a chain that
+    meets c (order > 0) fails as clips_critical.  Returns one code per row: -1 when the time is verified, else the index
     in VERIFY_REASONS of the first check that fails.
     """
     c = family.base.c
@@ -780,6 +779,8 @@ _TAIL_BLOCK = 64
 
 # verification attempts per tail member
 _MAX_VERIFICATIONS = 16
+# accepted members re-verified against their exactly-built companion fibers
+_VERIFY_SUBSAMPLE = 64
 
 
 def _first_accepted(family, hist, x0, rows, steps, target, base_length):
@@ -829,8 +830,7 @@ def inducing_tail_stats(
     n_members: int,
     horizon: int,
     theta: float,
-    depth: int = 48,
-    verify_subsample: int = 64,
+    depth: int,
 ) -> TailStats:
     """Verified inducing-time tail over an ensemble started in B(delta).
 
@@ -848,8 +848,9 @@ def inducing_tail_stats(
     hit or theta-good return only up to the step it leaves at.  theta-good
     return times at the capped theta are tracked alongside for comparison.
     A member gets at most _MAX_VERIFICATIONS verification attempts.  A
-    random subsample is re-verified with the scalar verify_markov_time
-    against its own exactly-built companion fiber and reported.
+    random subsample of _VERIFY_SUBSAMPLE accepted members is re-verified
+    with the scalar verify_markov_time against each one's exactly-built
+    companion fiber and reported.
     ``meta["verify"]`` counts the ensemble's verification attempts,
     acceptances and failures by reason.
     """
@@ -930,7 +931,7 @@ def inducing_tail_stats(
     accepted = np.nonzero(times > 0)[0]
     sub = []
     if len(accepted):
-        sub = model.generator(4242).choice(accepted, size=min(verify_subsample, len(accepted)), replace=False)
+        sub = model.generator(4242).choice(accepted, size=min(_VERIFY_SUBSAMPLE, len(accepted)), replace=False)
     # each member's stream is read once, to its time plus the depth: the fiber at its time
     # (the fibers are built together) and the scalar check's prefix are slices of it
     steps = [int(times[i]) for i in sub]
@@ -942,9 +943,7 @@ def inducing_tail_stats(
         if lo >= hull[0] and hi <= hull[1]:
             inside_hull += 1
             try:
-                verify_markov_time(
-                    family, om[:m], float(x0[int(i)]), m, (lo, hi), nb.length, grid_points=_TAIL_GRID,
-                )
+                verify_markov_time(family, om[:m], float(x0[int(i)]), m, (lo, hi), nb.length)
                 agree += 1
             except VerificationFailed:
                 pass

@@ -311,7 +311,7 @@ class PerturbedFamily:
         """Closure of f_t(branch domain)."""
         return (0.0, self.base.c1_minus + t) if left else (self.base.c1_plus + t, 1.0)
 
-    def inverse_branch(self, t: float, y: float, left: bool, tol: float = 1e-13) -> float | None:
+    def inverse_branch(self, t: float, y: float, left: bool, tol: float) -> float | None:
         """Unique preimage of y on the left (``left``) or right branch of f_t, or None.
 
         Closed form shifted by t wherever the candidate lands on the taper

@@ -32,6 +32,10 @@ _Z_CONF = 2.576
 #: regularity constant L > 1 of the kernel bound p_eps(x, A) <= L (|A| / (2 eps))**(1/L)
 KERNEL_L = 2.0
 
+_KERNEL_PAIRS = 1000  # sampled (x, A) pairs of the kernel regularity check
+_KERNEL_DRAWS = 4000  # noise draws per pair
+_QUAD_NODES = 32  # Gauss-Legendre nodes of the noise quadrature, which every Ulam assembly reads
+
 
 @dataclass(frozen=True)
 class NoiseStream:
@@ -89,20 +93,20 @@ class NoiseModel:
     def stream(self, stream_id: int) -> NoiseStream:
         return NoiseStream(self, stream_id)
 
-    def quadrature(self, n_nodes: int = 32) -> tuple[np.ndarray, np.ndarray]:
+    def quadrature(self) -> tuple[np.ndarray, np.ndarray]:
         """Nodes and weights integrating g against the noise law on [-eps, eps].
 
-        Gauss-Legendre with the density folded into the weights; weights sum
-        to 1 exactly for both supported kinds (the densities are piecewise
-        linear, which Gauss-Legendre integrates exactly).
+        Gauss-Legendre on _QUAD_NODES nodes with the density folded into the
+        weights; weights sum to 1 exactly for both supported kinds (the
+        densities are piecewise linear, which Gauss-Legendre integrates
+        exactly).
         """
         if self.kind == "uniform":
-            x, w = np.polynomial.legendre.leggauss(n_nodes)
+            x, w = np.polynomial.legendre.leggauss(_QUAD_NODES)
             nodes = x * self.eps
             weights = w / 2.0
             return nodes, weights
-        half = max(2, n_nodes // 2)
-        x, w = np.polynomial.legendre.leggauss(half)
+        x, w = np.polynomial.legendre.leggauss(_QUAD_NODES // 2)
         nodes_r = (x + 1.0) * self.eps / 2.0
         w_r = w * self.eps / 2.0
         dens_r = (1.0 - np.abs(nodes_r) / self.eps) / self.eps
@@ -115,20 +119,16 @@ class NoiseModel:
         return family.base.c1_plus - self.eps, family.base.c1_minus + self.eps
 
 
-def kernel_regularity_check(
-    family: PerturbedFamily,
-    model: NoiseModel,
-    n_pairs: int = 1000,
-    n_draws: int = 4000,
-) -> dict:
+def kernel_regularity_check(family: PerturbedFamily, model: NoiseModel) -> dict:
     """Monte-Carlo check of the kernel regularity bound on the core region.
 
-    Samples points x in the trapping core and random intervals A with
-    |A| <= 2*eps, estimates p_eps(x, A) = nu_eps{t : f_t(x) in A} and compares
-    it with L * (|A| / (2 eps))**(1/L), L = KERNEL_L.  A violation is
-    *confirmed* only when the lower confidence bound of the estimate exceeds
-    the bound.  Points in the taper zones can legitimately exceed the bound,
-    which is why the check restricts itself to the core.
+    Samples _KERNEL_PAIRS points x in the trapping core and random intervals
+    A with |A| <= 2*eps, estimates p_eps(x, A) = nu_eps{t : f_t(x) in A} from
+    _KERNEL_DRAWS noise draws and compares it with L * (|A| / (2 eps))**(1/L),
+    L = KERNEL_L.  A violation is *confirmed* only when the lower confidence
+    bound of the estimate exceeds the bound.  Points in the taper zones can
+    legitimately exceed the bound, which is why the check restricts itself to
+    the core.
     """
     rng = model.generator(STREAM_KERNEL)
     eps, L = model.eps, KERNEL_L
@@ -139,7 +139,7 @@ def kernel_regularity_check(
     n_checked = 0
     worst = 0.0
     confirmed = 0
-    for _ in range(n_pairs):
+    for _ in range(_KERNEL_PAIRS):
         while True:
             x = rng.uniform(core_lo, core_hi)
             if abs(x - c) > 1e-6:
@@ -151,10 +151,10 @@ def kernel_regularity_check(
         b = min(1.0, center + length / 2.0)
         if b <= a:
             continue
-        ts = model._draw(rng, n_draws)
-        vals = family.eval_vec(ts, np.full(n_draws, x))
+        ts = model._draw(rng, _KERNEL_DRAWS)
+        vals = family.eval_vec(ts, np.full(_KERNEL_DRAWS, x))
         p_hat = float(np.mean((vals > a) & (vals < b)))
-        se = np.sqrt(max(p_hat * (1.0 - p_hat), 1e-12) / n_draws)
+        se = np.sqrt(max(p_hat * (1.0 - p_hat), 1e-12) / _KERNEL_DRAWS)
         bound = L * ((b - a) / (2.0 * eps)) ** (1.0 / L)
         worst = max(worst, p_hat / bound)
         if p_hat - _Z_CONF * se > bound:

@@ -188,21 +188,18 @@ def good_return_or_expansion_time(
     tau: float,
     *,
     horizon: int,
-    theta0: float = 0.01,
-    scale_grid=None,
+    theta0: float,
 ) -> ReturnEvent | None:
     """Earliest of (a) a theta-good return at some scale >= delta, (b) a tau-scale
     expansion time with theta0 * Df >= e * tau * A.
 
-    The scale infimum runs over a geometric grid with ratio e from delta up to
-    DELTA_STAR; refining the grid can only make the reported time earlier.
-    Ties at the same step report the good return (it carries the scale, and no
-    tau: a theta-good stop does not depend on it).
+    The scale infimum runs over default_scale_grid, a geometric grid with
+    ratio e from delta up to DELTA_STAR.  Ties at the same step report the
+    good return (it carries the scale, and no tau: a theta-good stop does not
+    depend on it).
     """
     params = family.base
-    if scale_grid is None:
-        scale_grid = default_scale_grid(params, delta)
-    nbs = [critical_neighborhood(params, d) for d in scale_grid]
+    nbs = [critical_neighborhood(params, d) for d in default_scale_grid(params, delta)]
     rungs = [(nb.lo, nb.hi, math.log(nb.length), nb) for nb in nbs]
     c = params.c
     log_theta = math.log(theta)
@@ -524,8 +521,8 @@ def backward_contraction_check(
     params: MapParams,
     delta_ladder,
     s_max: int,
-    sample_budget: int = 2000,
-    seed: int = 0,
+    sample_budget: int,
+    seed: int,
 ) -> dict:
     """Search for violations of backward contraction with constant r = BC_R.
 
@@ -534,10 +531,11 @@ def backward_contraction_check(
     components through each branch, deeper ones guided by sampled orbits
     that land in the target) and reports every W with dist(W, CV) < delta
     but |W| >= delta.  A rung steps all its guide orbits together and pulls
-    all its chains back in one _pullback_rows call, with the bits of the
-    scalar pullback_component.  An empty violation list means no violation
-    was found at these scales, not a proof.  Coverage is reported as the
-    number of distinct components visited.
+    its chains back in one _pullback_rows call, with the bits of the scalar
+    pullback_component, one chain for each step count and guide branch sides.
+    An empty violation list means no violation was found at these scales, not
+    a proof.  Coverage is reported as the number of distinct components
+    visited.
     """
     family = PerturbedFamily(params)
     rng = np.random.default_rng(seed)
@@ -566,6 +564,12 @@ def backward_contraction_check(
         start, landing = np.nonzero((target[0] < orbits[:, 1:]) & (orbits[:, 1:] < target[1]))
         guide = np.concatenate([[0, 1], start + 2])
         steps = np.concatenate([[1, 1], landing + 1])
+        # at t = 0 chains with equal s and equal branch sides give the same component bit
+        # for bit, which `seen` would skip: pull back only the first chain of each
+        first = {}
+        for i, (g, s) in enumerate(zip(guide.tolist(), steps.tolist())):
+            first.setdefault((s, left[g, :s].tobytes()), i)
+        guide, steps = guide[list(first.values())], steps[list(first.values())]
         lo, hi, order = _pullback_rows(family, target, np.zeros(left.shape), left, guide, steps)
         for s, w_lo, w_hi, met_c in zip(steps.tolist(), lo.tolist(), hi.tolist(), order.tolist()):
             key = (s, round(w_lo, 10), round(w_hi, 10))

@@ -40,7 +40,9 @@ __all__ = [
 _EDGE_TOL = 1e-12
 _BIRKHOFF_BLOCK = 1 << 16  # orbit steps per noise draw and per histogram call
 _CHECK_EVERY = 16  # power-iteration steps between residual checks
+_MAX_ITERS = 200_000  # power-iteration steps before a solve gives up
 _ROW_CHUNK = 256  # Ulam rows filled per step, bounding the assembly temporary
+STREAM_BIRKHOFF = 6_000_000  # stream id of the noisy Birkhoff orbit
 
 
 @dataclass(frozen=True)
@@ -58,7 +60,7 @@ class Partition:
         object.__setattr__(self, "edges", edges)
 
     @classmethod
-    def uniform(cls, n_bins: int, refine_at=()) -> "Partition":
+    def uniform(cls, n_bins: int, refine_at) -> "Partition":
         """Uniform partition with extra edges inserted at the given points.
 
         Densities of this map class can blow up near the critical values, so
@@ -190,7 +192,6 @@ def build_ulam(
     family: PerturbedFamily,
     model: NoiseModel | None,
     partition: Partition,
-    quad_nodes: int = 32,
 ) -> UlamMatrix:
     """Assemble the (noise-averaged) Ulam matrix on the given partition.
 
@@ -205,7 +206,7 @@ def build_ulam(
     else:
         if model.eps > family.eps_max:
             raise ValueError(f"model.eps={model.eps} exceeds family eps_max={family.eps_max}")
-        nodes, weights = model.quadrature(quad_nodes)
+        nodes, weights = model.quadrature()
         mode = "randomized"
     n = partition.n_bins
     P = np.zeros((n, n))
@@ -218,7 +219,6 @@ def build_ulam(
 def stationary_density(
     matrix: UlamMatrix,
     tol: float = 1e-10,
-    max_iters: int = 200_000,
     initial: Density | None = None,
 ) -> tuple[Density, dict]:
     """Left fixed vector of the Ulam matrix by damped power iteration.
@@ -228,7 +228,7 @@ def stationary_density(
     consist of cyclically exchanged bands, putting -1 in the spectrum).  The
     reported residual is the undamped fixed-point defect ||pi P - pi||_1.
     Raises NoConvergence when the residual has not reached ``tol`` after
-    ``max_iters`` iterations.
+    _MAX_ITERS iterations.
     """
     P = matrix.matrix
     n = matrix.partition.n_bins
@@ -240,8 +240,8 @@ def stationary_density(
         pi = np.full(n, 1.0 / n)
     residual = math.inf
     iterations = 0
-    while iterations < max_iters:
-        steps = min(_CHECK_EVERY, max_iters - iterations)
+    while iterations < _MAX_ITERS:
+        steps = min(_CHECK_EVERY, _MAX_ITERS - iterations)
         for _ in range(steps):
             pi = 0.5 * (pi + pi @ P)
         iterations += steps
@@ -263,13 +263,13 @@ def birkhoff_density(
     n_steps: int,
     burn_in: int,
     partition: Partition,
-    stream_id: int = 0,
 ) -> tuple[Density, dict]:
     """Normalised orbit histogram after burn-in (the empirical density).
 
-    Critical-guard hits restart the orbit from a deterministically jittered
-    point; restarts are counted and reported, never silently absorbed.
-    Every step equals ``family.eval(t, x)`` bit for bit.
+    A noisy orbit reads the model's stream STREAM_BIRKHOFF.  Critical-guard
+    hits restart the orbit from a deterministically jittered point; restarts
+    are counted and reported, never silently absorbed.  Every step equals
+    ``family.eval(t, x)`` bit for bit.
     """
     if n_steps <= burn_in:
         raise ValueError("n_steps must exceed burn_in")
@@ -283,7 +283,7 @@ def birkhoff_density(
     guard = CRITICAL_GUARD
     edges = partition.edges
     counts = np.zeros(partition.n_bins, dtype=np.int64)
-    stream = model.stream(stream_id) if model is not None else None
+    stream = model.stream(STREAM_BIRKHOFF) if model is not None else None
     restarts = 0
     x = x0
     step = 0
@@ -330,7 +330,6 @@ def stability_sweep(
     family: PerturbedFamily,
     models,
     partition: Partition,
-    quad_nodes: int = 32,
 ) -> tuple[list[dict], Density, dict]:
     """Distance of the stationary density to the zero-noise density per noise model.
 
@@ -350,7 +349,7 @@ def stability_sweep(
     zeta0, det_info = stationary_density(det_matrix)
     rows = []
     for model in models:
-        matrix = build_ulam(family, model, partition, quad_nodes=quad_nodes)
+        matrix = build_ulam(family, model, partition)
         try:
             zeta_eps, info = stationary_density(matrix)
             rows.append(

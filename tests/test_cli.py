@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from lorenzlab import cli
+from lorenzlab import cli, transfer
 from lorenzlab.config import ExperimentConfig, config_hash, load_config
 from lorenzlab.errors import ConfigInvalid
 from lorenzlab.maps import CANON, MapParams, PerturbedFamily
@@ -130,7 +130,7 @@ class TestConfig:
         cfg = _small_config()
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg.to_dict()))
-        loaded = load_config(str(path))
+        loaded = load_config(str(path), {})
         assert loaded.to_dict() == cfg.to_dict()
         assert config_hash(loaded) == config_hash(cfg)
 
@@ -222,6 +222,13 @@ class TestSubcommands:
         assert "config_hash" in summary and "git_describe" in summary
         assert "wall_clock_s" in summary["timing"]
 
+    def test_main_reports_no_convergence(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(transfer, "_MAX_ITERS", 8)
+        out = tmp_path / "run"
+        assert cli.main(["density", "--out", str(out), "--set", "partition.n_bins=64"]) == 1
+        assert capsys.readouterr().err.startswith("error: no convergence")
+        assert not (out / "density_summary.json").exists()
+
     def test_main_rejects_bad_config(self, capsys):
         code = cli.main(["simulate", "--set", "noise.eps=5.0", "--out", "/tmp/x_unused"])
         assert code == 2
@@ -249,7 +256,7 @@ class TestSubcommands:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(data))
         with pytest.raises(ConfigInvalid):
-            load_config(str(path))
+            load_config(str(path), {})
         monkeypatch.chdir(tmp_path)
         assert cli.main(["simulate", "--config", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error:")

@@ -17,13 +17,13 @@ from lorenzlab.recurrence import critical_neighborhood
 class TestMane:
     def test_envelope_property_and_expansion(self, family):
         nb = critical_neighborhood(CANON, 0.009)
-        rep = mane_estimate(family, None, nb.interval(), n_starts=300, horizon=200)
+        rep = mane_estimate(family, None, nb.interval(), n_starts=300, horizon=200, seed=0)
         assert rep.envelope_holds()
         assert rep.lam > 1.0
 
     def test_single_step_reduces_to_min_derivative(self, family):
         nb = critical_neighborhood(CANON, 0.009)
-        rep = mane_estimate(family, None, nb.interval(), n_starts=400, horizon=1)
+        rep = mane_estimate(family, None, nb.interval(), n_starts=400, horizon=1, seed=0)
         assert rep.n_ref == 1
         # with only length-1 segments the bound collapses to min Df outside U
         min_logdf = rep.samples_logdf.min()
@@ -38,7 +38,7 @@ class TestMane:
 
     def test_random_version_expands(self, family, model):
         nb = critical_neighborhood(CANON, 0.009)
-        rep = mane_estimate(family, model, nb.interval(), n_starts=300, horizon=200)
+        rep = mane_estimate(family, model, nb.interval(), n_starts=300, horizon=200, seed=0)
         assert rep.rate > 0.0
         assert rep.envelope_holds()
 
@@ -113,7 +113,7 @@ class TestDistortionTrend:
         # a start mapping into B(eps) in one step has ratio |B| / (Df(x) d(x,c))
         eps = 0.01
         nb = critical_neighborhood(CANON, eps)
-        x = family.inverse_branch(0.0, CANON.c, True) + 1e-4  # lands near c next step
+        x = family.inverse_branch(0.0, CANON.c, True, 1e-13) + 1e-4  # lands near c next step
         y = CANON.eval(x)
         assert nb.contains(y)
         ratio = nb.length / (CANON.deriv(x) * abs(x - CANON.c))

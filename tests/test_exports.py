@@ -48,7 +48,7 @@ def test_benchmark_tracer_counts_scan_steps():
         rec = lorenzlab.recurrence
         rec.landing_time(family, 0.25, stream, 0.009, horizon=3)
         rec.good_return_time(family, 0.25, stream, 0.009, 2.0, horizon=3)
-        rec.good_return_or_expansion_time(family, 0.25, stream, 0.009, 2.0, 1.0, horizon=3)
+        rec.good_return_or_expansion_time(family, 0.25, stream, 0.009, 2.0, 1.0, horizon=3, theta0=0.01)
     finally:
         tracer.uninstall()
     assert tracer.counters["recurrence.scan.calls"] == 3
@@ -156,3 +156,61 @@ def test_benchmark_tracer_counts_bc_components():
     assert len(rep["rows"]) > 0
     assert tracer.calls["recurrence.bc_check"] == 1
     assert tracer.counters["recurrence.bc_check.components"] == len(rep["rows"])
+
+
+def _calls_by_name(root):
+    """Every call in the code of src/, perfbench/ and scripts/, test files not counted, by the name it calls."""
+    calls = collections.defaultdict(list)
+    for top in ("src", "perfbench", "scripts"):
+        for path in (root / top).rglob("*.py"):
+            if "tests" in path.relative_to(root).parts:
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    calls[getattr(node.func, "id", None) or getattr(node.func, "attr", None)].append(node)
+    return calls
+
+
+def _defaulted_parameters(path):
+    """(line, call name, positional index or None, parameter) of each parameter with a default.
+
+    A method's positional index leaves out ``self`` or ``cls``, and calls of
+    ``__init__`` go by the name of its class.
+    """
+    tree = ast.parse(path.read_text())
+    owner = {
+        id(node): cls for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) for node in cls.body
+    }
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        cls = owner.get(id(node))
+        bound = cls is not None and not any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+        name = cls.name if cls is not None and node.name == "__init__" else node.name
+        a = node.args
+        positional = [*a.posonlyargs, *a.args]
+        for p in positional[len(positional) - len(a.defaults):]:
+            yield node.lineno, name, positional.index(p) - bound, p.arg
+        for p, default in zip(a.kwonlyargs, a.kw_defaults):
+            if default is not None:
+                yield node.lineno, name, None, p.arg
+
+
+def _leaves_out(call, index, param):
+    """Whether a call passes the parameter neither by keyword nor by position, nor maybe through * or **."""
+    if any(isinstance(arg, ast.Starred) for arg in call.args) or any(k.arg in (None, param) for k in call.keywords):
+        return False
+    return index is None or len(call.args) <= index
+
+
+def test_every_default_is_relied_on():
+    """Each parameter default in the package is left out by some call in src/, perfbench/ or scripts/."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    calls = _calls_by_name(root)
+    unused = [
+        f"{path.name}:{line} {name}({param})"
+        for path in sorted(pathlib.Path(lorenzlab.__file__).parent.glob("*.py"))
+        for line, name, index, param in _defaulted_parameters(path)
+        if not any(_leaves_out(call, index, param) for call in calls[name])
+    ]
+    assert unused == []

@@ -34,7 +34,7 @@ def nice(nmodel):
     from lorenzlab.maps import PerturbedFamily
 
     family = PerturbedFamily(CANON)
-    return build_nice_set(family, DELTA0, nmodel.stream(4_000_000), depth=48)
+    return build_nice_set(family, DELTA0, nmodel.stream(4_000_000), depth=48, verify_horizon=0)
 
 
 # x = 0.51 on stream 4 000 000 first lands at a time that verifies onto its own
@@ -82,11 +82,11 @@ class TestNiceSet:
     def test_criterion_14_fibers_pinned(self):
         # criterion 14's 20 fibers at the default config, without verification:
         # each fiber's per-depth (lo, hi) and its boundary, stacked
-        cfg = load_config()
+        cfg = load_config(None, {})
         family = cfg.perturbed_family()
         model = cfg.noise_model(min(cfg.noise.eps, cfg.scales.delta0))
         fibers = [
-            build_nice_set(family, cfg.scales.delta0, model.stream(inducing.STREAM_NICE + k), depth=48)
+            build_nice_set(family, cfg.scales.delta0, model.stream(inducing.STREAM_NICE + k), depth=48, verify_horizon=0)
             for k in range(20)
         ]
         assert all(ns.containment_ok for ns in fibers)
@@ -158,7 +158,7 @@ class TestNiceSet:
 
         # the nice-set subcommand counts each fiber's failed sides
         monkeypatch.setattr(inducing, "_MAX_ORBITS", 2)
-        cfg = load_config()
+        cfg = load_config(None, {})
         cfg.horizons.verify_horizon = 60
         _, results = cli.run_nice_set(cfg, str(tmp_path))
         cli_family, model = cfg.perturbed_family(), cfg.noise_model(cfg.noise.eps)
@@ -302,10 +302,10 @@ class TestBoundaryScan:
         two trajectories share all, part or none of a prefix, or one is a
         prefix of the other."""
         traj = [0.3, 0.7, 0.2, 0.9, 0.4]
-        full = inducing._trace_doubles(CANON, traj)
+        full = inducing._trace_doubles(CANON, traj, None)
         assert len(full[1]) == len(traj)
         for old in (traj, traj[:3], traj + [0.6], [0.3, 0.7, 0.25, 0.1], [0.31], [0.3]):
-            prev = inducing._trace_doubles(CANON, old)
+            prev = inducing._trace_doubles(CANON, old, None)
             assert inducing._trace_doubles(CANON, traj, prev) == full
 
     def test_scan_steps_count_every_scan(self, monkeypatch, family, nmodel):
@@ -429,10 +429,11 @@ class TestMarkovInducing:
             (0.6409116675363032, 130.6084003117565, 7.199288897270584), rel=1e-9
         )
 
-    def test_nonlinearity_grid_convergence(self, family, nice, markov_case):
+    def test_nonlinearity_grid_convergence(self, family, nice, markov_case, monkeypatch):
         om, target = markov_case
         coarse = verify_markov_time(family, om, 0.51, MARKOV_M, target, nice.length)
-        fine = verify_markov_time(family, om, 0.51, MARKOV_M, target, nice.length, grid_points=256)
+        monkeypatch.setattr(inducing, "_TAIL_GRID", 256)
+        fine = verify_markov_time(family, om, 0.51, MARKOV_M, target, nice.length)
         rel = abs(fine.nonlinearity - coarse.nonlinearity) / fine.nonlinearity
         assert rel <= 0.1
 
@@ -509,7 +510,7 @@ def _oracle_rows(family, delta, seed, members=60, horizon=600, eps=0.001):
                     break
     om = rng.uniform(-eps, eps, 5)
     rows.append((p.c + 5e-15, om))
-    rows.append((family.inverse_branch(float(om[0]), p.c, True), om))
+    rows.append((family.inverse_branch(float(om[0]), p.c, True, 1e-13), om))
     for x0, om in rows[:: 3]:
         orbit = [x0]
         for t in om:
@@ -527,7 +528,7 @@ def _oracle_rows(family, delta, seed, members=60, horizon=600, eps=0.001):
 
 def _scalar_code(family, om, x0, target, base_length):
     try:
-        verify_markov_time(family, om, x0, len(om), target, base_length, grid_points=inducing._TAIL_GRID)
+        verify_markov_time(family, om, x0, len(om), target, base_length)
     except VerificationFailed as exc:
         return VERIFY_REASONS.index(exc.reason)
     return -1
@@ -718,12 +719,17 @@ TAIL_CASES = {
 class TestBlockVerification:
     """inducing_tail_stats against the per-step loop, _per_step_tail."""
 
+    @pytest.fixture(autouse=True)
+    def _no_subsample(self, monkeypatch):
+        # the per-step loop has no exact-companion subsample
+        monkeypatch.setattr(inducing, "_VERIFY_SUBSAMPLE", 0)
+
     @staticmethod
     def _compare(case, n_members, horizon):
         params, delta, eps, theta = TAIL_CASES[case]
         family = PerturbedFamily(params)
         model = NoiseModel(eps=eps, seed=11)
-        got = inducing_tail_stats(family, model, delta, n_members, horizon, theta, verify_subsample=0)
+        got = inducing_tail_stats(family, model, delta, n_members, horizon, theta, depth=48)
         times, h_times, critical_hits, verify = _per_step_tail(family, model, delta, n_members, horizon, theta)
         assert got.times.tolist() == times.tolist()
         assert got.theta_good_times.tolist() == h_times.tolist()
@@ -853,7 +859,7 @@ class TestFiberIntervals:
 @pytest.fixture(scope="module")
 def stats(family, nmodel):
     return inducing_tail_stats(
-        family, nmodel, DELTA0, n_members=2000, horizon=4096, theta=0.001,
+        family, nmodel, DELTA0, n_members=2000, horizon=4096, theta=0.001, depth=48,
     )
 
 
@@ -879,7 +885,7 @@ class TestTailStats:
 
     def test_moment_stabilises_under_doubling(self, family, nmodel, stats):
         half = inducing_tail_stats(
-            family, nmodel, DELTA0, n_members=1000, horizon=4096, theta=0.001,
+            family, nmodel, DELTA0, n_members=1000, horizon=4096, theta=0.001, depth=48,
         )
         m_full = stats.moment(2.0)
         m_half = half.moment(2.0)
@@ -907,18 +913,16 @@ class TestTailStats:
         # tail is measured through directly verified inducing times instead
         assert float(np.mean(stats.theta_good_times < 0)) == 1.0
 
-    def test_memory_follows_alive_members(self, family, nmodel):
+    def test_memory_follows_alive_members(self, family, nmodel, monkeypatch):
         # about 1.2 KB a member when only the alive members' draws are held, in
         # one copy (most members are verified within the first 64-step block);
         # a name left on the previous draws array raises it to about 1.6 KB, and
         # holding a stream and its prefix per member for the whole run to over 7 KB
         n_members = 1000
+        monkeypatch.setattr(inducing, "_VERIFY_SUBSAMPLE", 0)
         tracemalloc.start()
         try:
-            inducing_tail_stats(
-                family, nmodel, DELTA0, n_members=n_members, horizon=256, theta=0.001,
-                verify_subsample=0,
-            )
+            inducing_tail_stats(family, nmodel, DELTA0, n_members=n_members, horizon=256, theta=0.001, depth=48)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -104,17 +104,17 @@ class TestMapParams:
 
 class TestInverseBranch:
     def test_inverts_eval_example(self, family):
-        assert family.inverse_branch(0.0, 0.675, True) == pytest.approx(0.25, abs=1e-13)
+        assert family.inverse_branch(0.0, 0.675, True, 1e-13) == pytest.approx(0.25, abs=1e-13)
 
     def test_critical_value_pulls_back_to_c(self, family):
-        assert family.inverse_branch(0.0, 0.9, True) == pytest.approx(0.5, abs=1e-13)
+        assert family.inverse_branch(0.0, 0.9, True, 1e-13) == pytest.approx(0.5, abs=1e-13)
 
     def test_below_right_image_has_no_preimage(self, family):
-        assert family.inverse_branch(0.0, 0.05, False) is None
+        assert family.inverse_branch(0.0, 0.05, False, 1e-13) is None
 
     def test_outside_unit_interval_raises(self, family):
         with pytest.raises(OutOfBranchRange):
-            family.inverse_branch(0.0, 1.5, True)
+            family.inverse_branch(0.0, 1.5, True, 1e-13)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -126,7 +126,7 @@ class TestInverseBranch:
     @example(y=0.1, t=0.0, left=False)
     @example(y=0.9, t=1.945380332785617e-199, left=True)  # y - t rounds to u: the preimage is c
     def test_round_trip(self, family, y, t, left):
-        x = family.inverse_branch(t, y, left)
+        x = family.inverse_branch(t, y, left, 1e-13)
         if x is None:
             return
         if abs(x - family.base.c) < CRITICAL_GUARD:
@@ -140,14 +140,14 @@ class TestInverseBranch:
         for left in (True, False):
             lo, hi = family.branch_range(0.0, left)
             ys = rng.uniform(lo + 1e-9, hi - 1e-9, 10_000)
-            xs = np.array([family.inverse_branch(0.0, float(y), left) for y in ys])
+            xs = np.array([family.inverse_branch(0.0, float(y), left, 1e-13) for y in ys])
             back = family.eval_vec(0.0, xs)
             assert np.max(np.abs(back - ys)) <= 1e-11
 
     def test_round_trip_with_noise_in_taper_zone(self, family):
         t = 0.05
         for y in (0.01, 0.05, 0.12):
-            x = family.inverse_branch(t, y, True)
+            x = family.inverse_branch(t, y, True, 1e-13)
             assert x is not None
             assert family.eval(t, x) == pytest.approx(y, abs=1e-11)
 
@@ -558,7 +558,7 @@ class TestWalk:
         assert verdicts == ({True, False} if params == CANON else {False})  # only CANON's orbits bind here
 
     def test_critical_start_raises_at_the_reference_step(self, params):
-        x0 = PerturbedFamily(params).inverse_branch(0.0, params.c, True)  # within the guard of c in one step
+        x0 = PerturbedFamily(params).inverse_branch(0.0, params.c, True, 1e-13)  # within the guard of c in one step
         x1 = params.eval(x0)
         assert abs(x1 - params.c) < CRITICAL_GUARD
         with pytest.raises(CriticalHit) as want:

@@ -47,7 +47,7 @@ class TestSampling:
     def test_quadrature_weights_normalised(self):
         for kind in ("uniform", "triangular"):
             m = NoiseModel(eps=0.01, kind=kind, seed=0)
-            nodes, weights = m.quadrature(32)
+            nodes, weights = m.quadrature()
             assert weights.sum() == pytest.approx(1.0, abs=1e-12)
             assert np.all(np.abs(nodes) <= 0.01)
 
@@ -134,7 +134,7 @@ class TestKernel:
 
     def test_regularity_report_clean_on_core(self, family):
         m = NoiseModel(eps=0.01, seed=5)
-        rep = kernel_regularity_check(family, m, n_pairs=200, n_draws=2000)
+        rep = kernel_regularity_check(family, m)
         assert rep["confirmed_violations"] == 0
         assert rep["worst_ratio"] < 1.0
 

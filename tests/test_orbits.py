@@ -174,7 +174,7 @@ class TestLogScan:
 
     def test_hit_after_steps_reports_the_step(self, scan_family):
         # x maps to within 2e-16 of c in one unperturbed step, inside the guard: the hit is at step 1
-        x = scan_family.inverse_branch(0.0, scan_family.base.c, True)
+        x = scan_family.inverse_branch(0.0, scan_family.base.c, True, 1e-13)
         rows = []
         with pytest.raises(CriticalHit) as err:
             for row in log_scan(scan_family, x, np.zeros(5)):
@@ -217,7 +217,7 @@ class TestLogScan:
         """CriticalHit and NoiseOutOfRange come at the same step, with the same step index and message."""
         family = scan_family
         c, eps_max = family.base.c, family.eps_max
-        onto_c = family.inverse_branch(0.0, c, True)  # maps to within the guard of c in one step
+        onto_c = family.inverse_branch(0.0, c, True, 1e-13)  # maps to within the guard of c in one step
         bad = 2.0 * eps_max
         rng = np.random.default_rng(7)
         cases = [

@@ -33,7 +33,7 @@ class TestPartition:
             Partition(np.array([0.1, 0.5, 1.0]))
 
     def test_coarse_partition_rejected_by_builder(self, family):
-        plain = Partition.uniform(100)  # no edge at c = 0.5? uniform(100) has one
+        plain = Partition.uniform(100, ())  # no edge at c = 0.5? uniform(100) has one
         part_no_c = Partition(np.array([0.0, 0.3, 0.8, 1.0]))
         with pytest.raises(PartitionTooCoarse):
             build_ulam(family, None, part_no_c)
@@ -71,7 +71,7 @@ def _scalar_ulam(family, model, part):
             dom_lo, dom_hi = family.branch_domain(left)
             rng_lo, rng_hi = family.branch_range(t, left)
             pre = np.array([
-                dom_lo if y <= rng_lo else dom_hi if y >= rng_hi else family.inverse_branch(t, y, left)
+                dom_lo if y <= rng_lo else dom_hi if y >= rng_hi else family.inverse_branch(t, y, left, 1e-13)
                 for y in edges.tolist()
             ])
             for i in rows:
@@ -83,7 +83,7 @@ def _scalar_ulam(family, model, part):
         P = deterministic(0.0)
     else:
         P = np.zeros((n, n))
-        for t, w in zip(*model.quadrature(32)):
+        for t, w in zip(*model.quadrature()):
             P += w * deterministic(float(t))
     return P / P.sum(axis=1, keepdims=True)
 
@@ -102,7 +102,7 @@ class TestUlamMatrix:
     def test_randomized_rows_stochastic(self, family):
         part = partition_for(family, 128)
         model = NoiseModel(eps=0.01, seed=3)
-        rnd = build_ulam(family, model, part, quad_nodes=16)
+        rnd = build_ulam(family, model, part)
         assert np.max(np.abs(rnd.matrix.sum(axis=1) - 1.0)) <= 1e-10
 
     def test_row_support_contiguous(self, family, part64):
@@ -135,7 +135,7 @@ class TestStationary:
         assert l1_distance(out, ini) <= 1e-12
 
     def test_doubly_stochastic_gives_uniform(self):
-        part = Partition.uniform(64)  # equal widths: uniform masses = uniform density
+        part = Partition.uniform(64, ())  # equal widths: uniform masses = uniform density
         n = part.n_bins
         P = np.roll(np.eye(n), 1, axis=1) * 0.5 + np.roll(np.eye(n), -1, axis=1) * 0.5
         mat = UlamMatrix(part, P, mode="custom")
@@ -149,15 +149,16 @@ class TestStationary:
         assert resid <= 1e-10
         assert info["residual"] <= 1e-10
 
-    def test_no_convergence_reports_residual(self, part64):
+    def test_no_convergence_reports_residual(self, part64, monkeypatch):
         n = part64.n_bins
         P = np.roll(np.eye(n), 1, axis=1)  # pure rotation: slowly mixing under damping
         mat = UlamMatrix(part64, P, mode="custom")
         masses = np.zeros(n)
         masses[0] = 1.0
         point = Density.from_masses(part64, masses)
+        monkeypatch.setattr(transfer, "_MAX_ITERS", 8)
         with pytest.raises(NoConvergence) as err:
-            stationary_density(mat, tol=1e-14, max_iters=8, initial=point)
+            stationary_density(mat, tol=1e-14, initial=point)
         assert err.value.residual > 0
 
 
@@ -195,7 +196,7 @@ class TestProjectDensity:
 
     def test_mass_conserved_across_unaligned_grids(self, family):
         rng = np.random.default_rng(6)
-        src = Partition.uniform(300)
+        src = Partition.uniform(300, ())
         dens = Density.from_masses(src, rng.uniform(0.5, 1.5, src.n_bins))
         target = partition_for(family, 64)
         proj = _project_density(dens, target)
@@ -215,10 +216,10 @@ class TestProjectDensity:
         np.testing.assert_allclose(_project_density(pi, coarse).masses, sums, rtol=1e-9, atol=1e-15)
 
 
-def _reference_birkhoff(family, model, x0, n_steps, burn_in, partition, stream_id=0):
+def _reference_birkhoff(family, model, x0, n_steps, burn_in, partition):
     """Slow oracle for birkhoff_density: one family.eval per step, same restart rule."""
     c = family.base.c
-    noise = np.zeros(n_steps) if model is None else model.stream(stream_id).prefix(n_steps)
+    noise = np.zeros(n_steps) if model is None else model.stream(transfer.STREAM_BIRKHOFF).prefix(n_steps)
     points = np.empty(n_steps - burn_in)
     x, restarts = x0, 0
     for i in range(n_steps):
@@ -267,8 +268,8 @@ class TestBirkhoff:
         # 140 000 steps cross two 65 536-step blocks; a 70 000-step burn-in skips the first block
         model = None if law is None else NoiseModel(eps=0.001, kind=law, seed=20240901)
         part = partition_for(family, 512)
-        dens, info = birkhoff_density(family, model, x0, n_steps, burn_in, part, stream_id=7)
-        ref, ref_restarts = _reference_birkhoff(family, model, x0, n_steps, burn_in, part, stream_id=7)
+        dens, info = birkhoff_density(family, model, x0, n_steps, burn_in, part)
+        ref, ref_restarts = _reference_birkhoff(family, model, x0, n_steps, burn_in, part)
         assert np.array_equal(dens.weights, ref.weights)
         assert info == {"restarts": ref_restarts, "recorded": n_steps - burn_in}
         if x0 == CANON.c:  # starting on c forces a restart
@@ -298,7 +299,7 @@ class TestSweep:
 
     def test_non_converging_rung_is_recorded_and_the_sweep_goes_on(self, family, part64, monkeypatch):
         models = [NoiseModel(eps=0.02), NoiseModel(eps=0.01), NoiseModel(eps=0.005)]
-        want = stability_sweep(family, models[2:], part64, quad_nodes=16)[0]
+        want = stability_sweep(family, models[2:], part64)[0]
         solve = transfer.stationary_density
         calls = []
 
@@ -309,7 +310,7 @@ class TestSweep:
             return solve(matrix, *args, **kwargs)
 
         monkeypatch.setattr(transfer, "stationary_density", first_rung_fails)
-        rows, _, _ = stability_sweep(family, models, part64, quad_nodes=16)
+        rows, _, _ = stability_sweep(family, models, part64)
         assert calls == ["deterministic", "randomized", "randomized", "randomized"]
         failed = rows[0]
         assert failed["eps"] == 0.02 and failed["error"] == "no convergence"
@@ -321,6 +322,6 @@ class TestSweep:
     def test_small_sweep_runs(self, family):
         part = partition_for(family, 128)
         models = [NoiseModel(eps=0.02), NoiseModel(eps=0.01)]
-        rows, zeta0, info = stability_sweep(family, models, part, quad_nodes=16)
+        rows, zeta0, info = stability_sweep(family, models, part)
         assert len(rows) == 2
         assert all(np.isfinite(r["l1"]) for r in rows)
