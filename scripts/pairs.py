@@ -1,6 +1,7 @@
 """Alternated base/change pairs of benchmark workloads.
 
     python3 scripts/pairs.py --workload W [W ...] [--pairs 10] [--seconds 25] [--seed N] [--base REV]
+                             [--json PATH]
 
 Exports REV (default HEAD) with ``git archive`` into a temporary directory
 (the base), then runs ``perfbench/run.py --trace 0`` alternately in that tree
@@ -21,7 +22,11 @@ verdict per metric: "gain" when the change won at least 9 in 10 of the pairs
 and its median is better than the base's by more than the base's
 interquartile range, "worse beyond bound" when its median is worse than the
 base's by more than the metric's ``bound`` in BENCHMARK.json (a fraction of
-the base's median), and "within bound" otherwise.  A run of several
+the base's median), and "within bound" otherwise.  With ``--json PATH`` it
+also writes that record to PATH (a ``BENCH_<pr>.json``): per workload and
+metric each pair's two values (null for a run that did not read correct),
+both sides' median and quartiles, the pairs won and the verdict, with the
+``git describe`` of REV and of the working tree.  A run of several
 minutes: it is not part of scripts/check.sh.  Exits 1 when any run does not print ``"correct": true``,
 2 when the base cannot be exported; the temporary directory is removed on
 exit.
@@ -53,9 +58,8 @@ def _run(tree, env, args, workload):
     return result.get("correct") is True, {k: v["value"] for k, v in result.get("metrics", {}).items()}
 
 
-def _spread(values):
-    q1, median, q3 = quartiles(list(values))
-    return f"{median:.4g} [{q1:.4g}, {q3:.4g}]"
+def _spread(side):
+    return f"{side['median']:.4g} [{side['q1']:.4g}, {side['q3']:.4g}]"
 
 
 def _verdict(metric, bases, changes, won):
@@ -70,25 +74,45 @@ def _verdict(metric, bases, changes, won):
     return "within bound"
 
 
-def _table(workload, args, metrics, runs):
+def _record(metric, runs):
+    """One metric's record: each pair's values and, over the pairs in which both runs read correct,
+    both sides' quartiles, the pairs the change won and the verdict (absent below two such pairs)."""
+    name = metric["name"]
+    values = [{side: runs[side][i].get(name) for side in runs} for i in range(len(runs["base"]))]
+    record = {"unit": metric["unit"], "better": metric["better"], "bound": metric["bound"], "pairs": values}
+    both = [(v["base"], v["change"]) for v in values if None not in (v["base"], v["change"])]
+    record["correct_pairs"] = len(both)
+    if len(both) >= 2:
+        sign = 1 if metric["better"] == "lower" else -1
+        bases, changes = zip(*both)
+        won = sum(sign * (b - c) > 0 for b, c in both)
+        for side, vals in (("base", bases), ("change", changes)):
+            q1, median, q3 = quartiles(list(vals))
+            record[side] = {"median": median, "q1": q1, "q3": q3}
+        record["won"] = won
+        record["verdict"] = _verdict(metric, bases, changes, won)
+    return record
+
+
+def _table(workload, args, records):
     """Print one workload's table: per end-to-end metric each side's spread and the pairs the change won,
     then each metric's verdict."""
     print(f"{workload} at seed {args.seed}, {args.pairs} pairs, base {args.base}:")
     print(f"{'metric':12s} {'base median [q1, q3]':32s} {'change median [q1, q3]':32s} change won")
-    verdicts = []
-    for m in metrics:
-        name = m["name"]
-        pairs = [(b[name], c[name]) for b, c in zip(runs["base"], runs["change"]) if name in b and name in c]
-        if len(pairs) < 2:
-            print(f"{name:12s} too few correct pairs ({len(pairs)})")
+    for name, r in records.items():
+        if "verdict" not in r:
+            print(f"{name:12s} too few correct pairs ({r['correct_pairs']})")
             continue
-        sign = 1 if m["better"] == "lower" else -1
-        won = sum(sign * (b - c) > 0 for b, c in pairs)
-        bases, changes = zip(*pairs)
-        print(f"{name:12s} {_spread(bases):32s} {_spread(changes):32s} {won}/{len(pairs)}", flush=True)
-        verdicts.append((name, _verdict(m, bases, changes, won)))
-    for name, verdict in verdicts:
-        print(f"verdict {name}: {verdict}", flush=True)
+        won = f"{r['won']}/{r['correct_pairs']}"
+        print(f"{name:12s} {_spread(r['base']):32s} {_spread(r['change']):32s} {won}", flush=True)
+    for name, r in records.items():
+        if "verdict" in r:
+            print(f"verdict {name}: {r['verdict']}", flush=True)
+
+
+def _describe(*args):
+    out = subprocess.run(["git", "-C", ROOT, "describe", "--always", *args], capture_output=True, text=True)
+    return out.stdout.strip() if out.returncode == 0 else "unknown"
 
 
 def main(argv=None) -> int:
@@ -98,6 +122,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=25.0)
     parser.add_argument("--seed", type=int, default=20240901)
     parser.add_argument("--base", default="HEAD")
+    parser.add_argument("--json", metavar="PATH", help="also write the pairs and verdicts to PATH")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2, for quartiles")
@@ -120,6 +145,13 @@ def main(argv=None) -> int:
 
         sides = {"base": base, "change": ROOT}
         all_correct = True
+        bench = {
+            "seed": args.seed,
+            "pairs": args.pairs,
+            "seconds": args.seconds,
+            "git_describe": {"base": _describe(args.base), "change": _describe("--dirty")},
+            "workloads": {},
+        }
         for workload in args.workload:
             runs = {side: [] for side in sides}
             for i in range(args.pairs):
@@ -130,8 +162,14 @@ def main(argv=None) -> int:
                     runs[side].append(values if correct else {})
                     shown = ", ".join(f"{m['name']} {values.get(m['name'], float('nan')):.4g}" for m in metrics)
                     print(f"{workload} pair {i + 1}/{args.pairs} {side:6s} correct={correct} {shown}", flush=True)
-            _table(workload, args, metrics, runs)
+            records = {m["name"]: _record(m, runs) for m in metrics}
+            bench["workloads"][workload] = records
+            _table(workload, args, records)
 
+    if args.json:
+        with open(args.json, "w", encoding="utf-8") as fh:
+            json.dump(bench, fh, indent=2)
+            fh.write("\n")
     if not all_correct:
         print("error: a run did not print \"correct\": true", file=sys.stderr)
     return 0 if all_correct else 1

@@ -9,6 +9,7 @@ differs only in its timing block.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -47,6 +48,17 @@ from .transfer import (
 STREAM_SIMULATE = 1_000_000
 STREAM_RETURNS = 2_000_000
 STREAM_DEPTH = 3_000_000
+
+# seconds per named stage of the running subcommand, written under the summary's timing.stages
+_stages: dict[str, float] = {}
+
+
+@contextlib.contextmanager
+def _stage(name: str):
+    """Time the block into _stages[name], rounded like wall_clock_s."""
+    t0 = time.perf_counter()
+    yield
+    _stages[name] = round(time.perf_counter() - t0, 3)
 
 
 def _fmt(value) -> str:
@@ -91,7 +103,7 @@ def _write_summary(out_dir, name, cfg, outputs, results, t_start):
         "git_describe": _git_describe(),
         "outputs": [os.path.basename(p) for p in outputs],
         "results": results,
-        "timing": {"wall_clock_s": round(time.time() - t_start, 3)},
+        "timing": {"wall_clock_s": round(time.time() - t_start, 3), "stages": dict(_stages)},
     }
     path = os.path.join(out_dir, f"{name}_summary.json")
     with open(path, "w", encoding="utf-8") as fh:
@@ -144,16 +156,19 @@ def run_density(cfg: ExperimentConfig, out_dir: str):
     family = cfg.perturbed_family()
     part = partition_for(family, cfg.partition.n_bins)
     model = cfg.noise_model(cfg.noise.eps)
-    matrix = build_ulam(family, model, part)
-    pi, info = stationary_density(matrix)
-    bd, binfo = birkhoff_density(
-        family,
-        model,
-        x0=0.3141,
-        n_steps=cfg.ensemble.birkhoff_steps,
-        burn_in=cfg.ensemble.burn_in,
-        partition=part,
-    )
+    with _stage("assembly_s"):
+        matrix = build_ulam(family, model, part)
+    with _stage("solve_s"):
+        pi, info = stationary_density(matrix)
+    with _stage("birkhoff_s"):
+        bd, binfo = birkhoff_density(
+            family,
+            model,
+            x0=0.3141,
+            n_steps=cfg.ensemble.birkhoff_steps,
+            burn_in=cfg.ensemble.burn_in,
+            partition=part,
+        )
     p1 = _write_csv(os.path.join(out_dir, "ulam_density.csv"), ["bin_left", "bin_right", "weight"], _density_rows(pi))
     p2 = _write_csv(os.path.join(out_dir, "birkhoff_density.csv"), ["bin_left", "bin_right", "weight"], _density_rows(bd))
     results = {
@@ -497,6 +512,7 @@ def main(argv=None) -> int:
         return 2
     out_dir = cfg.output.out_dir
     os.makedirs(out_dir, exist_ok=True)
+    _stages.clear()
     t0 = time.time()
     try:
         outputs, results = SUBCOMMANDS[args.subcommand](cfg, out_dir)

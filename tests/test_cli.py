@@ -222,6 +222,22 @@ class TestSubcommands:
         assert "config_hash" in summary and "git_describe" in summary
         assert "wall_clock_s" in summary["timing"]
 
+    def test_density_summary_splits_its_time(self, tmp_path):
+        out = tmp_path / "run"
+        sizes = ["--set", "partition.n_bins=64", "--set", "ensemble.birkhoff_steps=100000"]
+        assert cli.main(["density", "--out", str(out), *sizes]) == 0
+        summary = json.load(open(out / "density_summary.json"))
+        stages = summary["timing"]["stages"]
+        assert set(stages) == {"assembly_s", "solve_s", "birkhoff_s"}
+        assert all(s >= 0.0 for s in stages.values())
+        assert sum(stages.values()) <= summary["timing"]["wall_clock_s"] + 0.01
+        assert set(summary["results"]) == {
+            "mode", "residual", "iterations", "l1_birkhoff_vs_ulam", "birkhoff_restarts",
+        }
+        # the next subcommand in the same process starts with no stages
+        assert cli.main(["simulate", "--out", str(out), "--set", "horizons.orbit_steps=10"]) == 0
+        assert json.load(open(out / "simulate_summary.json"))["timing"]["stages"] == {}
+
     def test_main_reports_no_convergence(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(transfer, "_MAX_ITERS", 8)
         out = tmp_path / "run"

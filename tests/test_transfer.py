@@ -4,7 +4,7 @@ import pytest
 from lorenzlab import transfer
 from lorenzlab.acceptance import _project_density
 from lorenzlab.errors import NoConvergence, PartitionMismatch, PartitionTooCoarse
-from lorenzlab.maps import CANON, CRITICAL_GUARD
+from lorenzlab.maps import CANON, CRITICAL_GUARD, MapParams, PerturbedFamily
 from lorenzlab.noise import NoiseModel
 from lorenzlab.transfer import (
     Density,
@@ -216,6 +216,10 @@ class TestProjectDensity:
         np.testing.assert_allclose(_project_density(pi, coarse).masses, sums, rtol=1e-9, atol=1e-15)
 
 
+# its orbit lies in a taper zone on about one step in nine at eps 0.0265; eps_max is 0.027
+_TAPER_FAMILY = PerturbedFamily(MapParams(c=0.5, ell=2.0, u=0.97, v=0.97), margin=0.05)
+
+
 def _reference_birkhoff(family, model, x0, n_steps, burn_in, partition):
     """Slow oracle for birkhoff_density: one family.eval per step, same restart rule."""
     c = family.base.c
@@ -262,18 +266,35 @@ class TestBirkhoff:
             (None, CANON.c, 140_000, 70_000),
             ("uniform", CANON.c, 140_000, 1_000),
             ("uniform", 1e-3, 140_000, 1_000),  # starts in the taper zone
+            ("uniform", 0.3141, 100_500, 1_500),  # the run and the burn-in end inside a segment
+            ("taper", 0.3141, 140_000, 1_000),
+            ("taper", 0.3141, 100_500, 70_001),
+            ("guard", 0.3141, 140_000, 1_000),
         ],
     )
-    def test_matches_family_eval_reference(self, family, law, x0, n_steps, burn_in):
+    def test_matches_family_eval_reference(self, family, law, x0, n_steps, burn_in, monkeypatch):
         # 140 000 steps cross two 65 536-step blocks; a 70 000-step burn-in skips the first block
-        model = None if law is None else NoiseModel(eps=0.001, kind=law, seed=20240901)
+        case, eps = law, 0.001
+        if case == "taper":
+            # Every block of this family's orbit enters the taper zone, so each one leaves the core
+            # step for the scalar step mid-block.  At this eps and seed the core step's garbage
+            # points after one such input also overflow z**ell once.
+            family, law, eps = _TAPER_FAMILY, "uniform", 0.0265
+        if case == "guard":  # a wide guard puts critical restarts inside segments
+            monkeypatch.setattr(transfer, "CRITICAL_GUARD", 1e-4)
+            monkeypatch.setitem(globals(), "CRITICAL_GUARD", 1e-4)
+            law = "uniform"
+        model = None if law is None else NoiseModel(eps=eps, kind=law, seed=20240901)
         part = partition_for(family, 512)
         dens, info = birkhoff_density(family, model, x0, n_steps, burn_in, part)
         ref, ref_restarts = _reference_birkhoff(family, model, x0, n_steps, burn_in, part)
         assert np.array_equal(dens.weights, ref.weights)
         assert info == {"restarts": ref_restarts, "recorded": n_steps - burn_in}
-        if x0 == CANON.c:  # starting on c forces a restart
+        if x0 == CANON.c or case == "guard":  # starting on c or a wide guard forces a restart
             assert info["restarts"] >= 1
+        if case == "taper":
+            m = family.margin
+            assert dens.masses[(part.edges[:-1] < m) | (part.edges[1:] > 1.0 - m)].sum() > 0.05
 
     def test_refinement_consistency(self, family):
         pa = partition_for(family, 256)
